@@ -310,7 +310,8 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | N
     Codebook size is fixed (default 32). Cycles shorter than the largest
     requested coefficient count are excluded once up front, so the energy
     statistics for every K are computed over the same cycle set and are
-    monotone in K by construction.
+    monotone in K by construction. Each cycle is transformed once, at the
+    largest K; every smaller K keeps the first K values of those rows.
     """
     if utterances is None:
         if config.corpus_root is None:
@@ -332,12 +333,17 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | N
     pooled_train = [c for spk in speakers for c in train_cycles[spk]]
     if not pooled_train:
         raise ValueError("no usable pitch cycles in the training data")
+    train_rows = {spk: psdct_features(train_cycles[spk], max_k) for spk in speakers}
+    test_rows = {spk: psdct_features(test_cycles[spk], max_k) for spk in speakers}
+
+    def first(rows: list[FeatureVector], k: int) -> list[FeatureVector]:
+        return [FeatureVector(v.values[:k], KIND_PSDCT) for v in rows]
 
     rows = []
     for k in sorted(config.coeff_counts):
         codebooks = [
             train_codebook(
-                psdct_features(train_cycles[spk], k),
+                first(train_rows[spk], k),
                 config.sweep_codebook_size,
                 seed=config.seed,
                 speaker_id=spk,
@@ -346,7 +352,7 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | N
         ]
         correct = 0
         for spk in speakers:
-            _, predicted = identify(psdct_features(test_cycles[spk], k), codebooks)
+            _, predicted = identify(first(test_rows[spk], k), codebooks)
             correct += predicted == spk
         rows.append(
             SweepRow(

@@ -1,6 +1,7 @@
 """MFCC baseline: sliding Hanning-windowed frames over voiced regions.
 
-Pipeline per frame: Hanning window -> zero-padded 512-point power spectrum ->
+Pipeline per frame: Hanning window -> power spectrum zero-padded to 512 points,
+or to the next power of two for longer frames (never cropped) ->
 26 triangular mel filters spanning 0..sr/2 -> floored log energies -> DCT-II
 -> 13 cepstral coefficients (c0..c12 by default).
 """
@@ -21,7 +22,7 @@ from .psdct import KIND_MFCC, FeatureVector, dct2
 class MfccConfig:
     frame_ms: float = 20.0
     shift_ms: float = 10.0
-    n_fft: int = 512
+    n_fft: int = 512  # at least; a longer frame gets the next power of two
     n_filters: int = 26
     log_floor: float = 1e-10
     n_coeffs: int = 13
@@ -76,9 +77,10 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
     expected = frame_length(sample_rate, config.frame_ms)
     if x.size != expected:
         raise ValueError(f"frame of {x.size} samples, expected {expected}")
-    spectrum = dft(x * hanning(x.size), n=config.n_fft)
-    power = np.abs(spectrum[: config.n_fft // 2 + 1]) ** 2
-    energies = mel_filterbank(sample_rate, config.n_fft, config.n_filters) @ power
+    n_fft = max(config.n_fft, 1 << (x.size - 1).bit_length())
+    spectrum = dft(x * hanning(x.size), n=n_fft)
+    power = np.abs(spectrum[: n_fft // 2 + 1]) ** 2
+    energies = mel_filterbank(sample_rate, n_fft, config.n_filters) @ power
     log_energies = np.log(np.maximum(energies, config.log_floor))
     coeffs = dct2(log_energies)
     if config.use_c0:

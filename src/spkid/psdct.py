@@ -9,7 +9,6 @@ waveform peaks, matching the transform's basis endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,22 +39,38 @@ class FeatureVector:
         return self.values.size
 
 
-@lru_cache(maxsize=None)
-def _dct_basis(m: int) -> np.ndarray:
-    # rows: c[k] = s(k) * sum_n x[n] cos(pi*(2n+1)*k / 2M), s(0)=sqrt(1/M), s(k)=sqrt(2/M)
-    n = np.arange(m)
-    basis = np.cos(np.pi * (2.0 * n[None, :] + 1.0) * n[:, None] / (2.0 * m))
-    basis *= np.sqrt(2.0 / m)
-    basis[0] *= np.sqrt(0.5)
-    return basis
+# length M -> the first rows of its DCT-II basis, as many as any caller has asked for
+_BASES: dict[int, np.ndarray] = {}
 
 
-def dct2(frame) -> np.ndarray:
-    """Orthonormal DCT-II; Parseval holds (sum c^2 = sum x^2)."""
+def _dct_basis(m: int, rows: int) -> np.ndarray:
+    """First ``rows`` rows of the M-point orthonormal DCT-II matrix.
+
+    One basis is kept per length and rebuilt only when a caller asks for more
+    rows than it holds, so truncated callers never pay for an M x M matrix.
+    """
+    basis = _BASES.get(m)
+    if basis is None or basis.shape[0] < rows:
+        # c[k] = s(k) * sum_n x[n] cos(pi*(2n+1)*k / 2M), s(0)=sqrt(1/M), s(k)=sqrt(2/M)
+        n = np.arange(m)
+        basis = np.cos(np.pi * (2.0 * n[None, :] + 1.0) * np.arange(rows)[:, None] / (2.0 * m))
+        basis *= np.sqrt(2.0 / m)
+        basis[0] *= np.sqrt(0.5)
+        _BASES[m] = basis
+    return basis[:rows]
+
+
+def dct2(frame, n: int | None = None) -> np.ndarray:
+    """First ``n`` coefficients (all by default) of the orthonormal DCT-II.
+
+    With all coefficients Parseval holds (sum c^2 = sum x^2).
+    """
     x = np.asarray(frame, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty frame")
-    return _dct_basis(x.size) @ x
+    if n is not None and n < 1:
+        raise ValueError(f"need at least 1 coefficient, got {n}")
+    return _dct_basis(x.size, x.size if n is None else min(n, x.size)) @ x
 
 
 def normalize_energy(frame) -> np.ndarray:
@@ -72,25 +87,37 @@ def psdct_feature(cycle: PitchCycle, n_coeffs: int = DEFAULT_NUM_COEFFS) -> Feat
     m = len(cycle)
     if m <= n_coeffs:
         raise ValueError(f"cycle of {m} samples too short for {n_coeffs} coefficients")
-    coeffs = dct2(normalize_energy(cycle.samples))
-    return FeatureVector(coeffs[1 : n_coeffs + 1].copy(), KIND_PSDCT)
+    coeffs = dct2(normalize_energy(cycle.samples), n_coeffs + 1)
+    return FeatureVector(coeffs[1:], KIND_PSDCT)
 
 
 def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> float:
     """Mean fraction of cycle energy captured by coefficients 1..K.
 
-    The denominator is the full unit-energy frame's coefficient energy
-    (= 1 by Parseval, computed explicitly); with include_dc=False the mean
-    coefficient is excluded from the denominator as well.
+    The denominator is the full unit-energy frame's coefficient energy, which
+    by Parseval is its sample energy; with include_dc=False the mean
+    coefficient is excluded from the denominator as well. Cycles are grouped
+    by length and each group is transformed in one product with the truncated
+    basis, so each cycle is transformed once and only coefficients 0..K are
+    computed.
     """
     if not cycles:
         raise ValueError("empty cycle list")
-    ratios = []
-    for cycle in cycles:
+    by_length: dict[int, list[int]] = {}
+    for i, cycle in enumerate(cycles):
         m = len(cycle)
         if m <= n_coeffs:
             raise ValueError(f"cycle of {m} samples too short for {n_coeffs} coefficients")
-        c2 = dct2(normalize_energy(cycle.samples)) ** 2
-        denom = float(np.sum(c2)) if include_dc else float(np.sum(c2[1:]))
-        ratios.append(float(np.sum(c2[1 : n_coeffs + 1])) / denom)
+        by_length.setdefault(m, []).append(i)
+    ratios = np.empty(len(cycles))
+    for m, idx in by_length.items():
+        x = np.stack([cycles[i].samples for i in idx]).astype(np.float64, copy=False)
+        energy = np.einsum("ij,ij->i", x, x)
+        if np.any(energy <= 0.0):
+            raise ValueError("zero-energy frame; caller must filter these out")
+        x /= np.sqrt(energy)[:, None]
+        c2 = (x @ _dct_basis(m, n_coeffs + 1).T) ** 2
+        full = np.einsum("ij,ij->i", x, x)
+        denom = full if include_dc else full - c2[:, 0]
+        ratios[idx] = c2[:, 1:].sum(axis=1) / denom
     return float(np.mean(ratios))

@@ -1,16 +1,22 @@
 import io
 
+import numpy as np
 import pytest
+import scipy.fft
 
+from spkid.classify import identify
+from spkid.corpus import split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     collect_cycles,
+    psdct_features,
     run_experiment,
     sweep_coefficients,
     sweep_to_markdown,
     write_sweep_csv,
 )
 from spkid.synth import synth_corpus
+from spkid.vq import train_codebook
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,44 @@ def test_sweep_mec_monotone_and_accuracy_plateau(corpus6):
     buf = io.StringIO()
     write_sweep_csv(buf, rows)
     assert len(buf.getvalue().strip().splitlines()) == 5
+
+
+def reference_sweep(config, utterances):
+    """(K, mec_total, mec_ac, accuracy) with features, codebooks and scores recomputed for each K."""
+    voiced = config.effective_voiced_set()
+    splits = split_speakers(utterances, config.n_train, config.n_test, config.test_pattern)
+    max_k = max(config.coeff_counts)
+    train = {s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced) if len(c) > max_k] for s in splits}
+    test = {s.speaker_id: [c for c in collect_cycles(s.test_utterances, voiced) if len(c) > max_k] for s in splits}
+    energies = [
+        scipy.fft.dct(c.samples / np.linalg.norm(c.samples), type=2, norm="ortho") ** 2
+        for cycles in train.values()
+        for c in cycles
+    ]
+    rows = []
+    for k in sorted(config.coeff_counts):
+        codebooks = [
+            train_codebook(psdct_features(cycles, k), config.sweep_codebook_size, seed=config.seed, speaker_id=spk)
+            for spk, cycles in train.items()
+        ]
+        correct = sum(identify(psdct_features(cycles, k), codebooks)[1] == spk for spk, cycles in test.items())
+        mec_total = np.mean([c2[1 : k + 1].sum() / c2.sum() for c2 in energies])
+        mec_ac = np.mean([c2[1 : k + 1].sum() / c2[1:].sum() for c2 in energies])
+        rows.append((k, mec_total, mec_ac, correct / len(splits)))
+    return rows
+
+
+@pytest.mark.parametrize("sample_rate", [16000, 48000])
+def test_sweep_matches_per_k_reference(sample_rate):
+    utterances = synth_corpus(4, 5, seed=11, sample_rate=sample_rate)
+    config = ExperimentConfig(n_train=3, n_test=2, coeff_counts=(10, 25, 40), sweep_codebook_size=8, seed=3)
+    rows = sweep_coefficients(config, utterances=utterances)
+    ref = reference_sweep(config, utterances)
+    assert [r.n_coeffs for r in rows] == [k for k, _, _, _ in ref]
+    for r, (_, mec_total, mec_ac, accuracy) in zip(rows, ref):
+        assert r.accuracy == accuracy
+        assert abs(r.mec_total - mec_total) < 1e-12
+        assert abs(r.mec_ac - mec_ac) < 1e-12
 
 
 def test_collect_cycles_counts(corpus6):

@@ -11,7 +11,7 @@ from spkid.mfcc import (
     mfcc_feature,
     mfcc_features_for_region,
 )
-from spkid.psdct import KIND_MFCC
+from spkid.psdct import KIND_MFCC, dct2
 
 SR = 16000
 
@@ -107,3 +107,24 @@ def test_mfcc_features_for_region():
     feats = mfcc_features_for_region(region_of(rng.normal(size=1000) * 0.1))
     assert len(feats) == 5
     assert all(f.dim == 13 for f in feats)
+
+
+@pytest.mark.parametrize("sample_rate", [32000, 48000])
+def test_mfcc_uses_every_sample_of_long_frames(sample_rate):
+    # 20 ms is 640 or 960 samples here, more than the 512-point default
+    rng = np.random.default_rng(4)
+    frame = rng.normal(size=sample_rate // 50)
+    changed = frame.copy()
+    changed[512:] = rng.normal(size=frame.size - 512)
+    assert np.max(np.abs(mfcc_feature(frame, sample_rate).values - mfcc_feature(changed, sample_rate).values)) > 1e-3
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000])
+def test_mfcc_short_frames_keep_the_512_point_spectrum(sample_rate):
+    from spkid.dsp import dft, hanning
+
+    rng = np.random.default_rng(5)
+    frame = rng.normal(size=sample_rate // 50)
+    power = np.abs(dft(frame * hanning(frame.size), n=512)[:257]) ** 2
+    log_energies = np.log(np.maximum(mel_filterbank(sample_rate, 512, 26) @ power, 1e-10))
+    assert np.array_equal(mfcc_feature(frame, sample_rate).values, dct2(log_energies)[:13])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spkid import psdct
 from spkid.gci import PitchCycle
 from spkid.psdct import (
     KIND_PSDCT,
@@ -148,3 +150,55 @@ def test_mec_errors():
         mec([], 15)
     with pytest.raises(ValueError):
         mec([cycle_of(np.ones(10))], 15)
+
+
+def test_mec_zero_energy_cycle_raises():
+    with pytest.raises(ValueError):
+        mec([cycle_of(np.ones(60)), cycle_of(np.zeros(60))], 15)
+
+
+def test_dct2_rejects_zero_coefficients():
+    with pytest.raises(ValueError):
+        dct2(np.ones(8), 0)
+
+
+def test_dct2_truncated_matches_full_and_scipy():
+    rng = np.random.default_rng(6)
+    for m in [2, 16, 41, 42, 900, *rng.integers(2, 901, size=25)]:
+        x = rng.normal(size=int(m))
+        full = dct2(x)
+        ref = scipy.fft.dct(x, type=2, norm="ortho")
+        for n in (1, 16, 41, x.size):
+            c = dct2(x, n)
+            assert c.shape == (min(n, x.size),)
+            assert np.max(np.abs(c - full[:n])) < 1e-12
+            assert np.max(np.abs(c - ref[:n])) < 1e-12
+
+
+def test_dct2_rows_independent_of_request_order(monkeypatch):
+    monkeypatch.setattr(psdct, "_BASES", {})
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=333)
+    few_first = dct2(x, 5)
+    many = dct2(x, 41)  # rebuilds the cached basis with more rows
+    few_after = dct2(x, 5)  # served from the larger basis
+    assert np.array_equal(few_first, few_after)
+    assert np.max(np.abs(many[:5] - few_first)) < 1e-12
+    assert psdct._BASES[333].shape == (41, 333)
+
+
+def mec_reference(cycles, n_coeffs, include_dc):
+    ratios = []
+    for cycle in cycles:
+        c2 = scipy.fft.dct(normalize_energy(cycle.samples), type=2, norm="ortho") ** 2
+        ratios.append(c2[1 : n_coeffs + 1].sum() / (c2.sum() if include_dc else c2[1:].sum()))
+    return float(np.mean(ratios))
+
+
+@pytest.mark.parametrize("include_dc", [True, False])
+def test_mec_mixed_lengths_matches_per_cycle_reference(include_dc):
+    rng = np.random.default_rng(8)
+    lengths = rng.choice([45, 80, 81, 200, 613], size=60)
+    cycles = [cycle_of(rng.normal(size=int(m)) + rng.normal()) for m in lengths]
+    for k in (10, 25, 40):
+        assert abs(mec(cycles, k, include_dc) - mec_reference(cycles, k, include_dc)) < 1e-12

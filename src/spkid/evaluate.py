@@ -13,6 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .classify import CmdScore, FusionWeights, fuse, identify
 from .corpus import (
     DEFAULT_VOICED_SET,
@@ -184,6 +186,27 @@ def collect_mfcc_features(
     return feats
 
 
+def _check_codebook_sizes(
+    train: dict[tuple[str, str], list[FeatureVector]], sizes: tuple[int, ...], dim: int | None = None
+) -> None:
+    """Fail before any training if a codebook size exceeds a speaker's distinct vectors.
+
+    ``train`` maps (speaker, kind) to the training vectors, of which the first
+    ``dim`` values count (all by default). One error lists every speaker, kind
+    and size that does not fit; ``lloyd_kmeans`` would stop at the first.
+    """
+    misfits = []
+    for (speaker_id, kind), vectors in train.items():
+        n_distinct = len(np.unique(np.array([v.values[:dim] for v in vectors]), axis=0))
+        too_big = [k for k in sizes if k > n_distinct]
+        if too_big:
+            misfits.append(
+                f"{speaker_id} {kind} k={','.join(map(str, too_big))} ({n_distinct} distinct)"
+            )
+    if misfits:
+        raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
+
+
 def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | None = None) -> EvalReport:
     """Train, identify, and fuse over every configured codebook size.
 
@@ -222,6 +245,10 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | None 
                 raise ValueError(f"speaker {speaker_id}: no {kind} training vectors")
             if not test_feats[kind][speaker_id]:
                 raise ValueError(f"speaker {speaker_id}: no {kind} test vectors")
+    _check_codebook_sizes(
+        {(spk, kind): train_feats[kind][spk] for kind in config.kinds for spk in speakers},
+        config.codebook_sizes,
+    )
 
     accuracies: dict[str, dict[int, float]] = {k: {} for k in config.kinds}
     alphas: dict[int, float] = {}
@@ -335,6 +362,12 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | N
         raise ValueError("no usable pitch cycles in the training data")
     train_rows = {spk: psdct_features(train_cycles[spk], max_k) for spk in speakers}
     test_rows = {spk: psdct_features(test_cycles[spk], max_k) for spk in speakers}
+    # a prefix of a row has at most as many distinct values as the row: the smallest K binds
+    _check_codebook_sizes(
+        {(spk, KIND_PSDCT): train_rows[spk] for spk in speakers},
+        (config.sweep_codebook_size,),
+        dim=min(config.coeff_counts),
+    )
 
     def first(rows: list[FeatureVector], k: int) -> list[FeatureVector]:
         return [FeatureVector(v.values[:k], KIND_PSDCT) for v in rows]

@@ -87,7 +87,7 @@ def lloyd_kmeans(
     the RMS vector norm of the data, or after max_iter iterations.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    n = data.shape[0]
+    n, dim = data.shape
     if n == 0:
         raise ValueError("no training vectors")
     n_distinct = np.unique(data, axis=0).shape[0]
@@ -109,14 +109,16 @@ def lloyd_kmeans(
             )
         history.append(distortion)
 
-        new_centroids = centroids.copy()
-        for j in range(k):
-            mask = labels == j
-            if np.any(mask):
-                new_centroids[j] = data[mask].mean(axis=0)
+        # cell sums accumulate row by row from 0.0, as data[labels == j].mean(axis=0)
+        # does for dim >= 2, so the centroids are bit-identical to a per-cell loop
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount(
+            (labels[:, None] * dim + np.arange(dim)).ravel(), weights=data.ravel(), minlength=k * dim
+        ).reshape(k, dim)
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
         # re-seed empty clusters with the points farthest from their centroid
-        empty = [j for j in range(k) if not np.any(labels == j)]
-        if empty:
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
             point_d2 = np.sum((data - new_centroids[labels]) ** 2, axis=1)
             for j in empty:
                 far = int(np.argmax(point_d2))
@@ -134,13 +136,15 @@ def _as_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, str]:
     if not vectors:
         raise ValueError("empty vector list")
     kind = vectors[0].kind
-    dim = vectors[0].dim
     for v in vectors:
         if v.kind != kind:
             raise ValueError(f"mixed feature kinds: {kind} vs {v.kind}")
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {v.dim}")
-    return np.stack([v.values for v in vectors]), kind
+    rows = [v.values for v in vectors]
+    dim = rows[0].size
+    for row in rows:
+        if row.size != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
+    return np.concatenate(rows).reshape(len(rows), dim), kind
 
 
 def train_codebook(

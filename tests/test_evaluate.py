@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import spkid.evaluate as evaluate
 from spkid.classify import identify
 from spkid.corpus import split_speakers
 from spkid.evaluate import (
@@ -22,6 +23,11 @@ from spkid.vq import train_codebook
 @pytest.fixture(scope="module")
 def corpus6():
     return synth_corpus(6, 8, seed=21)
+
+
+@pytest.fixture(scope="module")
+def corpus8k():
+    return synth_corpus(4, 5, seed=3, sample_rate=8000)
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +164,37 @@ def test_collect_cycles_counts(corpus6):
     cycles = collect_cycles(corpus6[:2], voiced)
     assert len(cycles) > 100
     assert all(len(c) >= 40 for c in cycles)
+
+
+def test_8khz_smoke(corpus8k):
+    config = ExperimentConfig(codebook_sizes=(8, 16), coeff_counts=(10, 20), n_train=3, n_test=2)
+    report = run_experiment(config, utterances=corpus8k)
+    report.validate()
+    for kind in ("psdct", "mfcc"):
+        assert set(report.accuracies[kind]) == {8, 16}
+    assert all(0.0 <= acc <= 1.0 for by_size in report.accuracies.values() for acc in by_size.values())
+    rows = sweep_coefficients(config, utterances=corpus8k)
+    assert [r.n_coeffs for r in rows] == [10, 20]
+    assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
+
+
+def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a codebook was trained before the size check")
+
+    monkeypatch.setattr(evaluate, "train_codebook", no_training)
+    speakers = sorted({u.speaker_id for u in corpus8k})
+
+    config = ExperimentConfig(codebook_sizes=(8, 5000, 6000), n_train=3, n_test=2)
+    with pytest.raises(ValueError, match="exceed the distinct training vectors") as err:
+        run_experiment(config, utterances=corpus8k)
+    for spk in speakers:
+        for kind in ("psdct", "mfcc"):
+            assert f"{spk} {kind} k=5000,6000 (" in str(err.value)
+    assert "k=8" not in str(err.value)
+
+    config = ExperimentConfig(coeff_counts=(10, 20), sweep_codebook_size=5000, n_train=3, n_test=2)
+    with pytest.raises(ValueError, match="exceed the distinct training vectors") as err:
+        sweep_coefficients(config, utterances=corpus8k)
+    for spk in speakers:
+        assert f"{spk} psdct k=5000 (" in str(err.value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spkid.vq as vq
 from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureVector
 from spkid.vq import (
     Codebook,
@@ -153,3 +154,62 @@ def test_model_dir_round_trip(tmp_path):
     assert len(only_mfcc) == 1 and only_mfcc[0].kind == KIND_MFCC
     with pytest.raises(ValueError, match="manifest"):
         load_model_dir(tmp_path / "nothing-here")
+
+
+def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300):
+    """The per-cell Lloyd loop that lloyd_kmeans must reproduce bit for bit."""
+    n = data.shape[0]
+    centroids = vq._kmeanspp_init(data, k, np.random.default_rng(seed))
+    scale = float(np.sqrt(np.mean(np.sum(data**2, axis=1)))) or 1.0
+    history = []
+    for _ in range(max_iter):
+        d2 = vq._sq_dists(data, centroids)
+        labels = np.argmin(d2, axis=1)
+        history.append(float(np.mean(d2[np.arange(n), labels])))
+        new_centroids = centroids.copy()
+        for j in range(k):
+            mask = labels == j
+            if np.any(mask):
+                new_centroids[j] = data[mask].mean(axis=0)
+        empty = [j for j in range(k) if not np.any(labels == j)]
+        if empty:
+            point_d2 = np.sum((data - new_centroids[labels]) ** 2, axis=1)
+            for j in empty:
+                far = int(np.argmax(point_d2))
+                new_centroids[j] = data[far]
+                point_d2[far] = 0.0
+        movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        centroids = new_centroids
+        if movement < tol * scale:
+            break
+    return centroids, history
+
+
+@pytest.mark.parametrize("dim", [2, 3, 15, 40])
+@pytest.mark.parametrize("k", [1, 4, 16, 128])
+def test_lloyd_update_matches_per_cell_reference(dim, k):
+    # a few well-separated blobs plus scale offsets, so sums are not all near zero
+    rng = np.random.default_rng(1000 * dim + k)
+    data = rng.normal(size=(400, dim)) + 5.0 * rng.integers(0, 6, size=(400, 1))
+    centroids, history = lloyd_kmeans(data, k, seed=42)
+    ref_centroids, ref_history = reference_lloyd(data, k, seed=42)
+    assert np.array_equal(centroids, ref_centroids)
+    assert history == ref_history
+
+
+def test_lloyd_update_matches_reference_with_empty_cell(monkeypatch):
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(300, 3))
+    plain_init = vq._kmeanspp_init
+
+    def init_with_far_centroid(data, k, rng):
+        centroids = plain_init(data, k, rng)
+        centroids[-1] = 1e3  # nearest to no point: its cell is empty after the first assignment
+        return centroids
+
+    monkeypatch.setattr(vq, "_kmeanspp_init", init_with_far_centroid)
+    centroids, history = lloyd_kmeans(data, 6, seed=42)
+    ref_centroids, ref_history = reference_lloyd(data, 6, seed=42)
+    assert np.array_equal(centroids, ref_centroids)
+    assert history == ref_history
+    assert np.all(np.abs(centroids) < 1e3)  # the far centroid was re-seeded onto the data

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
 from .corpus import load_corpus, load_voiced_set, save_corpus, split_speakers
-from .mfcc import MfccConfig
 from .psdct import KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
 from .vq import load_model_dir, save_model_dir, train_codebook
@@ -54,11 +53,11 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
     utts = load_corpus(args.corpus)
-    voiced = config.effective_voiced_set()
     if args.epoch_dump:
         from .corpus import extract_voiced_regions
         from .gci import detect_gci, dump_epochs_csv, map_to_peaks
 
+        voiced = config.effective_voiced_set()
         with open(args.epoch_dump, "w", encoding="utf-8", newline="") as fh:
             fh.write("region_id,epoch,mapped_peak\n")
             for utt in utts:
@@ -66,61 +65,48 @@ def cmd_extract(args) -> int:
                     epochs = detect_gci(region)
                     peaks = map_to_peaks(region, epochs)
                     dump_epochs_csv(fh, region, epochs, peaks)
+    if args.kind == KIND_PSDCT:
+        index, width = "cycle_index", config.n_coeffs
+    else:
+        index, width = "frame_index", config.mfcc.n_coeffs
     with _out_stream(args.report_out) as fh:
-        if args.kind == KIND_PSDCT:
-            fh.write("speaker,utterance,cycle_index," + ",".join(f"k{i}" for i in range(1, args.coeffs + 1)) + "\n")
-            for utt in utts:
-                feats = ev.psdct_features(ev.collect_cycles([utt], voiced), args.coeffs)
-                for i, f in enumerate(feats):
-                    fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
-        else:
-            mcfg = MfccConfig()
-            fh.write("speaker,utterance,frame_index," + ",".join(f"k{i}" for i in range(1, mcfg.n_coeffs + 1)) + "\n")
-            for utt in utts:
-                feats = ev.collect_mfcc_features([utt], voiced, mcfg)
-                for i, f in enumerate(feats):
-                    fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
+        fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
+        for utt in utts:
+            feats = ev.collect_features([utt], config, (args.kind,))[args.kind]
+            for i, f in enumerate(feats):
+                fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
     return 0
 
 
-def _split_features(config, utts, kind, which):
-    voiced = config.effective_voiced_set()
-    splits = split_speakers(utts, config.n_train, config.n_test, config.test_pattern)
-    out = {}
-    for split in splits:
-        group = split.train_utterances if which == "train" else split.test_utterances
-        if kind == KIND_PSDCT:
-            out[split.speaker_id] = ev.psdct_features(ev.collect_cycles(group, voiced), config.n_coeffs)
-        else:
-            out[split.speaker_id] = ev.collect_mfcc_features(group, voiced, config.mfcc)
-    return out
+def _kinds(args) -> tuple[str, ...]:
+    return (KIND_PSDCT, KIND_MFCC) if args.kind == "fused" else (args.kind,)
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
-    utts = load_corpus(args.corpus)
-    kinds = [KIND_PSDCT, KIND_MFCC] if args.kind == "fused" else [args.kind]
-    codebooks = []
-    for kind in kinds:
-        feats = _split_features(config, utts, kind, "train")
-        for spk, vectors in sorted(feats.items()):
-            codebooks.append(
-                train_codebook(vectors, args.codebook_size, seed=args.seed, speaker_id=spk)
-            )
+    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test, config.test_pattern)
+    kinds = _kinds(args)
+    feats = ev.split_features(splits, config, kinds, "training")
+    ev.check_codebook_sizes(feats, (args.codebook_size,))
+    codebooks = [
+        train_codebook(feats[s.speaker_id, kind], args.codebook_size, seed=args.seed, speaker_id=s.speaker_id)
+        for kind in kinds
+        for s in splits
+    ]
     save_model_dir(codebooks, args.model_dir)
     print(f"wrote {len(codebooks)} codebooks (k={args.codebook_size}) to {args.model_dir}")
     return 0
 
 
 def cmd_identify(args) -> int:
-    config = _config_from_args(args, n_coeffs=args.coeffs)
-    utts = load_corpus(args.corpus)
     fused_mode = args.kind == "fused"
     if fused_mode and (args.acc_dct is None or args.acc_mfcc is None):
         print("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])", file=sys.stderr)
         return 2
-    kinds = [KIND_PSDCT, KIND_MFCC] if fused_mode else [args.kind]
-    test_feats = {kind: _split_features(config, utts, kind, "test") for kind in kinds}
+    config = _config_from_args(args, n_coeffs=args.coeffs)
+    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test, config.test_pattern)
+    kinds = _kinds(args)
+    test_feats = ev.split_features(splits, config, kinds, "test")
     books = {kind: load_model_dir(args.model_dir, kind=kind) for kind in kinds}
     for kind in kinds:
         if not books[kind]:
@@ -129,15 +115,15 @@ def cmd_identify(args) -> int:
 
     correct = total = 0
     with _out_stream(args.report_out) as fh:
-        for spk in sorted(test_feats[kinds[0]]):
+        for spk in (s.speaker_id for s in splits):
             if fused_mode:
-                ranked_dct, _ = identify(test_feats[KIND_PSDCT][spk], books[KIND_PSDCT])
-                ranked_mfcc, _ = identify(test_feats[KIND_MFCC][spk], books[KIND_MFCC])
+                ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
+                ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
                 weights = FusionWeights(args.acc_dct, args.acc_mfcc)
                 fused, predicted = fuse(ranked_dct, ranked_mfcc, weights)
                 write_fused_csv(fh, fused, weights.alpha, test_speaker=spk)
             else:
-                ranked, predicted = identify(test_feats[args.kind][spk], books[args.kind])
+                ranked, predicted = identify(test_feats[spk, args.kind], books[args.kind])
                 write_score_csv(fh, ranked, test_speaker=spk)
             correct += predicted == spk
             total += 1
@@ -147,9 +133,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    kinds = (KIND_PSDCT, KIND_MFCC) if args.kind == "fused" else (args.kind,)
     config = _config_from_args(
-        args, n_coeffs=args.coeffs, codebook_sizes=_int_list(args.codebook_size), kinds=kinds
+        args, n_coeffs=args.coeffs, codebook_sizes=_int_list(args.codebook_size), kinds=_kinds(args)
     )
     report = ev.run_experiment(config)
     markdown = report.to_markdown()

@@ -66,8 +66,8 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     d2 = np.sum((data - data[chosen[0]]) ** 2, axis=1)
     for _ in range(1, k):
         total = float(d2.sum())
-        if total <= 0.0:
-            raise ValueError("fewer distinct vectors than requested centroids")
+        if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
+            raise ValueError(f"k={k} exceeds the {len(chosen)} distinct training vectors")
         idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
         d2 = np.minimum(d2, np.sum((data - data[idx]) ** 2, axis=1))
@@ -90,9 +90,6 @@ def lloyd_kmeans(
     n, dim = data.shape
     if n == 0:
         raise ValueError("no training vectors")
-    n_distinct = np.unique(data, axis=0).shape[0]
-    if k > n_distinct:
-        raise ValueError(f"k={k} exceeds the {n_distinct} distinct training vectors")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(data, k, rng)

@@ -1,7 +1,11 @@
+import csv
+
 import pytest
 
+import spkid.cli as cli
 from spkid.cli import main
 from spkid.corpus import load_corpus
+from spkid.evaluate import ExperimentConfig, run_experiment
 from spkid.vq import load_model_dir
 
 
@@ -118,3 +122,37 @@ def test_voiced_set_flag(corpus_dir, tmp_path):
         "--voiced-set", str(vset), "--report-out", str(out),
     ]) == 0
     assert len(out.read_text().strip().splitlines()) > 500
+
+
+def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a codebook was trained before the size check")
+
+    monkeypatch.setattr(cli, "train_codebook", no_training)
+    with pytest.raises(ValueError, match="codebook sizes exceed the distinct training vectors") as err:
+        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"])
+    for spk in ("spk00", "spk01", "spk02", "spk03"):
+        for kind in ("psdct", "mfcc"):
+            assert f"{spk} {kind} k=5000 (" in str(err.value)
+
+
+def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path):
+    vset = tmp_path / "voiced.txt"
+    vset.write_text("zz\n")
+    with pytest.raises(ValueError, match="speaker spk00: no psdct training vectors"):
+        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--voiced-set", str(vset)])
+
+
+def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
+    model, out = tmp_path / "model", tmp_path / "scores.csv"
+    common = ["--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"]
+    assert main(["train", *common, "--codebook-size", "8", "--seed", "42"]) == 0
+    assert main(["identify", *common, "--report-out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh) if r["rank"] != "rank"}
+
+    config = ExperimentConfig(codebook_sizes=(8,), kinds=("psdct",), seed=42)
+    report = run_experiment(config, utterances=load_corpus(corpus_dir))
+    lib_scores = {(t.speaker_id, cand): f"{score:.9g}" for t in report.trials for cand, score in t.scores}
+    assert len(cli_scores) == 16
+    assert cli_scores == lib_scores

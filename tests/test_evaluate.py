@@ -198,3 +198,21 @@ def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
         sweep_coefficients(config, utterances=corpus8k)
     for spk in speakers:
         assert f"{spk} psdct k=5000 (" in str(err.value)
+
+
+def test_each_utterance_read_once(corpus8k, monkeypatch):
+    calls = []
+    real = evaluate.extract_voiced_regions
+
+    def counting(utt, voiced_set):
+        calls.append((utt.speaker_id, utt.utterance_id))
+        return real(utt, voiced_set)
+
+    monkeypatch.setattr(evaluate, "extract_voiced_regions", counting)
+    run_experiment(ExperimentConfig(codebook_sizes=(8,), n_train=3, n_test=2), utterances=corpus8k)
+    split_utts = [
+        (u.speaker_id, u.utterance_id)
+        for s in split_speakers(corpus8k, 3, 2)
+        for u in s.train_utterances + s.test_utterances
+    ]
+    assert sorted(calls) == sorted(split_utts)

@@ -98,6 +98,10 @@ def test_k_exceeding_distinct_raises():
     vecs = vectors_from(np.zeros((10, 3)))
     with pytest.raises(ValueError, match="distinct"):
         train_codebook(vecs, 2, speaker_id="s")
+    # k-means++ seeding stops once every distinct row is chosen, so the count is exact
+    rows = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 5.0]]), [4, 1, 3], axis=0)
+    with pytest.raises(ValueError, match=r"^k=4 exceeds the 3 distinct training vectors$"):
+        lloyd_kmeans(rows, 4)
 
 
 def test_mixed_inputs_raise():

@@ -106,12 +106,12 @@ def cmd_identify(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
     splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test, config.test_pattern)
     kinds = _kinds(args)
-    test_feats = ev.split_features(splits, config, kinds, "test")
     books = {kind: load_model_dir(args.model_dir, kind=kind) for kind in kinds}
     for kind in kinds:
         if not books[kind]:
             print(f"model dir {args.model_dir} has no {kind} codebooks", file=sys.stderr)
             return 2
+    test_feats = ev.split_features(splits, config, kinds, "test")
 
     correct = total = 0
     with _out_stream(args.report_out) as fh:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+import scipy.ndimage
 import scipy.signal
 
 
@@ -38,23 +40,29 @@ def autocorr_pitch(x, min_period: int, max_period: int) -> int:
     hi = min(max_period, x.size - 1)
     if min_period > hi:
         raise ValueError(f"signal of length {x.size} too short for lag {min_period}")
-    nfft = 1 << int(np.ceil(np.log2(2 * x.size)))
-    spectrum = np.fft.rfft(x, nfft)
-    r = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: x.size]
+    # lags up to hi are free of circular wrap once nfft >= x.size + hi
+    nfft = scipy.fft.next_fast_len(x.size + hi + 1, real=True)
+    spectrum = scipy.fft.rfft(x, nfft)
+    r = scipy.fft.irfft(np.abs(spectrum) ** 2, nfft)
     return int(np.argmax(r[min_period : hi + 1])) + min_period
 
 
 def moving_average(x, win: int) -> np.ndarray:
-    """Centered moving average with edge correction (divide by actual overlap)."""
+    """Centered moving average with edge correction (divide by actual overlap).
+
+    Sample i averages x[i - win//2 : i + (win-1)//2 + 1] clipped to the
+    signal, in one O(N) running-sum pass.
+    """
     x = np.asarray(x, dtype=np.float64)
     if win < 1:
         raise ValueError("window must be >= 1")
     if x.size == 0:
         raise ValueError("empty signal")
-    kernel = np.ones(win)
-    sums = np.convolve(x, kernel, mode="same")
-    counts = np.convolve(np.ones(x.size), kernel, mode="same")
-    return sums / counts
+    i = np.arange(x.size)
+    counts = np.minimum(i + (win - 1) // 2 + 1, x.size) - np.maximum(i - win // 2, 0)
+    # uniform_filter1d updates its running sum by differences, so rounding
+    # does not grow with the region length as a prefix sum's does
+    return scipy.ndimage.uniform_filter1d(x, win, mode="constant") * win / counts
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,11 @@ class EpochList:
 
 @dataclass(frozen=True, eq=False)
 class PitchCycle:
-    """One peak-to-peak analysis frame; samples[0] is the starting peak."""
+    """One peak-to-peak analysis frame; samples[0] is the starting peak.
+
+    ``samples`` is a view into the region's samples, not a copy; nothing in
+    spkid writes to it.
+    """
 
     samples: np.ndarray
     start_peak: int
@@ -101,7 +105,7 @@ def map_to_peaks(region: VoicedRegion, epochs: EpochList) -> np.ndarray:
     maximum sample, then hill-climbs to the enclosing local maximum so cycle
     endpoints are true extrema. Duplicates collapse to one entry.
     """
-    x = region.samples
+    x = np.asarray(region.samples, dtype=np.float64)
     pos = epochs.positions
     if pos.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -112,37 +116,48 @@ def map_to_peaks(region: VoicedRegion, epochs: EpochList) -> np.ndarray:
     else:
         local_t = np.array([min_period(region.sample_rate)])
 
-    peaks: list[int] = []
-    for e, t in zip(pos, local_t):
-        half = max(1, int(t) // 4)
-        win_lo = max(0, int(e) - half)
-        win_hi = min(x.size, int(e) + half + 1)
-        p = win_lo + int(np.argmax(x[win_lo:win_hi]))
-        while p + 1 < x.size and x[p + 1] > x[p]:
-            p += 1
-        while p - 1 >= 0 and x[p - 1] > x[p]:
-            p -= 1
-        if not peaks or p > peaks[-1]:
-            peaks.append(p)
-    return np.array(peaks, dtype=np.int64)
+    half = np.maximum(1, local_t // 4)
+    win_lo = np.maximum(0, pos - half)
+    widths = np.minimum(x.size, pos + half + 1) - win_lo
+    # one masked argmax over an (epochs x widest window) matrix
+    last = x.size - 1
+    offsets = np.arange(widths.max())
+    windows = x[np.minimum(win_lo[:, None] + offsets, last)]
+    windows[offsets >= widths[:, None]] = -np.inf
+    p = win_lo + np.argmax(windows, axis=1)
+
+    # a window maximum can only be exceeded next door at a window edge
+    uphill = (x[np.minimum(p + 1, last)] > x[p]) | (x[np.maximum(p - 1, 0)] > x[p])
+    for i in np.flatnonzero(uphill):
+        q = int(p[i])
+        while q + 1 < x.size and x[q + 1] > x[q]:
+            q += 1
+        while q - 1 >= 0 and x[q - 1] > x[q]:
+            q -= 1
+        p[i] = q
+    # keep a peak only if it lies past every earlier one
+    keep = np.concatenate(([True], p[1:] > np.maximum.accumulate(p)[:-1]))
+    return p[keep].astype(np.int64, copy=False)
 
 
 def segment_cycles(region: VoicedRegion, peaks) -> list[PitchCycle]:
-    """Cut one cycle per consecutive peak pair with a plausible pitch-period gap."""
+    """Cut one cycle per consecutive peak pair with a plausible pitch-period gap.
+
+    Cycles of all-zero samples are dropped.
+    """
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.size and np.any(np.diff(peaks) <= 0):
         raise ValueError("peaks must be strictly increasing")
     lo, hi = min_period(region.sample_rate), max_period(region.sample_rate)
-    cycles = []
-    for p, q in zip(peaks[:-1], peaks[1:]):
-        gap = int(q - p)
-        if gap < lo or gap > hi:
-            continue
-        samples = region.samples[p:q].copy()
-        if not np.any(samples):
-            continue
-        cycles.append(PitchCycle(samples=samples, start_peak=int(p), end_peak=int(q), region_id=region.region_id))
-    return cycles
+    x = region.samples
+    starts, ends = peaks[:-1], peaks[1:]
+    gaps = ends - starts
+    nonzero_before = np.concatenate(([0], np.cumsum(x != 0)))
+    keep = (gaps >= lo) & (gaps <= hi) & (nonzero_before[ends] > nonzero_before[starts])
+    return [
+        PitchCycle(samples=x[p:q], start_peak=int(p), end_peak=int(q), region_id=region.region_id)
+        for p, q in zip(starts[keep], ends[keep])
+    ]
 
 
 def cycles_from_region(region: VoicedRegion) -> list[PitchCycle]:

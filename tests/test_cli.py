@@ -3,6 +3,7 @@ import csv
 import pytest
 
 import spkid.cli as cli
+import spkid.evaluate as ev
 from spkid.cli import main
 from spkid.corpus import load_corpus
 from spkid.evaluate import ExperimentConfig, run_experiment
@@ -156,3 +157,14 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     lib_scores = {(t.speaker_id, cand): f"{score:.9g}" for t in report.trials for cand, score in t.scores}
     assert len(cli_scores) == 16
     assert cli_scores == lib_scores
+
+
+def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, monkeypatch):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("test features were extracted before the model directory was read")
+
+    monkeypatch.setattr(ev, "extract_voiced_regions", no_extraction)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ValueError, match="no manifest.json; not a model directory"):
+        main(["identify", "--corpus", str(corpus_dir), "--model-dir", str(empty)])

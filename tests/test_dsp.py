@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spkid.dsp import (
@@ -12,6 +12,7 @@ from spkid.dsp import (
     resonator,
     zero_frequency_resonator,
 )
+from spkid.synth import SynthSpeaker, _voiced_run
 
 
 def naive_dft(x):
@@ -81,6 +82,75 @@ def test_moving_average_constant_and_edges():
     assert np.allclose(moving_average(np.ones(50), 9), np.ones(50))
     assert np.allclose(moving_average([1.0, 2.0, 3.0], 3), [1.5, 2.0, 2.5])
     assert np.allclose(moving_average([4.0, 5.0, 6.0], 1), [4.0, 5.0, 6.0])
+
+
+def test_moving_average_keeps_length_when_window_exceeds_signal():
+    assert moving_average([1.0, 2.0], 5).tolist() == [1.5, 1.5]
+    assert moving_average([3.0], 4).tolist() == [3.0]
+
+
+def reference_moving_average(x, win):
+    """The O(N*T) convolution that moving_average must reproduce."""
+    kernel = np.ones(win)
+    return np.convolve(x, kernel, mode="same") / np.convolve(np.ones(x.size), kernel, mode="same")
+
+
+def reference_autocorr_pitch(x, min_period, max_period):
+    """Autocorrelation lag from a power-of-two FFT of at least 2N points."""
+    x = np.asarray(x, dtype=np.float64)
+    hi = min(max_period, x.size - 1)
+    nfft = 1 << int(np.ceil(np.log2(2 * x.size)))
+    spectrum = np.fft.rfft(x, nfft)
+    r = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: x.size]
+    return int(np.argmax(r[min_period : hi + 1])) + min_period
+
+
+@pytest.fixture(scope="module")
+def zff_48k():
+    """3 s of a 48 kHz voiced run, mean removed and integrated by the ZFF pair twice."""
+    sr = 48000
+    speaker = SynthSpeaker("t", 118.0, (600.0, 1400.0, 2600.0), (80.0, 90.0, 100.0))
+    x, _ = _voiced_run(speaker, 3 * sr, sr, 0.8, 30)
+    zfr = zero_frequency_resonator(sr)
+    return resonate(resonate(x - x.mean(), zfr), zfr)
+
+
+@pytest.mark.parametrize("win", [407, 406, 801, 800])
+def test_moving_average_matches_convolution_on_zff_trend(zff_48k, win):
+    # the trend reaches ~1e14, so compare against the sum of |y| over each window
+    y = zff_48k
+    got, want = moving_average(y, win), reference_moving_average(y, win)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-9 * reference_moving_average(np.abs(y), win))
+
+
+@pytest.mark.parametrize("win", [407, 406])
+def test_trend_removal_residue_matches_convolution(zff_48k, win):
+    # two mean-subtraction passes leave a residue ~1e-9 of the trend; a plain
+    # prefix-sum running mean is off by ~2e-4 of the residue peak here
+    got = want = zff_48k
+    for _ in range(2):
+        got = got - moving_average(got, win)
+        want = want - reference_moving_average(want, win)
+    scale = np.max(np.abs(want[win:-win]))
+    assert np.max(np.abs(got - want)) <= 5e-5 * scale
+
+
+@given(
+    n=st.integers(50, 3000),
+    min_period=st.integers(1, 200),
+    span=st.integers(0, 600),
+    period=st.integers(20, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_autocorr_pitch_matches_power_of_two_fft(n, min_period, span, period, seed):
+    max_period = min_period + span
+    assume(min_period < n)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x[rng.integers(0, period) :: period] += 4.0
+    assert autocorr_pitch(x, min_period, max_period) == reference_autocorr_pitch(x, min_period, max_period)
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=400))

@@ -111,6 +111,89 @@ def test_map_to_peaks_collapses_duplicates():
     assert peaks.tolist() == [115]
 
 
+def reference_map_to_peaks(region, epochs):
+    """The per-epoch window argmax and hill-climb that map_to_peaks must reproduce."""
+    x = region.samples
+    pos = epochs.positions
+    if pos.size >= 2:
+        gaps = np.diff(pos)
+        local_t = np.append(gaps, gaps[-1])
+    else:
+        local_t = np.array([min_period(region.sample_rate)])
+    peaks = []
+    for e, t in zip(pos, local_t):
+        half = max(1, int(t) // 4)
+        win_lo = max(0, int(e) - half)
+        win_hi = min(x.size, int(e) + half + 1)
+        p = win_lo + int(np.argmax(x[win_lo:win_hi]))
+        while p + 1 < x.size and x[p + 1] > x[p]:
+            p += 1
+        while p - 1 >= 0 and x[p - 1] > x[p]:
+            p -= 1
+        if not peaks or p > peaks[-1]:
+            peaks.append(p)
+    return np.array(peaks, dtype=np.int64)
+
+
+def reference_segment_cycles(region, peaks):
+    """(start, end) of the cycles segment_cycles must cut, from a per-pair loop."""
+    lo, hi = min_period(region.sample_rate), max_period(region.sample_rate)
+    return [
+        (int(p), int(q))
+        for p, q in zip(peaks[:-1], peaks[1:])
+        if lo <= q - p <= hi and np.any(region.samples[p:q])
+    ]
+
+
+def random_epochs(rng, n, mean_gap):
+    """Strictly increasing positions in [0, n) with irregular gaps."""
+    gaps = rng.integers(1, 2 * mean_gap, size=n // mean_gap + 2)
+    pos = np.cumsum(gaps) + int(rng.integers(0, mean_gap))
+    return pos[pos < n]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_map_to_peaks_matches_reference_loop(seed):
+    # random walks put window maxima on window edges, so the hill-climb runs
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(300, 3000))
+    x = np.cumsum(rng.normal(size=n)) if seed % 2 else rng.normal(size=n)
+    region = VoicedRegion(x, 0, SR, f"r{seed}")
+    for mean_gap in (3, 40, 160):
+        epochs = EpochList(random_epochs(rng, n, mean_gap))
+        got = map_to_peaks(region, epochs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_map_to_peaks(region, epochs))
+
+
+@pytest.mark.parametrize(
+    "x, positions",
+    [
+        (np.arange(400, dtype=float), [100, 260]),  # every maximum on a right window edge
+        (-np.arange(400, dtype=float), [100, 260]),  # every maximum on a left window edge
+        (np.arange(400, dtype=float), [395]),  # a single epoch, window cut by the end
+        (np.sin(np.arange(1000) / 7.0), [5, 60, 61, 62, 300, 700, 998]),  # overlapping windows
+        (np.round(np.sin(np.arange(1000) / 9.0), 1), [20, 80, 150, 151, 400]),  # plateaus and ties
+        # peaks 21, 18, 21: the last one repeats a peak before its predecessor
+        (np.concatenate((np.zeros(18), [2.0, 0.5, 0.6], 1.0 - 0.01 * np.arange(279))), [20, 24, 64]),
+    ],
+)
+def test_map_to_peaks_matches_reference_on_edge_cases(x, positions):
+    region = VoicedRegion(x, 0, SR, "edge")
+    epochs = EpochList(np.array(positions, dtype=np.int64))
+    assert np.array_equal(map_to_peaks(region, epochs), reference_map_to_peaks(region, epochs))
+
+
+def test_front_end_matches_reference_on_corpus(corpus12):
+    for utt in corpus12[:4]:
+        for region in extract_voiced_regions(utt, frozenset({VOICED_PHONE})):
+            epochs = detect_gci(region)
+            peaks = map_to_peaks(region, epochs)
+            assert np.array_equal(peaks, reference_map_to_peaks(region, epochs))
+            cycles = segment_cycles(region, peaks)
+            assert [(c.start_peak, c.end_peak) for c in cycles] == reference_segment_cycles(region, peaks)
+
+
 def test_map_to_peaks_empty():
     region = VoicedRegion(np.zeros(100), 0, SR, "e")
     assert map_to_peaks(region, EpochList(np.empty(0, dtype=np.int64))).size == 0
@@ -123,6 +206,20 @@ def test_segment_cycles_pairwise():
     assert [len(c) for c in cycles] == [160, 160]
     assert cycles[0].start_peak == 10 and cycles[0].end_peak == 170
     assert np.array_equal(cycles[0].samples, region.samples[10:170])
+
+
+def test_segment_cycles_are_views_of_the_region():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=2000)
+    x[600:900] = 0.0
+    region = VoicedRegion(x, 0, SR, "v")
+    peaks = np.array([5, 30, 190, 400, 600, 800, 1000, 1100, 1500, 1600])
+    cycles = segment_cycles(region, peaks)
+    assert [(c.start_peak, c.end_peak) for c in cycles] == reference_segment_cycles(region, peaks)
+    for c in cycles:
+        assert np.array_equal(c.samples, region.samples[c.start_peak : c.end_peak])
+        assert np.shares_memory(c.samples, region.samples)
+        assert c.region_id == "v"
 
 
 def test_segment_cycles_filters_out_of_range_gaps():

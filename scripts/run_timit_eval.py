@@ -25,7 +25,6 @@ def main():
     config = ExperimentConfig(
         codebook_sizes=tuple(int(s) for s in args.sizes.split(",")),
         seed=args.seed,
-        test_pattern="sa",
     )
     result = run_experiment(config, utterances=utterances)
     markdown = result.to_markdown()

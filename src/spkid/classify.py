@@ -86,14 +86,8 @@ def fuse(
     scores_dct: list[CmdScore],
     scores_mfcc: list[CmdScore],
     weights: FusionWeights,
-    per_vector: bool = False,
 ) -> tuple[list[FusedScore], str]:
-    """Convex combination d_com = alpha*d_dct + (1-alpha)*d_mfcc per speaker.
-
-    Raw sums are combined by default. per_vector=True divides each system's
-    score by its test-vector count first, making fusion robust to the two
-    systems seeing different numbers of vectors.
-    """
+    """Convex combination d_com = alpha*d_dct + (1-alpha)*d_mfcc of the raw CMD sums per speaker."""
     by_dct = {s.speaker_id: s for s in scores_dct}
     by_mfcc = {s.speaker_id: s for s in scores_mfcc}
     if set(by_dct) != set(by_mfcc):
@@ -105,9 +99,6 @@ def fuse(
     for speaker_id in sorted(by_dct):
         d_dct = by_dct[speaker_id].cmd
         d_mfcc = by_mfcc[speaker_id].cmd
-        if per_vector:
-            d_dct /= by_dct[speaker_id].n_vectors
-            d_mfcc /= by_mfcc[speaker_id].n_vectors
         fused.append(
             FusedScore(speaker_id, d_dct, d_mfcc, alpha * d_dct + (1.0 - alpha) * d_mfcc)
         )

@@ -35,11 +35,22 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _config_from_args(args, **overrides) -> ev.ExperimentConfig:
     voiced = frozenset(load_voiced_set(args.voiced_set)) if getattr(args, "voiced_set", None) else None
-    return ev.ExperimentConfig(corpus_root=args.corpus, seed=args.seed, voiced_set=voiced, **overrides)
+    return ev.ExperimentConfig(seed=args.seed, voiced_set=voiced, **overrides)
 
 
 def _out_stream(path):
     return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+
+
+def _print_report(markdown: str, report_out, write_csv) -> None:
+    """Print the markdown report; with a prefix, also write ``<prefix>.md`` and ``<prefix>.csv``."""
+    print(markdown)
+    if report_out:
+        out = Path(report_out)
+        out.with_suffix(".md").write_text(markdown, encoding="utf-8")
+        with open(out.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh)
+        print(f"wrote {out.with_suffix('.md')} and {out.with_suffix('.csv')}", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -83,11 +94,11 @@ def _kinds(args) -> tuple[str, ...]:
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args, n_coeffs=args.coeffs)
-    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test, config.test_pattern)
+    config = _config_from_args(args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,))
+    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     feats = ev.split_features(splits, config, kinds, "training")
-    ev.check_codebook_sizes(feats, (args.codebook_size,))
+    ev.check_codebook_sizes(feats, config.codebook_sizes)
     codebooks = [
         train_codebook(feats[s.speaker_id, kind], args.codebook_size, seed=args.seed, speaker_id=s.speaker_id)
         for kind in kinds
@@ -103,8 +114,9 @@ def cmd_identify(args) -> int:
     if fused_mode and (args.acc_dct is None or args.acc_mfcc is None):
         print("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])", file=sys.stderr)
         return 2
+    weights = FusionWeights(args.acc_dct, args.acc_mfcc) if fused_mode else None
     config = _config_from_args(args, n_coeffs=args.coeffs)
-    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test, config.test_pattern)
+    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     books = {kind: load_model_dir(args.model_dir, kind=kind) for kind in kinds}
     for kind in kinds:
@@ -119,7 +131,6 @@ def cmd_identify(args) -> int:
             if fused_mode:
                 ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
                 ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
-                weights = FusionWeights(args.acc_dct, args.acc_mfcc)
                 fused, predicted = fuse(ranked_dct, ranked_mfcc, weights)
                 write_fused_csv(fh, fused, weights.alpha, test_speaker=spk)
             else:
@@ -136,15 +147,8 @@ def cmd_evaluate(args) -> int:
     config = _config_from_args(
         args, n_coeffs=args.coeffs, codebook_sizes=_int_list(args.codebook_size), kinds=_kinds(args)
     )
-    report = ev.run_experiment(config)
-    markdown = report.to_markdown()
-    print(markdown)
-    if args.report_out:
-        out = Path(args.report_out)
-        out.with_suffix(".md").write_text(markdown, encoding="utf-8")
-        with open(out.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
-            report.write_csv(fh)
-        print(f"wrote {out.with_suffix('.md')} and {out.with_suffix('.csv')}", file=sys.stderr)
+    report = ev.run_experiment(config, utterances=load_corpus(args.corpus))
+    _print_report(report.to_markdown(), args.report_out, report.write_csv)
     return 0
 
 
@@ -152,15 +156,9 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(
         args, coeff_counts=_int_list(args.coeffs), sweep_codebook_size=args.codebook_size
     )
-    rows = ev.sweep_coefficients(config)
+    rows = ev.sweep_coefficients(config, utterances=load_corpus(args.corpus))
     markdown = ev.sweep_to_markdown(rows, args.codebook_size)
-    print(markdown)
-    if args.report_out:
-        out = Path(args.report_out)
-        out.with_suffix(".md").write_text(markdown, encoding="utf-8")
-        with open(out.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
-            ev.write_sweep_csv(fh, rows)
-        print(f"wrote {out.with_suffix('.md')} and {out.with_suffix('.csv')}", file=sys.stderr)
+    _print_report(markdown, args.report_out, lambda fh: ev.write_sweep_csv(fh, rows))
     return 0
 
 

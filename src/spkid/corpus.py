@@ -29,6 +29,9 @@ DEFAULT_VOICED_SET = frozenset(
     ).split()
 )
 
+# Utterance-id prefix of TIMIT's two SA sentences, which go to the test set
+TEST_UTTERANCE_PREFIX = "sa"
+
 
 class CorpusError(ValueError):
     """Base class for corpus file problems."""
@@ -214,19 +217,16 @@ def load_voiced_set(path) -> frozenset[str]:
 
 
 def extract_voiced_regions(
-    utt: Utterance,
-    voiced_set: frozenset[str] = DEFAULT_VOICED_SET,
-    min_length: int | None = None,
+    utt: Utterance, voiced_set: frozenset[str] = DEFAULT_VOICED_SET
 ) -> list[VoicedRegion]:
     """Merge maximal runs of contiguous voiced segments into regions.
 
-    Runs shorter than ``min_length`` (default: one maximum pitch period)
-    are dropped; no complete pitch cycle fits in them.
+    Runs shorter than one maximum pitch period are dropped; no complete
+    pitch cycle fits in them.
     """
     if utt.segments is None:
         raise ValueError(f"utterance {utt.utterance_id} has no phone segments")
-    if min_length is None:
-        min_length = max_period(utt.sample_rate)
+    min_length = max_period(utt.sample_rate)
 
     regions: list[VoicedRegion] = []
     run_start: int | None = None
@@ -257,17 +257,12 @@ def extract_voiced_regions(
     return regions
 
 
-def split_speakers(
-    utterances: list[Utterance],
-    n_train: int = 6,
-    n_test: int = 2,
-    test_pattern: str = "sa",
-) -> list[SpeakerSplit]:
+def split_speakers(utterances: list[Utterance], n_train: int = 6, n_test: int = 2) -> list[SpeakerSplit]:
     """Group utterances by speaker into disjoint train/test sets.
 
-    Utterance ids starting with ``test_pattern`` (case-insensitive; TIMIT's
-    two SA sentences) are placed in the test set first; remaining test slots
-    are filled from the end of the id-sorted list. Deterministic.
+    Utterance ids starting with ``TEST_UTTERANCE_PREFIX`` (case-insensitive)
+    are placed in the test set first; remaining test slots are filled from
+    the end of the id-sorted list. Deterministic.
     """
     by_speaker: dict[str, list[Utterance]] = {}
     for utt in utterances:
@@ -281,8 +276,7 @@ def split_speakers(
                 f"speaker {speaker_id} has {len(utts)} utterances, "
                 f"needs {n_train + n_test} for a {n_train}/{n_test} split"
             )
-        pattern = test_pattern.lower()
-        test = [u for u in utts if pattern and u.utterance_id.lower().startswith(pattern)][:n_test]
+        test = [u for u in utts if u.utterance_id.lower().startswith(TEST_UTTERANCE_PREFIX)][:n_test]
         rest = [u for u in utts if all(u is not t for t in test)]
         while len(test) < n_test:
             test.append(rest.pop())

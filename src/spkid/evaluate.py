@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .corpus import (
     SpeakerSplit,
     Utterance,
     extract_voiced_regions,
-    load_corpus,
     split_speakers,
 )
 from .gci import PitchCycle, cycles_from_region
@@ -56,7 +54,6 @@ KIND_FUSED = "fused"
 
 @dataclass
 class ExperimentConfig:
-    corpus_root: str | Path | None = None
     n_train: int = 6
     n_test: int = 2
     codebook_sizes: tuple[int, ...] = (16, 32, 64, 128)
@@ -65,7 +62,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     voiced_set: frozenset[str] | None = None
     kinds: tuple[str, ...] = (KIND_PSDCT, KIND_MFCC)
-    test_pattern: str = "sa"
     mfcc: MfccConfig = field(default_factory=MfccConfig)
     sweep_codebook_size: int = 32
 
@@ -74,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("codebook_sizes must be a non-empty list of sizes >= 1")
         if not self.coeff_counts or any(k < 1 for k in self.coeff_counts):
             raise ValueError("coeff_counts must be a non-empty list of counts >= 1")
+        if self.n_coeffs < 1:
+            raise ValueError("n_coeffs must be >= 1")
         if not self.kinds:
             raise ValueError("at least one feature kind required")
 
@@ -243,18 +241,14 @@ def check_codebook_sizes(
         raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
 
 
-def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | None = None) -> EvalReport:
+def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> EvalReport:
     """Train, identify, and fuse over every configured codebook size.
 
     The fusion weight per size is derived from the two systems' accuracies
     measured in this same report (the closed-loop protocol the reference
     results use).
     """
-    if utterances is None:
-        if config.corpus_root is None:
-            raise ValueError("either utterances or corpus_root must be provided")
-        utterances = load_corpus(config.corpus_root)
-    splits = split_speakers(utterances, config.n_train, config.n_test, config.test_pattern)
+    splits = split_speakers(utterances, config.n_train, config.n_test)
     speakers = [s.speaker_id for s in splits]
     train_feats = split_features(splits, config, config.kinds, "training")
     test_feats = split_features(splits, config, config.kinds, "test")
@@ -341,7 +335,7 @@ class SweepRow:
     accuracy: float
 
 
-def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | None = None) -> list[SweepRow]:
+def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) -> list[SweepRow]:
     """Accuracy and mean-energy-captured as a function of coefficient count.
 
     Codebook size is fixed (default 32). Cycles shorter than the largest
@@ -350,12 +344,8 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | N
     monotone in K by construction. Each cycle is transformed once, at the
     largest K; every smaller K keeps the first K values of those rows.
     """
-    if utterances is None:
-        if config.corpus_root is None:
-            raise ValueError("either utterances or corpus_root must be provided")
-        utterances = load_corpus(config.corpus_root)
     voiced_set = config.effective_voiced_set()
-    splits = split_speakers(utterances, config.n_train, config.n_test, config.test_pattern)
+    splits = split_speakers(utterances, config.n_train, config.n_test)
     speakers = [s.speaker_id for s in splits]
     max_k = max(config.coeff_counts)
 

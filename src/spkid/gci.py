@@ -38,7 +38,6 @@ class EpochList:
     """
 
     positions: np.ndarray
-    method: str = "zff"
 
     def __len__(self) -> int:
         return self.positions.size

@@ -3,7 +3,7 @@
 Pipeline per frame: Hanning window -> power spectrum zero-padded to 512 points,
 or to the next power of two for longer frames (never cropped) ->
 26 triangular mel filters spanning 0..sr/2 -> floored log energies -> DCT-II
--> 13 cepstral coefficients (c0..c12 by default).
+-> 13 cepstral coefficients (c0..c12).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class MfccConfig:
     n_filters: int = 26
     log_floor: float = 1e-10
     n_coeffs: int = 13
-    use_c0: bool = True  # False selects c1..c13 instead of c0..c12
 
 
 def hz_to_mel(f):
@@ -83,11 +82,7 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
     energies = mel_filterbank(sample_rate, n_fft, config.n_filters) @ power
     log_energies = np.log(np.maximum(energies, config.log_floor))
     coeffs = dct2(log_energies)
-    if config.use_c0:
-        values = coeffs[: config.n_coeffs]
-    else:
-        values = coeffs[1 : config.n_coeffs + 1]
-    return FeatureVector(values.copy(), KIND_MFCC)
+    return FeatureVector(coeffs[: config.n_coeffs].copy(), KIND_MFCC)
 
 
 def mfcc_features_for_region(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> list[FeatureVector]:

@@ -74,17 +74,12 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return data[chosen].copy()
 
 
-def lloyd_kmeans(
-    data: np.ndarray,
-    k: int,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, list[float]]:
+def lloyd_kmeans(data: np.ndarray, k: int, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, list[float]]:
     """k-means centroids plus the per-iteration mean-squared-distance history.
 
-    Stops when the largest centroid displacement falls below tol relative to
-    the RMS vector norm of the data, or after max_iter iterations.
+    Stops when the largest centroid displacement falls below DEFAULT_TOL
+    relative to the RMS vector norm of the data, or after DEFAULT_MAX_ITER
+    iterations.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     n, dim = data.shape
@@ -96,7 +91,7 @@ def lloyd_kmeans(
     scale = float(np.sqrt(np.mean(np.sum(data**2, axis=1)))) or 1.0
 
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         d2 = _sq_dists(data, centroids)
         labels = np.argmin(d2, axis=1)
         distortion = float(np.mean(d2[np.arange(n), labels]))
@@ -124,7 +119,7 @@ def lloyd_kmeans(
 
         movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
-        if movement < tol * scale:
+        if movement < DEFAULT_TOL * scale:
             break
     return centroids, history
 
@@ -144,18 +139,11 @@ def _as_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, str]:
     return np.concatenate(rows).reshape(len(rows), dim), kind
 
 
-def train_codebook(
-    vectors: list[FeatureVector],
-    k: int,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    speaker_id: str = "",
-) -> Codebook:
+def train_codebook(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEED, speaker_id: str = "") -> Codebook:
     """Cluster one speaker's vectors of one kind into a k-entry codebook."""
     data, kind = _as_matrix(vectors)
     log.info("training %s codebook k=%d for %r on %d vectors", kind, k, speaker_id, len(vectors))
-    centroids, _ = lloyd_kmeans(data, k, seed=seed, tol=tol, max_iter=max_iter)
+    centroids, _ = lloyd_kmeans(data, k, seed=seed)
     return Codebook(
         speaker_id=speaker_id,
         kind=kind,

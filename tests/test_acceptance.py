@@ -200,7 +200,7 @@ def test_criterion_8_timit_protocol():
         utterances = load_timit_utterances(os.environ["TIMIT_ROOT"], seed=42)
     except UnsupportedWavError as exc:
         pytest.skip(f"TIMIT wavs need conversion: {exc}")
-    config = ExperimentConfig(codebook_sizes=(16, 32, 64, 128), seed=42, test_pattern="sa")
+    config = ExperimentConfig(codebook_sizes=(16, 32, 64, 128), seed=42)
     result = run_experiment(config, utterances=utterances)
     print(result.to_markdown())  # side-by-side with the reference table
     n = len(result.speakers)

@@ -153,14 +153,6 @@ def test_fuse_argmin_invariant_under_common_scaling():
     assert before == after
 
 
-def test_fuse_per_vector_normalization():
-    dct = [CmdScore("a", KIND_PSDCT, 100.0, 100), CmdScore("b", KIND_PSDCT, 90.0, 100)]
-    mf = [CmdScore("a", KIND_MFCC, 1.0, 10), CmdScore("b", KIND_MFCC, 2.0, 10)]
-    fused, _ = fuse(dct, mf, FusionWeights(0.5, 0.5), per_vector=True)
-    by_spk = {f.speaker_id: f.d_com for f in fused}
-    assert by_spk["a"] == pytest.approx(0.5 * 1.0 + 0.5 * 0.1)
-
-
 def test_fuse_speaker_set_mismatch():
     with pytest.raises(ValueError, match="speaker sets"):
         fuse(scores_of([1.0], KIND_PSDCT), scores_of([1.0, 2.0], KIND_MFCC), FusionWeights(0.5, 0.5))

@@ -1,12 +1,14 @@
 import csv
 
+import numpy as np
 import pytest
 
 import spkid.cli as cli
 import spkid.evaluate as ev
 from spkid.cli import main
-from spkid.corpus import load_corpus
+from spkid.corpus import extract_voiced_regions, load_corpus
 from spkid.evaluate import ExperimentConfig, run_experiment
+from spkid.gci import detect_gci, map_to_peaks
 from spkid.vq import load_model_dir
 
 
@@ -15,6 +17,23 @@ def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     assert main(["synth", "--corpus", str(root), "--speakers", "4", "--utterances", "8", "--seed", "5"]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def fused_model(corpus_dir, tmp_path_factory):
+    model = tmp_path_factory.mktemp("model")
+    assert main(["train", "--corpus", str(corpus_dir), "--model-dir", str(model), "--codebook-size", "8"]) == 0
+    return model
+
+
+@pytest.fixture
+def no_extraction(monkeypatch):
+    """Fail the test if any voiced region is read through spkid.evaluate."""
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("features were extracted before the arguments were checked")
+
+    monkeypatch.setattr(ev, "extract_voiced_regions", tripwire)
 
 
 def test_synth_writes_corpus_layout(corpus_dir):
@@ -159,12 +178,56 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     assert cli_scores == lib_scores
 
 
-def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, monkeypatch):
-    def no_extraction(*args, **kwargs):
-        raise AssertionError("test features were extracted before the model directory was read")
-
-    monkeypatch.setattr(ev, "extract_voiced_regions", no_extraction)
+def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, no_extraction):
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(ValueError, match="no manifest.json; not a model directory"):
         main(["identify", "--corpus", str(corpus_dir), "--model-dir", str(empty)])
+
+
+def test_identify_rejects_bad_accuracy_before_extracting(corpus_dir, fused_model, no_extraction):
+    with pytest.raises(ValueError, match=r"accuracies must lie in \[0, 1\]"):
+        main([
+            "identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model),
+            "--kind", "fused", "--acc-dct", "1.5", "--acc-mfcc", "1.0",
+        ])
+
+
+def test_train_rejects_codebook_size_zero_before_extracting(corpus_dir, tmp_path, no_extraction):
+    with pytest.raises(ValueError, match="codebook_sizes must be a non-empty list of sizes >= 1"):
+        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "0"])
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "identify", "evaluate"])
+def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, fused_model, tmp_path, no_extraction):
+    argv = [command, "--corpus", str(corpus_dir), "--coeffs", "0"]
+    if command in ("train", "identify"):
+        argv += ["--model-dir", str(fused_model if command == "identify" else tmp_path / "m")]
+    if command in ("extract", "identify"):
+        argv += ["--report-out", str(tmp_path / "out.csv")]
+    with pytest.raises(ValueError, match="n_coeffs must be >= 1"):
+        main(argv)
+
+
+def test_extract_epoch_dump(corpus_dir, tmp_path):
+    dump = tmp_path / "epochs.csv"
+    assert main([
+        "extract", "--corpus", str(corpus_dir), "--report-out", str(tmp_path / "feats.csv"),
+        "--epoch-dump", str(dump),
+    ]) == 0
+    with open(dump, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["region_id", "epoch", "mapped_peak"]
+
+    expected = []
+    voiced = ExperimentConfig().effective_voiced_set()
+    for utt in load_corpus(corpus_dir):
+        for region in extract_voiced_regions(utt, voiced):
+            epochs = detect_gci(region)
+            peaks = map_to_peaks(region, epochs)
+            for e in epochs.positions:
+                nearest = peaks[np.argmin(np.abs(peaks - e))]
+                expected.append([region.region_id, str(e), str(nearest)])
+    assert len(expected) > 1000
+    assert rows[1:] == expected

@@ -44,11 +44,8 @@ def test_config_validation():
         ExperimentConfig(coeff_counts=())
     with pytest.raises(ValueError):
         ExperimentConfig(kinds=())
-
-
-def test_experiment_needs_corpus():
-    with pytest.raises(ValueError, match="corpus_root"):
-        run_experiment(ExperimentConfig())
+    with pytest.raises(ValueError, match="n_coeffs"):
+        ExperimentConfig(n_coeffs=0)
 
 
 def test_accuracies_and_fusion_present(report6):
@@ -124,7 +121,7 @@ def test_sweep_mec_monotone_and_accuracy_plateau(corpus6):
 def reference_sweep(config, utterances):
     """(K, mec_total, mec_ac, accuracy) with features, codebooks and scores recomputed for each K."""
     voiced = config.effective_voiced_set()
-    splits = split_speakers(utterances, config.n_train, config.n_test, config.test_pattern)
+    splits = split_speakers(utterances, config.n_train, config.n_test)
     max_k = max(config.coeff_counts)
     train = {s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced) if len(c) > max_k] for s in splits}
     test = {s.speaker_id: [c for c in collect_cycles(s.test_utterances, voiced) if len(c) > max_k] for s in splits}

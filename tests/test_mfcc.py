@@ -3,7 +3,6 @@ import pytest
 
 from spkid.corpus import VoicedRegion
 from spkid.mfcc import (
-    MfccConfig,
     frame_signal,
     hz_to_mel,
     mel_filterbank,
@@ -91,15 +90,6 @@ def test_mfcc_amplitude_scaling_shifts_only_c0():
 def test_mfcc_wrong_frame_length_raises():
     with pytest.raises(ValueError):
         mfcc_feature(np.zeros(300), SR)
-
-
-def test_mfcc_c0_exclusion_switch():
-    rng = np.random.default_rng(2)
-    frame = rng.normal(size=320)
-    with_c0 = mfcc_feature(frame, SR).values
-    without = mfcc_feature(frame, SR, MfccConfig(use_c0=False)).values
-    assert without.size == 13
-    assert np.allclose(without[:12], with_c0[1:])
 
 
 def test_mfcc_features_for_region():

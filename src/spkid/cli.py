@@ -16,14 +16,18 @@ from pathlib import Path
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
 from .corpus import load_corpus, load_voiced_set, save_corpus, split_speakers
-from .psdct import KIND_MFCC, KIND_PSDCT
+from .mfcc import MfccConfig
+from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
-from .vq import load_model_dir, save_model_dir, train_codebook
+from .vq import DEFAULT_SEED, load_model_dir, save_model_dir, train_codebook
+
+COEFFS_HELP = f"PS-DCT coefficients per vector; MFCC always gives {MfccConfig.n_coeffs}"
 
 
-def _add_common(p, model_dir=False):
+def _add_common(p, model_dir=False, seed=False):
     p.add_argument("--corpus", required=True, help="corpus root directory")
-    p.add_argument("--seed", type=int, default=42)
+    if seed:
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="codebook training seed")
     p.add_argument("--voiced-set", help="file with one voiced phone label per line")
     if model_dir:
         p.add_argument("--model-dir", required=True, help="codebook model directory")
@@ -34,8 +38,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args, **overrides) -> ev.ExperimentConfig:
-    voiced = frozenset(load_voiced_set(args.voiced_set)) if getattr(args, "voiced_set", None) else None
-    return ev.ExperimentConfig(seed=args.seed, voiced_set=voiced, **overrides)
+    voiced = load_voiced_set(args.voiced_set) if args.voiced_set else None
+    return ev.ExperimentConfig(voiced_set=voiced, **overrides)
 
 
 def _out_stream(path):
@@ -94,7 +98,7 @@ def _kinds(args) -> tuple[str, ...]:
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,))
+    config = _config_from_args(args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,), seed=args.seed)
     splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     feats = ev.split_features(splits, config, kinds, "training")
@@ -112,17 +116,17 @@ def cmd_train(args) -> int:
 def cmd_identify(args) -> int:
     fused_mode = args.kind == "fused"
     if fused_mode and (args.acc_dct is None or args.acc_mfcc is None):
-        print("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])", file=sys.stderr)
-        return 2
+        raise ValueError("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])")
     weights = FusionWeights(args.acc_dct, args.acc_mfcc) if fused_mode else None
-    config = _config_from_args(args, n_coeffs=args.coeffs)
-    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     books = {kind: load_model_dir(args.model_dir, kind=kind) for kind in kinds}
     for kind in kinds:
         if not books[kind]:
-            print(f"model dir {args.model_dir} has no {kind} codebooks", file=sys.stderr)
-            return 2
+            raise ValueError(f"model dir {args.model_dir} has no {kind} codebooks")
+    # the PS-DCT width is the one the model was trained with
+    n_coeffs = books[KIND_PSDCT][0].dim if KIND_PSDCT in books else DEFAULT_NUM_COEFFS
+    config = _config_from_args(args, n_coeffs=n_coeffs)
+    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     test_feats = ev.split_features(splits, config, kinds, "test")
 
     correct = total = 0
@@ -145,7 +149,7 @@ def cmd_identify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _config_from_args(
-        args, n_coeffs=args.coeffs, codebook_sizes=_int_list(args.codebook_size), kinds=_kinds(args)
+        args, n_coeffs=args.coeffs, codebook_sizes=args.codebook_size, kinds=_kinds(args), seed=args.seed
     )
     report = ev.run_experiment(config, utterances=load_corpus(args.corpus))
     _print_report(report.to_markdown(), args.report_out, report.write_csv)
@@ -154,7 +158,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(
-        args, coeff_counts=_int_list(args.coeffs), sweep_codebook_size=args.codebook_size
+        args, coeff_counts=args.coeffs, sweep_codebook_size=args.codebook_size, seed=args.seed
     )
     rows = ev.sweep_coefficients(config, utterances=load_corpus(args.corpus))
     markdown = ev.sweep_to_markdown(rows, args.codebook_size)
@@ -163,6 +167,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ev.ExperimentConfig()
     parser = argparse.ArgumentParser(prog="spkid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -177,49 +182,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="dump feature vectors to CSV")
     _add_common(p)
     p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC], default=KIND_PSDCT)
-    p.add_argument("--coeffs", type=int, default=15)
+    p.add_argument("--coeffs", type=int, default=DEFAULT_NUM_COEFFS, help=COEFFS_HELP)
     p.add_argument("--report-out", help="output CSV path (default stdout)")
     p.add_argument("--epoch-dump", help="also write a (region_id,epoch,mapped_peak) debug CSV")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train per-speaker codebooks")
-    _add_common(p, model_dir=True)
+    _add_common(p, model_dir=True, seed=True)
     p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default="fused",
                    help="fused trains both systems")
     p.add_argument("--codebook-size", type=int, default=32)
-    p.add_argument("--coeffs", type=int, default=15)
+    p.add_argument("--coeffs", type=int, default=DEFAULT_NUM_COEFFS, help=COEFFS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("identify", help="identify test utterances against a model directory")
     _add_common(p, model_dir=True)
     p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default=KIND_PSDCT)
-    p.add_argument("--coeffs", type=int, default=15)
     p.add_argument("--acc-dct", type=float, help="measured PS-DCT accuracy in [0,1] (fused mode)")
     p.add_argument("--acc-mfcc", type=float, help="measured MFCC accuracy in [0,1] (fused mode)")
     p.add_argument("--report-out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("evaluate", help="full train/test report over codebook sizes")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default="fused",
                    help="fused evaluates both systems plus their combination")
-    p.add_argument("--codebook-size", default="16,32,64,128", help="comma-separated sizes")
-    p.add_argument("--coeffs", type=int, default=15)
+    p.add_argument("--codebook-size", type=_int_list, default=defaults.codebook_sizes, help="comma-separated sizes")
+    p.add_argument("--coeffs", type=int, default=DEFAULT_NUM_COEFFS, help=COEFFS_HELP)
     p.add_argument("--report-out", help="output path prefix (.md and .csv)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="accuracy/energy vs coefficient count")
-    _add_common(p)
-    p.add_argument("--coeffs", default="10,15,20,25,30,35,40", help="comma-separated counts")
-    p.add_argument("--codebook-size", type=int, default=32)
+    _add_common(p, seed=True)
+    p.add_argument("--coeffs", type=_int_list, default=defaults.coeff_counts,
+                   help="comma-separated PS-DCT coefficient counts")
+    p.add_argument("--codebook-size", type=int, default=defaults.sweep_codebook_size)
     p.add_argument("--report-out", help="output path prefix (.md and .csv)")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; bad input (ValueError, OSError) prints one line and returns 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

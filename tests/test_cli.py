@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,12 @@ import spkid.cli as cli
 import spkid.evaluate as ev
 from spkid.cli import main
 from spkid.corpus import extract_voiced_regions, load_corpus
-from spkid.evaluate import ExperimentConfig, run_experiment
+from spkid.evaluate import ExperimentConfig, run_experiment, sweep_coefficients, sweep_to_markdown
 from spkid.gci import detect_gci, map_to_peaks
+from spkid.synth import synth_corpus
 from spkid.vq import load_model_dir
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +41,15 @@ def no_extraction(monkeypatch):
         raise AssertionError("features were extracted before the arguments were checked")
 
     monkeypatch.setattr(ev, "extract_voiced_regions", tripwire)
+
+
+def assert_input_error(capsys, argv, message):
+    """``main(argv)`` returns 2 and prints one ``spkid <command>: error:`` line naming ``message``."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spkid {argv[0]}: error: ") and err.count("\n") == 1
+    assert message in err
+    return err
 
 
 def test_synth_writes_corpus_layout(corpus_dir):
@@ -99,11 +115,11 @@ def test_train_then_identify(corpus_dir, tmp_path, capsys):
     assert "d_com" in out2.read_text()
 
 
-def test_identify_fused_requires_accuracies(corpus_dir, tmp_path):
-    model = tmp_path / "m"
-    main(["train", "--corpus", str(corpus_dir), "--model-dir", str(model), "--codebook-size", "8"])
-    rc = main(["identify", "--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "fused"])
-    assert rc == 2
+def test_identify_fused_requires_accuracies(corpus_dir, fused_model, capsys):
+    assert_input_error(
+        capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model), "--kind", "fused"],
+        "--kind fused requires --acc-dct and --acc-mfcc",
+    )
 
 
 def test_evaluate_writes_reports(corpus_dir, tmp_path, capsys):
@@ -144,23 +160,27 @@ def test_voiced_set_flag(corpus_dir, tmp_path):
     assert len(out.read_text().strip().splitlines()) > 500
 
 
-def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path, monkeypatch):
+def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path, monkeypatch, capsys):
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
     monkeypatch.setattr(cli, "train_codebook", no_training)
-    with pytest.raises(ValueError, match="codebook sizes exceed the distinct training vectors") as err:
-        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"])
+    err = assert_input_error(
+        capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"],
+        "codebook sizes exceed the distinct training vectors",
+    )
     for spk in ("spk00", "spk01", "spk02", "spk03"):
         for kind in ("psdct", "mfcc"):
-            assert f"{spk} {kind} k=5000 (" in str(err.value)
+            assert f"{spk} {kind} k=5000 (" in err
 
 
-def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path):
+def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path, capsys):
     vset = tmp_path / "voiced.txt"
     vset.write_text("zz\n")
-    with pytest.raises(ValueError, match="speaker spk00: no psdct training vectors"):
-        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--voiced-set", str(vset)])
+    assert_input_error(
+        capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--voiced-set", str(vset)],
+        "speaker spk00: no psdct training vectors",
+    )
 
 
 def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
@@ -178,36 +198,80 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     assert cli_scores == lib_scores
 
 
-def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, no_extraction):
+def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, no_extraction, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
-    with pytest.raises(ValueError, match="no manifest.json; not a model directory"):
-        main(["identify", "--corpus", str(corpus_dir), "--model-dir", str(empty)])
+    assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(empty)],
+                       "no manifest.json; not a model directory")
 
 
-def test_identify_rejects_bad_accuracy_before_extracting(corpus_dir, fused_model, no_extraction):
-    with pytest.raises(ValueError, match=r"accuracies must lie in \[0, 1\]"):
-        main([
-            "identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model),
-            "--kind", "fused", "--acc-dct", "1.5", "--acc-mfcc", "1.0",
-        ])
+def test_identify_rejects_bad_accuracy_before_extracting(corpus_dir, fused_model, no_extraction, capsys):
+    assert_input_error(capsys, [
+        "identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model),
+        "--kind", "fused", "--acc-dct", "1.5", "--acc-mfcc", "1.0",
+    ], "accuracies must lie in [0, 1]")
 
 
-def test_train_rejects_codebook_size_zero_before_extracting(corpus_dir, tmp_path, no_extraction):
-    with pytest.raises(ValueError, match="codebook_sizes must be a non-empty list of sizes >= 1"):
-        main(["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "0"])
+def test_train_rejects_codebook_size_zero_before_extracting(corpus_dir, tmp_path, no_extraction, capsys):
+    assert_input_error(
+        capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "0"],
+        "codebook_sizes must be a non-empty list of sizes >= 1",
+    )
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("command", ["extract", "train", "identify", "evaluate"])
-def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, fused_model, tmp_path, no_extraction):
+@pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, tmp_path, no_extraction, capsys):
     argv = [command, "--corpus", str(corpus_dir), "--coeffs", "0"]
-    if command in ("train", "identify"):
-        argv += ["--model-dir", str(fused_model if command == "identify" else tmp_path / "m")]
-    if command in ("extract", "identify"):
+    if command == "train":
+        argv += ["--model-dir", str(tmp_path / "m")]
+    if command == "extract":
         argv += ["--report-out", str(tmp_path / "out.csv")]
-    with pytest.raises(ValueError, match="n_coeffs must be >= 1"):
-        main(argv)
+    assert_input_error(capsys, argv, "n_coeffs must be >= 1")
+
+
+def test_missing_voiced_set_file_is_an_input_error(corpus_dir, tmp_path, no_extraction, capsys):
+    missing = tmp_path / "no-such-voiced.txt"
+    assert_input_error(capsys, ["extract", "--corpus", str(corpus_dir), "--voiced-set", str(missing)],
+                       f"No such file or directory: '{missing}'")
+
+
+def test_input_error_exits_2_without_traceback(corpus_dir, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spkid.cli", "train", "--corpus", str(corpus_dir),
+         "--model-dir", str(tmp_path / "m"), "--codebook-size", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "spkid train: error: codebook_sizes must be a non-empty list of sizes >= 1\n"
+
+
+def test_identify_reads_psdct_width_from_model(corpus_dir, tmp_path):
+    model, out = tmp_path / "model", tmp_path / "scores.csv"
+    common = ["--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"]
+    assert main(["train", *common, "--codebook-size", "8", "--coeffs", "20"]) == 0
+    assert main(["identify", *common, "--report-out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh) if r["rank"] != "rank"}
+
+    config = ExperimentConfig(codebook_sizes=(8,), kinds=("psdct",), n_coeffs=20)
+    report = run_experiment(config, utterances=load_corpus(corpus_dir))
+    lib_scores = {(t.speaker_id, cand): f"{score:.9g}" for t in report.trials for cand, score in t.scores}
+    assert len(cli_scores) == 16
+    assert cli_scores == lib_scores
+
+
+def test_evaluate_and_sweep_match_in_memory_synth_corpus(corpus_dir, capsys):
+    """``spkid synth`` then ``evaluate``/``sweep`` print what the library gives on ``synth_corpus`` in memory."""
+    corpus = synth_corpus(4, 8, seed=5)  # the arguments corpus_dir was written with
+    assert main(["evaluate", "--corpus", str(corpus_dir), "--codebook-size", "8,16"]) == 0
+    report = run_experiment(ExperimentConfig(codebook_sizes=(8, 16)), utterances=corpus)
+    assert capsys.readouterr().out == report.to_markdown() + "\n"
+
+    assert main(["sweep", "--corpus", str(corpus_dir), "--coeffs", "10,15", "--codebook-size", "8"]) == 0
+    rows = sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15), sweep_codebook_size=8), utterances=corpus)
+    assert capsys.readouterr().out == sweep_to_markdown(rows, 8) + "\n"
 
 
 def test_extract_epoch_dump(corpus_dir, tmp_path):

@@ -1,4 +1,4 @@
-"""Smoke runs of the scripts under scripts/, each loaded by path with small arguments."""
+"""Smoke run of scripts/run_timit_eval.py, loaded by path with small arguments."""
 
 import importlib.util
 import sys
@@ -17,22 +17,6 @@ def run_script(name, argv, monkeypatch, patch=None):
         monkeypatch.setattr(module, attr, value)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     module.main()
-
-
-def test_run_synthetic_eval(monkeypatch, capsys, tmp_path):
-    out = tmp_path / "report.md"
-    run_script("run_synthetic_eval", ["--speakers", "4", "--utterances", "8", "--sizes", "8", "--report-out", str(out)],
-               monkeypatch)
-    printed = capsys.readouterr().out
-    assert "| 8 |" in printed and "total time:" in printed
-    assert out.read_text(encoding="utf-8") in printed
-
-
-def test_run_coefficient_sweep(monkeypatch, capsys):
-    run_script("run_coefficient_sweep", ["--coeffs", "10,15", "--codebook-size", "8"], monkeypatch)
-    printed = capsys.readouterr().out
-    assert "- codebook size: 8" in printed
-    assert "| 10 |" in printed and "| 15 |" in printed
 
 
 def test_run_timit_eval(monkeypatch, capsys):

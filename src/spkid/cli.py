@@ -19,7 +19,7 @@ from .corpus import load_corpus, load_voiced_set, save_corpus, split_speakers
 from .mfcc import MfccConfig
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
-from .vq import DEFAULT_SEED, load_model_dir, save_model_dir, train_codebook
+from .vq import DEFAULT_SEED, load_model_dir, save_model_dir
 
 COEFFS_HELP = f"PS-DCT coefficients per vector; MFCC always gives {MfccConfig.n_coeffs}"
 
@@ -34,7 +34,10 @@ def _add_common(p, model_dir=False, seed=False):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _config_from_args(args, **overrides) -> ev.ExperimentConfig:
@@ -103,10 +106,9 @@ def cmd_train(args) -> int:
     kinds = _kinds(args)
     feats = ev.split_features(splits, config, kinds, "training")
     ev.check_codebook_sizes(feats, config.codebook_sizes)
+    speakers = [s.speaker_id for s in splits]
     codebooks = [
-        train_codebook(feats[s.speaker_id, kind], args.codebook_size, seed=args.seed, speaker_id=s.speaker_id)
-        for kind in kinds
-        for s in splits
+        cb for kind in kinds for cb in ev.train_codebooks(feats, speakers, kind, args.codebook_size, args.seed)
     ]
     save_model_dir(codebooks, args.model_dir)
     print(f"wrote {len(codebooks)} codebooks (k={args.codebook_size}) to {args.model_dir}")

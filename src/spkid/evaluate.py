@@ -26,7 +26,7 @@ from .gci import PitchCycle, cycles_from_region
 from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureVector, mec, psdct_feature
 from .synth import VOICED_PHONE
-from .vq import DEFAULT_SEED, train_codebook
+from .vq import DEFAULT_SEED, Codebook, train_codebook
 
 log = logging.getLogger(__name__)
 
@@ -87,36 +87,43 @@ class TrialResult:
     speaker_id: str
     kind: str
     codebook_size: int
-    predicted: str
-    correct: bool
     scores: tuple[tuple[str, float], ...]  # (candidate, score) ascending
     n_vectors: int = 0
     alpha: float | None = None
 
+    @property
+    def predicted(self) -> str:
+        return self.scores[0][0]
+
+    @property
+    def correct(self) -> bool:
+        return self.predicted == self.speaker_id
+
 
 @dataclass
 class EvalReport:
-    accuracies: dict[str, dict[int, float]]  # kind -> codebook size -> fraction
-    alphas: dict[int, float]
     trials: list[TrialResult]
     speakers: list[str]
     n_coeffs: int
     seed: int
 
-    def validate(self) -> None:
-        """Recount per-trial rows against the tabulated accuracies."""
-        for kind, by_size in self.accuracies.items():
-            for size, acc in by_size.items():
-                rows = [t for t in self.trials if t.kind == kind and t.codebook_size == size]
-                if len(rows) != len(self.speakers):
-                    raise AssertionError(f"{kind}/{size}: {len(rows)} trials for {len(self.speakers)} speakers")
-                recount = sum(t.correct for t in rows) / len(rows)
-                if abs(recount - acc) > 1e-12:
-                    raise AssertionError(f"{kind}/{size}: accuracy {acc} != recount {recount}")
+    @property
+    def accuracies(self) -> dict[str, dict[int, float]]:
+        """kind -> codebook size -> fraction of that cell's trials identified correctly."""
+        cells: dict[str, dict[int, list[bool]]] = {}
+        for t in self.trials:
+            cells.setdefault(t.kind, {}).setdefault(t.codebook_size, []).append(t.correct)
+        return {kind: {size: sum(c) / len(c) for size, c in by_size.items()} for kind, by_size in cells.items()}
+
+    @property
+    def alphas(self) -> dict[int, float]:
+        """codebook size -> fusion weight of the fused trials at that size."""
+        return {t.codebook_size: t.alpha for t in self.trials if t.kind == KIND_FUSED}
 
     def to_markdown(self) -> str:
-        kinds = [k for k in (KIND_PSDCT, KIND_MFCC) if k in self.accuracies]
-        sizes = sorted({s for by_size in self.accuracies.values() for s in by_size})
+        accuracies, alphas = self.accuracies, self.alphas
+        kinds = [k for k in (KIND_PSDCT, KIND_MFCC) if k in accuracies]
+        sizes = sorted({s for by_size in accuracies.values() for s in by_size})
         lines = [
             "# Speaker identification report",
             "",
@@ -130,10 +137,10 @@ class EvalReport:
             "|" + "---|" * (len(kinds) + 3),
         ]
         for size in sizes:
-            cells = [f"{self.accuracies[k][size] * 100:.1f}" if size in self.accuracies.get(k, {}) else "-" for k in kinds]
-            fused_acc = self.accuracies.get(KIND_FUSED, {}).get(size)
+            cells = [f"{accuracies[k][size] * 100:.1f}" if size in accuracies.get(k, {}) else "-" for k in kinds]
+            fused_acc = accuracies.get(KIND_FUSED, {}).get(size)
             cells.append(f"{fused_acc * 100:.1f}" if fused_acc is not None else "-")
-            alpha = self.alphas.get(size)
+            alpha = alphas.get(size)
             cells.append(f"{alpha:.3f}" if alpha is not None else "-")
             lines.append(f"| {size} | " + " | ".join(cells) + " |")
         lines += [
@@ -241,6 +248,13 @@ def check_codebook_sizes(
         raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
 
 
+def train_codebooks(
+    train: dict[tuple[str, str], list[FeatureVector]], speakers: list[str], kind: str, size: int, seed: int
+) -> list[Codebook]:
+    """One ``size``-entry codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``."""
+    return [train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk) for spk in speakers]
+
+
 def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> EvalReport:
     """Train, identify, and fuse over every configured codebook size.
 
@@ -254,39 +268,27 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> Eva
     test_feats = split_features(splits, config, config.kinds, "test")
     check_codebook_sizes(train_feats, config.codebook_sizes)
 
-    accuracies: dict[str, dict[int, float]] = {k: {} for k in config.kinds}
-    alphas: dict[int, float] = {}
-    trials: list[TrialResult] = []
+    report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
     # scores[(kind, size, test speaker)] -> ranked CmdScore list
     scores: dict[tuple[str, int, str], list[CmdScore]] = {}
-
     for kind in config.kinds:
         for size in config.codebook_sizes:
-            codebooks = [
-                train_codebook(train_feats[spk, kind], size, seed=config.seed, speaker_id=spk)
-                for spk in speakers
-            ]
-            correct = 0
+            codebooks = train_codebooks(train_feats, speakers, kind, size, config.seed)
             for spk in speakers:
-                ranked, predicted = identify(test_feats[spk, kind], codebooks)
+                ranked, _ = identify(test_feats[spk, kind], codebooks)
                 scores[(kind, size, spk)] = ranked
-                ok = predicted == spk
-                correct += ok
-                trials.append(
+                report.trials.append(
                     TrialResult(
                         speaker_id=spk,
                         kind=kind,
                         codebook_size=size,
-                        predicted=predicted,
-                        correct=ok,
                         scores=tuple((s.speaker_id, s.cmd) for s in ranked),
                         n_vectors=len(test_feats[spk, kind]),
                     )
                 )
-            accuracies[kind][size] = correct / len(speakers)
 
     if KIND_PSDCT in config.kinds and KIND_MFCC in config.kinds:
-        accuracies[KIND_FUSED] = {}
+        accuracies = report.accuracies
         for size in config.codebook_sizes:
             a_dct = accuracies[KIND_PSDCT][size]
             a_mfcc = accuracies[KIND_MFCC][size]
@@ -294,36 +296,19 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> Eva
                 log.warning("size %d: both systems at zero accuracy; skipping fusion", size)
                 continue
             weights = FusionWeights(a_dct, a_mfcc)
-            alphas[size] = weights.alpha
-            correct = 0
             for spk in speakers:
-                fused, predicted = fuse(
+                fused, _ = fuse(
                     scores[(KIND_PSDCT, size, spk)], scores[(KIND_MFCC, size, spk)], weights
                 )
-                ok = predicted == spk
-                correct += ok
-                trials.append(
+                report.trials.append(
                     TrialResult(
                         speaker_id=spk,
                         kind=KIND_FUSED,
                         codebook_size=size,
-                        predicted=predicted,
-                        correct=ok,
                         scores=tuple((s.speaker_id, s.d_com) for s in fused),
                         alpha=weights.alpha,
                     )
                 )
-            accuracies[KIND_FUSED][size] = correct / len(speakers)
-
-    report = EvalReport(
-        accuracies=accuracies,
-        alphas=alphas,
-        trials=trials,
-        speakers=speakers,
-        n_coeffs=config.n_coeffs,
-        seed=config.seed,
-    )
-    report.validate()
     return report
 
 
@@ -374,15 +359,8 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
 
     rows = []
     for k in sorted(config.coeff_counts):
-        codebooks = [
-            train_codebook(
-                first(train_rows[spk], k),
-                config.sweep_codebook_size,
-                seed=config.seed,
-                speaker_id=spk,
-            )
-            for spk in speakers
-        ]
+        train_k = {(spk, KIND_PSDCT): first(train_rows[spk], k) for spk in speakers}
+        codebooks = train_codebooks(train_k, speakers, KIND_PSDCT, config.sweep_codebook_size, config.seed)
         correct = 0
         for spk in speakers:
             _, predicted = identify(first(test_rows[spk], k), codebooks)

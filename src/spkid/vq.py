@@ -182,14 +182,22 @@ def load_codebook(path) -> Codebook:
     with open(path, "rb") as fh:
         if fh.read(4) != CODEBOOK_MAGIC:
             raise ValueError(f"{path}: not a codebook file")
-        version, k, dim, seed, count = struct.unpack("<IIIqQ", fh.read(28))
+
+        def header(n: int) -> bytes:
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise ValueError(f"{path}: codebook header is truncated")
+            return chunk
+
+        version, k, dim, seed, count = struct.unpack("<IIIqQ", header(28))
         if version != CODEBOOK_VERSION:
             raise ValueError(f"{path}: unsupported codebook version {version}")
-        (kind_len,) = struct.unpack("<I", fh.read(4))
-        kind = fh.read(kind_len).decode("utf-8")
-        (spk_len,) = struct.unpack("<I", fh.read(4))
-        speaker_id = fh.read(spk_len).decode("utf-8")
-        centroids = np.frombuffer(fh.read(k * dim * 8), dtype="<f8").reshape(k, dim)
+        kind = header(*struct.unpack("<I", header(4))).decode("utf-8")
+        speaker_id = header(*struct.unpack("<I", header(4))).decode("utf-8")
+        block = fh.read()
+    if len(block) != k * dim * 8:
+        raise ValueError(f"{path}: centroid block has {len(block)} bytes, expected {k * dim * 8} (k={k}, dim={dim})")
+    centroids = np.frombuffer(block, dtype="<f8").reshape(k, dim)
     return Codebook(speaker_id, kind, k, dim, centroids.copy(), seed, count)
 
 
@@ -217,8 +225,11 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
         raise ValueError(f"{model_dir}: no {MANIFEST_NAME}; not a model directory")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    entries = manifest.get("codebooks") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: no codebook list")
     codebooks = []
-    for entry in manifest["codebooks"]:
+    for entry in entries:
         if kind is not None and entry["kind"] != kind:
             continue
         codebooks.append(load_codebook(model_dir / entry["file"]))

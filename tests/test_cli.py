@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import spkid.cli as cli
 import spkid.evaluate as ev
 from spkid.cli import main
 from spkid.corpus import extract_voiced_regions, load_corpus
@@ -164,7 +164,7 @@ def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path,
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
-    monkeypatch.setattr(cli, "train_codebook", no_training)
+    monkeypatch.setattr(ev, "train_codebook", no_training)
     err = assert_input_error(
         capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"],
         "codebook sizes exceed the distinct training vectors",
@@ -172,6 +172,25 @@ def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path,
     for spk in ("spk00", "spk01", "spk02", "spk03"):
         for kind in ("psdct", "mfcc"):
             assert f"{spk} {kind} k=5000 (" in err
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--codebook-size"), ("sweep", "--coeffs")])
+def test_int_list_flag_names_expected_format(command, flag, corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--corpus", str(corpus_dir), flag, "16,x"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"spkid {command}: error: argument {flag}: expected comma-separated integers, got '16,x'" in err
+    assert "_int_list" not in err
+
+
+def test_identify_rejects_truncated_codebook_file(corpus_dir, fused_model, tmp_path, no_extraction, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(fused_model, model)
+    cut = model / "spk00.psdct.cb"
+    cut.write_bytes(cut.read_bytes()[:20])
+    assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)],
+                       f"{cut}: codebook header is truncated")
 
 
 def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -62,7 +64,6 @@ def test_accuracies_and_fusion_present(report6):
 
 
 def test_report_internal_consistency(report6):
-    report6.validate()
     trials = [t for t in report6.trials if t.kind == "psdct" and t.codebook_size == 16]
     assert len(trials) == 6
     for t in trials:
@@ -166,7 +167,6 @@ def test_collect_cycles_counts(corpus6):
 def test_8khz_smoke(corpus8k):
     config = ExperimentConfig(codebook_sizes=(8, 16), coeff_counts=(10, 20), n_train=3, n_test=2)
     report = run_experiment(config, utterances=corpus8k)
-    report.validate()
     for kind in ("psdct", "mfcc"):
         assert set(report.accuracies[kind]) == {8, 16}
     assert all(0.0 <= acc <= 1.0 for by_size in report.accuracies.values() for acc in by_size.values())
@@ -213,3 +213,34 @@ def test_each_utterance_read_once(corpus8k, monkeypatch):
         for u in s.train_utterances + s.test_utterances
     ]
     assert sorted(calls) == sorted(split_utts)
+
+
+def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):
+    """With the true speaker ranked last everywhere, no fused trial is made and no alpha reported."""
+    owner = {}  # id of a speaker's vector list -> that speaker
+    real_split, real_identify = evaluate.split_features, evaluate.identify
+
+    def recording_split(splits, config, kinds, role):
+        feats = real_split(splits, config, kinds, role)
+        owner.update({id(vectors): spk for (spk, _), vectors in feats.items()})
+        return feats
+
+    def true_speaker_last(test_vectors, codebooks):
+        ranked, _ = real_identify(test_vectors, codebooks)
+        spk = owner[id(test_vectors)]
+        worst = ranked[-1].cmd + 1.0
+        ranked = [s for s in ranked if s.speaker_id != spk] + [
+            dataclasses.replace(s, cmd=worst) for s in ranked if s.speaker_id == spk
+        ]
+        return ranked, ranked[0].speaker_id
+
+    monkeypatch.setattr(evaluate, "split_features", recording_split)
+    monkeypatch.setattr(evaluate, "identify", true_speaker_last)
+    with caplog.at_level(logging.WARNING, logger="spkid.evaluate"):
+        report = run_experiment(ExperimentConfig(codebook_sizes=(8,), n_train=3, n_test=2), utterances=corpus8k)
+
+    assert not [t for t in report.trials if t.kind == "fused"]
+    assert report.alphas == {}
+    assert report.accuracies == {"psdct": {8: 0.0}, "mfcc": {8: 0.0}}
+    assert "| 8 | 0.0 | 0.0 | - | - |" in report.to_markdown().splitlines()
+    assert "size 8: both systems at zero accuracy; skipping fusion" in caplog.messages

@@ -136,10 +136,26 @@ def test_codebook_file_round_trip(tmp_path):
 
 
 def test_codebook_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.cb"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="not a codebook"):
-        load_codebook(path)
+    good = tmp_path / "good.cb"
+    save_codebook(train_codebook(vectors_from(np.random.default_rng(3).normal(size=(30, 15))), 8, speaker_id="s"), good)
+    valid = good.read_bytes()
+    cases = [
+        (b"NOPE" + b"\x00" * 64, "not a codebook"),
+        (valid[:20], "codebook header is truncated"),
+        (valid[:-8], "centroid block has 952 bytes, expected 960 \\(k=8, dim=15\\)"),
+        (valid + b"\x00", "centroid block has 961 bytes, expected 960"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.cb"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{path.name}: {message}"):
+            load_codebook(path)
+
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "manifest.json").write_text('{"version": 1}')
+    with pytest.raises(ValueError, match="manifest.json: no codebook list"):
+        load_model_dir(model)
 
 
 def test_model_dir_round_trip(tmp_path):

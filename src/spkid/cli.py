@@ -25,7 +25,7 @@ COEFFS_HELP = f"PS-DCT coefficients per vector; MFCC always gives {MfccConfig.n_
 
 
 def _add_common(p, model_dir=False, seed=False):
-    p.add_argument("--corpus", required=True, help="corpus root directory")
+    p.add_argument("--corpus", required=True, help="corpus root directory, or a TIMIT root holding TRAIN/TEST")
     if seed:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="codebook training seed")
     p.add_argument("--voiced-set", help="file with one voiced phone label per line")

@@ -3,7 +3,9 @@
 Corpus layout on disk: one directory per speaker, holding ``<utt>.wav``
 (RIFF/WAVE, PCM 16-bit mono), ``<utt>.phn`` (TIMIT-style ``begin end phone``
 lines), and optionally ``<utt>.gci`` (ground-truth excitation instants written
-by the synthetic generator, one sample index per line).
+by the synthetic generator, one sample index per line). A TIMIT tree
+(``TRAIN``/``TEST``/``DR*``/``<speaker>``) loads as the 30-speaker protocol's
+seeded draw.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DEFAULT_VOICED_SET = frozenset(
 
 # Utterance-id prefix of TIMIT's two SA sentences, which go to the test set
 TEST_UTTERANCE_PREFIX = "sa"
+
+# Speakers of each gender that the 30-speaker TIMIT protocol draws
+TIMIT_MALE, TIMIT_FEMALE = 16, 14
 
 
 class CorpusError(ValueError):
@@ -302,8 +307,23 @@ def save_corpus(utterances: list[Utterance], root) -> None:
                     fh.write(f"{int(pos)}\n")
 
 
-def load_timit_utterances(root, n_male: int = 16, n_female: int = 14, seed: int = 42) -> list[Utterance]:
-    """Load a random gender-balanced speaker subset from a TIMIT-layout tree.
+def _read_utterance(wav_path: Path, speaker_id: str | None = None, utterance_id: str | None = None) -> Utterance:
+    """One wav plus its ``.phn`` (or ``.PHN``) labels and optional ``.gci`` epochs."""
+    utt = load_wav(wav_path, speaker_id=speaker_id, utterance_id=utterance_id)
+    for suffix in (".phn", ".PHN"):
+        phn_path = wav_path.with_suffix(suffix)
+        if phn_path.exists():
+            utt.segments = parse_phn(phn_path)
+            break
+    gci_path = wav_path.with_suffix(".gci")
+    if gci_path.exists():
+        with open(gci_path, "r", encoding="utf-8") as fh:
+            utt.impulses = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    return utt
+
+
+def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
+    """Load a seeded draw of TIMIT_MALE male and TIMIT_FEMALE female speakers from a TIMIT tree.
 
     Expects ``root/{TRAIN,TEST}/DR*/<speaker>/<utt>.{wav,phn}`` with speaker
     directories named M* or F*. The .wav files must already be RIFF/WAVE
@@ -316,45 +336,33 @@ def load_timit_utterances(root, n_male: int = 16, n_female: int = 14, seed: int 
     )
     males = [p for p in speaker_dirs if p.name[:1].upper() == "M"]
     females = [p for p in speaker_dirs if p.name[:1].upper() == "F"]
-    if len(males) < n_male or len(females) < n_female:
+    if len(males) < TIMIT_MALE or len(females) < TIMIT_FEMALE:
         raise CorpusError(
             f"{root}: found {len(males)} male / {len(females)} female speakers, "
-            f"need {n_male}/{n_female}"
+            f"need {TIMIT_MALE}/{TIMIT_FEMALE}"
         )
     rng = np.random.default_rng(seed)
-    chosen = [males[i] for i in rng.choice(len(males), size=n_male, replace=False)]
-    chosen += [females[i] for i in rng.choice(len(females), size=n_female, replace=False)]
-
-    utterances = []
-    for spk_dir in chosen:
-        wavs = sorted(list(spk_dir.glob("*.wav")) + list(spk_dir.glob("*.WAV")))
-        for wav_path in wavs:
-            utt = load_wav(wav_path, speaker_id=spk_dir.name, utterance_id=wav_path.stem.lower())
-            for suffix in (".phn", ".PHN"):
-                phn = wav_path.with_suffix(suffix)
-                if phn.exists():
-                    utt.segments = parse_phn(phn)
-                    break
-            utterances.append(utt)
-    return utterances
+    chosen = [males[i] for i in rng.choice(len(males), size=TIMIT_MALE, replace=False)]
+    chosen += [females[i] for i in rng.choice(len(females), size=TIMIT_FEMALE, replace=False)]
+    return [
+        _read_utterance(wav_path, speaker_id=spk_dir.name, utterance_id=wav_path.stem.lower())
+        for spk_dir in chosen
+        for wav_path in sorted(list(spk_dir.glob("*.wav")) + list(spk_dir.glob("*.WAV")))
+    ]
 
 
 def load_corpus(root) -> list[Utterance]:
-    """Load every wav under root/<speaker>/, attaching labels and metadata."""
+    """Load every wav under root/<speaker>/, attaching labels and metadata.
+
+    A root holding a TRAIN or TEST directory (any case) is a TIMIT tree: it
+    loads as ``load_timit_utterances(root)``, the seed-42 draw.
+    """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} is not a directory")
-    utterances = []
-    for wav_path in sorted(root.glob("*/*.wav")):
-        utt = load_wav(wav_path)
-        phn_path = wav_path.with_suffix(".phn")
-        if phn_path.exists():
-            utt.segments = parse_phn(phn_path)
-        gci_path = wav_path.with_suffix(".gci")
-        if gci_path.exists():
-            with open(gci_path, "r", encoding="utf-8") as fh:
-                utt.impulses = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-        utterances.append(utt)
+    if any(p.name.upper() in ("TRAIN", "TEST") and p.is_dir() for p in root.iterdir()):
+        return load_timit_utterances(root)
+    utterances = [_read_utterance(wav_path) for wav_path in sorted(root.glob("*/*.wav"))]
     if not utterances:
         raise CorpusError(f"no wav files found under {root}")
     return utterances

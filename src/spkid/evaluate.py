@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -334,19 +334,16 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
     speakers = [s.speaker_id for s in splits]
     max_k = max(config.coeff_counts)
 
+    # mec needs the pooled training cycles, so the training side keeps them
     train_cycles = {
         s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced_set) if len(c) > max_k]
-        for s in splits
-    }
-    test_cycles = {
-        s.speaker_id: [c for c in collect_cycles(s.test_utterances, voiced_set) if len(c) > max_k]
         for s in splits
     }
     pooled_train = [c for spk in speakers for c in train_cycles[spk]]
     if not pooled_train:
         raise ValueError("no usable pitch cycles in the training data")
     train_rows = {spk: psdct_features(train_cycles[spk], max_k) for spk in speakers}
-    test_rows = {spk: psdct_features(test_cycles[spk], max_k) for spk in speakers}
+    test_feats = split_features(splits, replace(config, n_coeffs=max_k), (KIND_PSDCT,), "test")
     # a prefix of a row has at most as many distinct values as the row: the smallest K binds
     check_codebook_sizes(
         {(spk, KIND_PSDCT): train_rows[spk] for spk in speakers},
@@ -363,7 +360,7 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
         codebooks = train_codebooks(train_k, speakers, KIND_PSDCT, config.sweep_codebook_size, config.seed)
         correct = 0
         for spk in speakers:
-            _, predicted = identify(first(test_rows[spk], k), codebooks)
+            _, predicted = identify(first(test_feats[spk, KIND_PSDCT], k), codebooks)
             correct += predicted == spk
         rows.append(
             SweepRow(

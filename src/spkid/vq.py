@@ -229,7 +229,9 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: no codebook list")
     codebooks = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "file" in entry and "kind" in entry):
+            raise ValueError(f"{manifest_path}: codebook entry {i} is not an object with 'file' and 'kind' keys")
         if kind is not None and entry["kind"] != kind:
             continue
         codebooks.append(load_codebook(model_dir / entry["file"]))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import spkid.evaluate as ev
+from conftest import write_timit_tree
 from spkid.cli import main
-from spkid.corpus import extract_voiced_regions, load_corpus
+from spkid.corpus import extract_voiced_regions, load_corpus, load_timit_utterances
 from spkid.evaluate import ExperimentConfig, run_experiment, sweep_coefficients, sweep_to_markdown
 from spkid.gci import detect_gci, map_to_peaks
 from spkid.synth import synth_corpus
@@ -215,6 +216,33 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     lib_scores = {(t.speaker_id, cand): f"{score:.9g}" for t in report.trials for cand, score in t.scores}
     assert len(cli_scores) == 16
     assert cli_scores == lib_scores
+
+
+def test_identify_rejects_manifest_entry_without_file(corpus_dir, tmp_path, no_extraction, capsys):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "manifest.json").write_text('{"version": 1, "codebooks": [{"kind": "psdct"}]}')
+    assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)],
+                       "codebook entry 0 is not an object with 'file' and 'kind' keys")
+
+
+def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):
+    root, _ = timit_tree
+    assert main(["evaluate", "--corpus", str(root), "--kind", "psdct", "--codebook-size", "4"]) == 0
+    config = ExperimentConfig(codebook_sizes=(4,), kinds=("psdct",))
+    expected = run_experiment(config, utterances=load_timit_utterances(root)).to_markdown()
+    assert capsys.readouterr().out == expected + "\n"
+    assert "- speakers: 30" in expected
+
+    common = ["--corpus", str(root), "--model-dir", str(tmp_path / "model"), "--kind", "psdct"]
+    assert main(["train", *common, "--codebook-size", "4"]) == 0
+    assert main(["identify", *common]) == 0
+    assert "test speakers correctly" in capsys.readouterr().err
+
+
+def test_evaluate_names_a_timit_tree_with_too_few_speakers(tmp_path, capsys):
+    write_timit_tree(tmp_path, 15, 14)
+    assert_input_error(capsys, ["evaluate", "--corpus", str(tmp_path)], "found 15 male / 14 female speakers, need 16/14")
 
 
 def test_identify_checks_model_dir_before_extracting(corpus_dir, tmp_path, no_extraction, capsys):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TIMIT_IDS, write_timit_tree
 from spkid.corpus import (
     DEFAULT_VOICED_SET,
+    TIMIT_FEMALE,
+    TIMIT_MALE,
     CorpusError,
     MalformedWavError,
     PhnParseError,
@@ -272,62 +275,37 @@ def test_load_corpus_missing(tmp_path):
         load_corpus(tmp_path / "empty")
 
 
-TIMIT_IDS = ["SA1", "SA2", "SI1", "SI2", "SX1", "SX2", "SX3", "SX4"]
-
-
-@pytest.fixture(scope="module")
-def timit_tree(tmp_path_factory):
-    """Three male and three female speakers from synth_corpus in a TIMIT-layout tree.
-
-    Returns the root and the phone segments of each written (speaker, utterance id).
-    """
-    root = tmp_path_factory.mktemp("timit")
-    names = ["MAAA0", "FBBB0", "MCCC0", "FDDD0", "MEEE0", "FFFF0"]
-    utts = synth_corpus(len(names), len(TIMIT_IDS), seed=11, sample_rate=8000)
-    segments = {}
-    for i, name in enumerate(names):
-        spk_dir = root / ("TRAIN/DR1" if i < 3 else "TEST/DR2") / name
-        spk_dir.mkdir(parents=True)
-        wav, phn = (".WAV", ".PHN") if i // 2 == 1 else (".wav", ".phn")
-        for utt, utt_id in zip(utts[i * len(TIMIT_IDS) : (i + 1) * len(TIMIT_IDS)], TIMIT_IDS):
-            write_wav(spk_dir / f"{utt_id}{wav}", utt.samples, utt.sample_rate)
-            (spk_dir / f"{utt_id}{phn}").write_text(
-                "".join(f"{s.begin} {s.end} {s.phone}\n" for s in utt.segments), encoding="utf-8"
-            )
-            segments[name, utt_id.lower()] = utt.segments
-    return root, segments
-
-
 def test_load_timit_utterances_draws_each_gender(timit_tree):
     root, _ = timit_tree
-    utts = load_timit_utterances(root, n_male=2, n_female=2, seed=3)
+    utts = load_timit_utterances(root, seed=3)
     speakers = sorted({u.speaker_id for u in utts})
-    assert [s[0] for s in speakers].count("M") == 2
-    assert [s[0] for s in speakers].count("F") == 2
-    assert len(utts) == 4 * len(TIMIT_IDS)
-    again = load_timit_utterances(root, n_male=2, n_female=2, seed=3)
+    assert [s[0] for s in speakers].count("M") == TIMIT_MALE
+    assert [s[0] for s in speakers].count("F") == TIMIT_FEMALE
+    assert len(utts) == (TIMIT_MALE + TIMIT_FEMALE) * len(TIMIT_IDS)
+    again = load_timit_utterances(root, seed=3)
     assert [(u.speaker_id, u.utterance_id) for u in again] == [(u.speaker_id, u.utterance_id) for u in utts]
+    assert {u.speaker_id for u in load_timit_utterances(root, seed=4)} != set(speakers)
 
 
 def test_load_timit_utterances_lowercases_ids_and_attaches_segments(timit_tree):
     root, segments = timit_tree
-    utts = load_timit_utterances(root, n_male=3, n_female=3, seed=0)
-    assert len({u.speaker_id for u in utts}) == 6
+    utts = load_timit_utterances(root, seed=0)
+    assert len({u.speaker_id for u in utts}) == TIMIT_MALE + TIMIT_FEMALE
     for u in utts:
         assert u.utterance_id in {i.lower() for i in TIMIT_IDS}
         assert u.segments == segments[u.speaker_id, u.utterance_id]
 
 
-def test_load_timit_utterances_too_few_speakers(timit_tree):
-    root, _ = timit_tree
-    with pytest.raises(CorpusError, match="found 3 male / 3 female speakers, need 4/2"):
-        load_timit_utterances(root, n_male=4, n_female=2)
+def test_load_timit_utterances_too_few_speakers(tmp_path):
+    write_timit_tree(tmp_path, TIMIT_MALE - 1, TIMIT_FEMALE)
+    with pytest.raises(CorpusError, match="found 15 male / 14 female speakers, need 16/14"):
+        load_timit_utterances(tmp_path)
 
 
 def test_timit_sa_sentences_go_to_test(timit_tree):
     root, _ = timit_tree
-    splits = split_speakers(load_timit_utterances(root, n_male=2, n_female=2, seed=3))
-    assert len(splits) == 4
+    splits = split_speakers(load_timit_utterances(root, seed=3))
+    assert len(splits) == TIMIT_MALE + TIMIT_FEMALE
     for split in splits:
         assert [u.utterance_id for u in split.test_utterances] == ["sa1", "sa2"]
         assert [u.utterance_id for u in split.train_utterances] == ["si1", "si2", "sx1", "sx2", "sx3", "sx4"]

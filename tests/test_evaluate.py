@@ -8,7 +8,7 @@ import scipy.fft
 
 import spkid.evaluate as evaluate
 from spkid.classify import identify
-from spkid.corpus import split_speakers
+from spkid.corpus import PhoneSegment, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     collect_cycles,
@@ -195,6 +195,20 @@ def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
         sweep_coefficients(config, utterances=corpus8k)
     for spk in speakers:
         assert f"{spk} psdct k=5000 (" in str(err.value)
+
+
+def test_sweep_names_speaker_without_test_vectors_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a codebook was trained before the test vectors were checked")
+
+    monkeypatch.setattr(evaluate, "train_codebook", no_training)
+    utts = synth_corpus(4, 8, seed=5)
+    for split in split_speakers(utts):
+        if split.speaker_id == "spk00":
+            for utt in split.test_utterances:
+                utt.segments = [PhoneSegment(0, utt.samples.size, "h#")]
+    with pytest.raises(ValueError, match="^speaker spk00: no psdct test vectors$"):
+        sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15), sweep_codebook_size=8), utterances=utts)
 
 
 def test_each_utterance_read_once(corpus8k, monkeypatch):

@@ -156,6 +156,10 @@ def test_codebook_file_rejects_garbage(tmp_path):
     (model / "manifest.json").write_text('{"version": 1}')
     with pytest.raises(ValueError, match="manifest.json: no codebook list"):
         load_model_dir(model)
+    for entry in ('{"kind": "psdct"}', '{"file": "good.cb"}', '"good.cb"'):
+        (model / "manifest.json").write_text(f'{{"version": 1, "codebooks": [{entry}]}}')
+        with pytest.raises(ValueError, match="manifest.json: codebook entry 0 is not an object with 'file' and 'kind'"):
+            load_model_dir(model)
 
 
 def test_model_dir_round_trip(tmp_path):

@@ -107,11 +107,10 @@ def cmd_train(args) -> int:
     feats = ev.split_features(splits, config, kinds, "training")
     ev.check_codebook_sizes(feats, config.codebook_sizes)
     speakers = [s.speaker_id for s in splits]
-    codebooks = [
-        cb for kind in kinds for cb in ev.train_codebooks(feats, speakers, kind, args.codebook_size, args.seed)
-    ]
+    size = args.codebook_size
+    codebooks = [cb for kind in kinds for cb in ev.train_codebooks(feats, speakers, kind, (size,), args.seed)[size]]
     save_model_dir(codebooks, args.model_dir)
-    print(f"wrote {len(codebooks)} codebooks (k={args.codebook_size}) to {args.model_dir}")
+    print(f"wrote {len(codebooks)} codebooks (k={size}) to {args.model_dir}")
     return 0
 
 

@@ -96,7 +96,9 @@ class Utterance:
             raise ValueError("sample_rate must be positive")
         if self.samples.size == 0:
             raise ValueError("utterance has no samples")
-        peak = float(np.max(np.abs(self.samples)))
+        peak = float(np.max(np.abs(self.samples)))  # NaN if any sample is NaN
+        if not np.isfinite(peak):
+            raise ValueError(f"speaker {self.speaker_id} utterance {self.utterance_id}: samples must be finite")
         if peak > 1.0:
             raise ValueError(f"samples exceed [-1, 1] (peak {peak})")
         if self.segments is not None:
@@ -354,13 +356,18 @@ def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
 def load_corpus(root) -> list[Utterance]:
     """Load every wav under root/<speaker>/, attaching labels and metadata.
 
-    A root holding a TRAIN or TEST directory (any case) is a TIMIT tree: it
-    loads as ``load_timit_utterances(root)``, the seed-42 draw.
+    A root whose TRAIN or TEST directory (any case) holds DR* directories is
+    a TIMIT tree: it loads as ``load_timit_utterances(root)``, the seed-42
+    draw. A speaker directory named ``train`` or ``test`` holds only files.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} is not a directory")
-    if any(p.name.upper() in ("TRAIN", "TEST") and p.is_dir() for p in root.iterdir()):
+    if any(
+        part.name.upper() in ("TRAIN", "TEST") and part.is_dir()
+        and any(p.name.upper().startswith("DR") and p.is_dir() for p in part.iterdir())
+        for part in root.iterdir()
+    ):
         return load_timit_utterances(root)
     utterances = [_read_utterance(wav_path) for wav_path in sorted(root.glob("*/*.wav"))]
     if not utterances:

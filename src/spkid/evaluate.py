@@ -26,7 +26,7 @@ from .gci import PitchCycle, cycles_from_region
 from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureVector, mec, psdct_feature
 from .synth import VOICED_PHONE
-from .vq import DEFAULT_SEED, Codebook, train_codebook
+from .vq import DEFAULT_SEED, Codebook, kmeanspp_seeds, train_codebook
 
 log = logging.getLogger(__name__)
 
@@ -249,10 +249,26 @@ def check_codebook_sizes(
 
 
 def train_codebooks(
-    train: dict[tuple[str, str], list[FeatureVector]], speakers: list[str], kind: str, size: int, seed: int
-) -> list[Codebook]:
-    """One ``size``-entry codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``."""
-    return [train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk) for spk in speakers]
+    train: dict[tuple[str, str], list[FeatureVector]],
+    speakers: list[str],
+    kind: str,
+    sizes: tuple[int, ...],
+    seed: int,
+) -> dict[int, list[Codebook]]:
+    """size -> one codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``.
+
+    A speaker's k-means++ seeds are drawn once, at the largest size, and each
+    size's Lloyd run starts from their prefix: the codebooks are those of
+    separate ``train_codebook`` calls with the same seed.
+    """
+    seeds = {spk: kmeanspp_seeds(train[spk, kind], max(sizes), seed) for spk in speakers}
+    return {
+        size: [
+            train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk, init=seeds[spk][:size])
+            for spk in speakers
+        ]
+        for size in sizes
+    }
 
 
 def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> EvalReport:
@@ -272,10 +288,10 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> Eva
     # scores[(kind, size, test speaker)] -> ranked CmdScore list
     scores: dict[tuple[str, int, str], list[CmdScore]] = {}
     for kind in config.kinds:
+        books = train_codebooks(train_feats, speakers, kind, config.codebook_sizes, config.seed)
         for size in config.codebook_sizes:
-            codebooks = train_codebooks(train_feats, speakers, kind, size, config.seed)
             for spk in speakers:
-                ranked, _ = identify(test_feats[spk, kind], codebooks)
+                ranked, _ = identify(test_feats[spk, kind], books[size])
                 scores[(kind, size, spk)] = ranked
                 report.trials.append(
                     TrialResult(
@@ -354,10 +370,11 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
     def first(rows: list[FeatureVector], k: int) -> list[FeatureVector]:
         return [FeatureVector(v.values[:k], KIND_PSDCT) for v in rows]
 
+    size = config.sweep_codebook_size
     rows = []
     for k in sorted(config.coeff_counts):
         train_k = {(spk, KIND_PSDCT): first(train_rows[spk], k) for spk in speakers}
-        codebooks = train_codebooks(train_k, speakers, KIND_PSDCT, config.sweep_codebook_size, config.seed)
+        codebooks = train_codebooks(train_k, speakers, KIND_PSDCT, (size,), config.seed)[size]
         correct = 0
         for spk in speakers:
             _, predicted = identify(first(test_feats[spk, KIND_PSDCT], k), codebooks)

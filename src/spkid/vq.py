@@ -3,9 +3,13 @@
 Training is Lloyd's algorithm with k-means++ seeding, fully deterministic
 given (data, k, seed): per-iteration distortion is recorded and checked to be
 non-increasing, and empty clusters are re-seeded with the point farthest from
-its assigned centroid. sklearn is deliberately not used here; the determinism,
-iteration-history, and re-seeding contracts are cheaper to own than to coerce
-out of a library.
+its assigned centroid. k-means++ draws its seeds one at a time from one
+generator, so the first k seeds of a larger draw are the size-k seeds:
+``evaluate.train_codebooks`` draws them once per (speaker, kind), at the
+largest size, and starts each size's Lloyd run from their prefix.
+
+sklearn is deliberately not used here; the determinism, iteration-history,
+and re-seeding contracts are cheaper to own than to coerce out of a library.
 """
 
 from __future__ import annotations
@@ -68,33 +72,46 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         total = float(d2.sum())
         if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
             raise ValueError(f"k={k} exceeds the {len(chosen)} distinct training vectors")
-        idx = int(rng.choice(n, p=d2 / total))
+        # the steps of rng.choice(n, p=d2 / total) without its checks of p: the same row
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
         d2 = np.minimum(d2, np.sum((data - data[idx]) ** 2, axis=1))
-    return data[chosen].copy()
+    return data[chosen]
 
 
-def lloyd_kmeans(data: np.ndarray, k: int, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, list[float]]:
+def lloyd_kmeans(
+    data: np.ndarray, k: int, seed: int = DEFAULT_SEED, *, init: np.ndarray | None = None
+) -> tuple[np.ndarray, list[float]]:
     """k-means centroids plus the per-iteration mean-squared-distance history.
 
     Stops when the largest centroid displacement falls below DEFAULT_TOL
     relative to the RMS vector norm of the data, or after DEFAULT_MAX_ITER
-    iterations.
+    iterations. ``init`` is the first k rows of ``kmeanspp_seeds`` drawn from
+    the same data and seed, which are the seeds this call would draw itself.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     n, dim = data.shape
     if n == 0:
         raise ValueError("no training vectors")
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(data, k, rng)
-    scale = float(np.sqrt(np.mean(np.sum(data**2, axis=1)))) or 1.0
+    if init is None:
+        centroids = _kmeanspp_init(data, k, np.random.default_rng(seed))
+    elif init.shape != (k, dim):
+        raise ValueError(f"init has shape {init.shape}, expected ({k}, {dim})")
+    else:
+        centroids = init
+    norms = np.sum(data**2, axis=1)
+    scale = float(np.sqrt(np.mean(norms))) or 1.0
+    rows = np.arange(n)
 
     history: list[float] = []
     for _ in range(DEFAULT_MAX_ITER):
-        d2 = _sq_dists(data, centroids)
+        # _sq_dists, with the data's row norms taken once per call
+        d2 = np.maximum(norms[:, None] - 2.0 * data @ centroids.T + np.sum(centroids**2, axis=1)[None, :], 0.0)
         labels = np.argmin(d2, axis=1)
-        distortion = float(np.mean(d2[np.arange(n), labels]))
+        distortion = float(np.mean(d2[rows, labels]))
         if history and distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise RuntimeError(
                 f"distortion increased ({history[-1]} -> {distortion}); Lloyd update bug"
@@ -139,11 +156,32 @@ def _as_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, str]:
     return np.concatenate(rows).reshape(len(rows), dim), kind
 
 
-def train_codebook(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEED, speaker_id: str = "") -> Codebook:
-    """Cluster one speaker's vectors of one kind into a k-entry codebook."""
+def kmeanspp_seeds(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """The k-means++ seeds of ``train_codebook(vectors, k, seed)``, as a (k, dim) matrix.
+
+    k-means++ draws them one at a time from one generator, so the first j
+    rows are the seeds of ``train_codebook(vectors, j, seed)`` for any j <= k.
+    """
+    data, _ = _as_matrix(vectors)
+    return _kmeanspp_init(data, k, np.random.default_rng(seed))
+
+
+def train_codebook(
+    vectors: list[FeatureVector],
+    k: int,
+    seed: int = DEFAULT_SEED,
+    speaker_id: str = "",
+    *,
+    init: np.ndarray | None = None,
+) -> Codebook:
+    """Cluster one speaker's vectors of one kind into a k-entry codebook.
+
+    ``init``, the first k rows of ``kmeanspp_seeds(vectors, K, seed)`` for
+    some K >= k, skips drawing the seeds again; the codebook is the same.
+    """
     data, kind = _as_matrix(vectors)
     log.info("training %s codebook k=%d for %r on %d vectors", kind, k, speaker_id, len(vectors))
-    centroids, _ = lloyd_kmeans(data, k, seed=seed)
+    centroids, _ = lloyd_kmeans(data, k, seed=seed, init=init)
     return Codebook(
         speaker_id=speaker_id,
         kind=kind,

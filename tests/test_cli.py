@@ -165,6 +165,7 @@ def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path,
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
+    monkeypatch.setattr(ev, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(ev, "train_codebook", no_training)
     err = assert_input_error(
         capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"],

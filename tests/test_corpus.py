@@ -161,6 +161,14 @@ def test_utterance_validation():
         make_utt(100, [PhoneSegment(0, 200, "a")])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_utterance_rejects_non_finite_samples(bad):
+    samples = np.zeros(100)
+    samples[40] = bad
+    with pytest.raises(ValueError, match="^speaker spk01 utterance u03: samples must be finite$"):
+        Utterance(samples, 16000, "spk01", "u03")
+
+
 def test_extract_voiced_regions_merges_runs():
     segs = [
         PhoneSegment(0, 500, "h#"),
@@ -273,6 +281,19 @@ def test_load_corpus_missing(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "empty")
+
+
+@pytest.mark.parametrize("name", ["test", "TRAIN"])
+def test_speaker_named_like_a_timit_part_loads_as_plain_corpus(tmp_path, name):
+    utts = synth_corpus(2, 8, seed=5, sample_rate=8000)
+    save_corpus(utts, tmp_path)
+    (tmp_path / "spk01").rename(tmp_path / name)
+    back = load_corpus(tmp_path)
+    assert sorted({u.speaker_id for u in back}) == sorted(["spk00", name])
+    orig = {(u.speaker_id.replace("spk01", name), u.utterance_id): u for u in utts}
+    assert len(back) == len(orig)
+    for b in back:
+        assert np.array_equal(b.samples, orig[b.speaker_id, b.utterance_id].samples)
 
 
 def test_load_timit_utterances_draws_each_gender(timit_tree):

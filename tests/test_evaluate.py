@@ -16,10 +16,12 @@ from spkid.evaluate import (
     run_experiment,
     sweep_coefficients,
     sweep_to_markdown,
+    train_codebooks,
     write_sweep_csv,
 )
+from spkid.psdct import KIND_PSDCT, FeatureVector
 from spkid.synth import synth_corpus
-from spkid.vq import train_codebook
+from spkid.vq import save_codebook, train_codebook
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +177,42 @@ def test_8khz_smoke(corpus8k):
     assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
 
 
+def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    speakers = ["a", "b", "c"]
+    train = {
+        (spk, KIND_PSDCT): [FeatureVector(row, KIND_PSDCT) for row in rng.normal(size=(300, 15)) + 4.0 * i]
+        for i, spk in enumerate(speakers)
+    }
+    draws = []
+    plain_seeds = evaluate.kmeanspp_seeds
+
+    def counted_seeds(vectors, k, seed):
+        draws.append(k)
+        return plain_seeds(vectors, k, seed)
+
+    monkeypatch.setattr(evaluate, "kmeanspp_seeds", counted_seeds)
+    sizes = (32, 16, 128, 64)
+    books = train_codebooks(train, speakers, KIND_PSDCT, sizes, 9)
+    assert draws == [128] * len(speakers)
+    assert list(books) == list(sizes)
+    for size in sizes:
+        assert [cb.speaker_id for cb in books[size]] == speakers
+        for cb in books[size]:
+            alone = train_codebook(train[cb.speaker_id, KIND_PSDCT], size, seed=9, speaker_id=cb.speaker_id)
+            save_codebook(cb, tmp_path / "shared.cb")
+            save_codebook(alone, tmp_path / "alone.cb")
+            assert (tmp_path / "shared.cb").read_bytes() == (tmp_path / "alone.cb").read_bytes()
+    seeds = plain_seeds(train["a", KIND_PSDCT], 16, 9)
+    with pytest.raises(ValueError, match=r"^init has shape \(8, 15\), expected \(16, 15\)$"):
+        train_codebook(train["a", KIND_PSDCT], 16, seed=9, init=seeds[:8])
+
+
 def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
+    monkeypatch.setattr(evaluate, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(evaluate, "train_codebook", no_training)
     speakers = sorted({u.speaker_id for u in corpus8k})
 
@@ -201,6 +235,7 @@ def test_sweep_names_speaker_without_test_vectors_before_training(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the test vectors were checked")
 
+    monkeypatch.setattr(evaluate, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(evaluate, "train_codebook", no_training)
     utts = synth_corpus(4, 8, seed=5)
     for split in split_speakers(utts):

@@ -180,6 +180,38 @@ def test_model_dir_round_trip(tmp_path):
         load_model_dir(tmp_path / "nothing-here")
 
 
+def reference_kmeanspp(data, k, seed):
+    """k-means++ seeding with one rng.choice draw per step, which _kmeanspp_init must match row for row."""
+    rng = np.random.default_rng(seed)
+    n = data.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((data - data[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            raise ValueError(f"k={k} exceeds the {len(chosen)} distinct training vectors")
+        idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((data - data[idx]) ** 2, axis=1))
+    return data[chosen]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("dim", [1, 2, 15, 40])
+def test_kmeanspp_draw_matches_rng_choice_reference(seed, dim):
+    # 60 distinct rows, most repeated up to 4 times, at mixed scales, in shuffled order
+    rng = np.random.default_rng(100 * dim + seed)
+    distinct = rng.normal(size=(60, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(60, 1))
+    data = rng.permutation(np.repeat(distinct, rng.integers(1, 5, size=60), axis=0))
+    for k in (1, 2, 16, 59, 60):
+        seeds = vq._kmeanspp_init(data, k, np.random.default_rng(seed))
+        assert np.array_equal(seeds, reference_kmeanspp(data, k, seed))
+    for draw in (lambda: vq._kmeanspp_init(data, 61, np.random.default_rng(seed)),
+                 lambda: reference_kmeanspp(data, 61, seed)):
+        with pytest.raises(ValueError, match=r"^k=61 exceeds the 60 distinct training vectors$"):
+            draw()
+
+
 def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300):
     """The per-cell Lloyd loop that lloyd_kmeans must reproduce bit for bit."""
     n = data.shape[0]

@@ -75,12 +75,15 @@ class PhoneSegment:
             raise ValueError(f"bad segment bounds [{self.begin}, {self.end})")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Utterance:
     """A mono waveform with amplitudes in [-1, 1], plus optional phone labels.
 
-    ``impulses`` carries ground-truth excitation positions for synthetic
-    utterances (absolute sample indices); None for real recordings.
+    Checked once, at construction; labels must be sorted, non-overlapping and
+    end within the samples. Frozen: build a changed copy with
+    ``dataclasses.replace``. ``impulses`` carries ground-truth excitation
+    positions for synthetic utterances (absolute sample indices); None for
+    real recordings.
     """
 
     samples: np.ndarray
@@ -91,29 +94,29 @@ class Utterance:
     impulses: np.ndarray | None = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        where = f"speaker {self.speaker_id} utterance {self.utterance_id}"
         if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise ValueError(f"{where}: sample_rate must be positive")
         if self.samples.size == 0:
-            raise ValueError("utterance has no samples")
+            raise ValueError(f"{where}: no samples")
         peak = float(np.max(np.abs(self.samples)))  # NaN if any sample is NaN
         if not np.isfinite(peak):
-            raise ValueError(f"speaker {self.speaker_id} utterance {self.utterance_id}: samples must be finite")
+            raise ValueError(f"{where}: samples must be finite")
         if peak > 1.0:
-            raise ValueError(f"samples exceed [-1, 1] (peak {peak})")
-        if self.segments is not None:
-            prev_end = 0
-            for seg in self.segments:
-                if seg.begin < prev_end:
-                    raise ValueError(f"segments overlap or unsorted at {seg}")
-                prev_end = seg.end
-            if prev_end > self.samples.size:
-                raise ValueError("segment extends past end of utterance")
+            raise ValueError(f"{where}: samples exceed [-1, 1] (peak {peak})")
+        prev_end = 0
+        for seg in self.segments or ():
+            if seg.begin < prev_end:
+                raise ValueError(f"{where}: segments overlap or unsorted at {seg}")
+            prev_end = seg.end
+        if prev_end > self.samples.size:
+            raise ValueError(f"{where}: segment ends at sample {prev_end}, past the {self.samples.size} samples")
 
 
 @dataclass(frozen=True, eq=False)
 class VoicedRegion:
-    """Contiguous voiced slice of an utterance."""
+    """Contiguous voiced slice of an utterance; ``samples`` is a view of the utterance's."""
 
     samples: np.ndarray
     source_offset: int
@@ -139,14 +142,8 @@ class SpeakerSplit:
             )
 
 
-def load_wav(path, speaker_id: str | None = None, utterance_id: str | None = None) -> Utterance:
-    """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
-
-    Speaker and utterance ids default to the parent directory name and the
-    file stem. NIST SPHERE containers (unconverted TIMIT) are rejected with
-    a dedicated message.
-    """
-    path = Path(path)
+def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
+    """Samples (scaled by 1/32768) and sample rate of a RIFF/WAVE PCM 16-bit mono file."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == b"NIST":
@@ -167,12 +164,23 @@ def load_wav(path, speaker_id: str | None = None, utterance_id: str | None = Non
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise MalformedWavError(f"{path}: {exc}") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
+    return np.frombuffer(raw, "<i2") / PCM_SCALE, rate
+
+
+def load_wav(path, speaker_id: str | None = None, utterance_id: str | None = None) -> Utterance:
+    """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
+
+    Speaker and utterance ids default to the parent directory name and the
+    file stem. NIST SPHERE containers (unconverted TIMIT) are rejected with
+    a dedicated message.
+    """
+    path = Path(path)
+    samples, rate = _read_pcm(path)
     return Utterance(
-        samples=samples,
-        sample_rate=rate,
-        speaker_id=speaker_id if speaker_id is not None else path.parent.name,
-        utterance_id=utterance_id if utterance_id is not None else path.stem,
+        samples,
+        rate,
+        speaker_id if speaker_id is not None else path.parent.name,
+        utterance_id if utterance_id is not None else path.stem,
     )
 
 
@@ -223,45 +231,29 @@ def load_voiced_set(path) -> frozenset[str]:
     return frozenset(labels)
 
 
-def extract_voiced_regions(
-    utt: Utterance, voiced_set: frozenset[str] = DEFAULT_VOICED_SET
-) -> list[VoicedRegion]:
+def extract_voiced_regions(utt: Utterance, voiced_set: frozenset[str]) -> list[VoicedRegion]:
     """Merge maximal runs of contiguous voiced segments into regions.
 
-    Runs shorter than one maximum pitch period are dropped; no complete
-    pitch cycle fits in them.
+    Each region's samples are a view into the utterance's. Runs shorter than
+    one maximum pitch period are dropped; no complete pitch cycle fits in
+    them.
     """
     if utt.segments is None:
-        raise ValueError(f"utterance {utt.utterance_id} has no phone segments")
-    min_length = max_period(utt.sample_rate)
-
-    regions: list[VoicedRegion] = []
-    run_start: int | None = None
-    run_end = 0
-
-    def close_run():
-        nonlocal run_start
-        if run_start is not None and run_end - run_start >= min_length:
-            regions.append(
-                VoicedRegion(
-                    samples=utt.samples[run_start:run_end].copy(),
-                    source_offset=run_start,
-                    sample_rate=utt.sample_rate,
-                    region_id=f"{utt.speaker_id}/{utt.utterance_id}@{run_start}",
-                )
-            )
-        run_start = None
-
+        raise ValueError(f"speaker {utt.speaker_id} utterance {utt.utterance_id}: no phone segments")
+    runs: list[list[int]] = []
     for seg in utt.segments:
-        if seg.phone in voiced_set:
-            if run_start is None or seg.begin != run_end:
-                close_run()
-                run_start = seg.begin
-            run_end = seg.end
+        if seg.phone not in voiced_set:
+            continue
+        if runs and runs[-1][1] == seg.begin:
+            runs[-1][1] = seg.end
         else:
-            close_run()
-    close_run()
-    return regions
+            runs.append([seg.begin, seg.end])
+    min_length = max_period(utt.sample_rate)
+    return [
+        VoicedRegion(utt.samples[a:b], a, utt.sample_rate, f"{utt.speaker_id}/{utt.utterance_id}@{a}")
+        for a, b in runs
+        if b - a >= min_length
+    ]
 
 
 def split_speakers(utterances: list[Utterance], n_train: int = 6, n_test: int = 2) -> list[SpeakerSplit]:
@@ -309,19 +301,17 @@ def save_corpus(utterances: list[Utterance], root) -> None:
                     fh.write(f"{int(pos)}\n")
 
 
-def _read_utterance(wav_path: Path, speaker_id: str | None = None, utterance_id: str | None = None) -> Utterance:
+def _read_utterance(wav_path: Path, speaker_id: str, utterance_id: str) -> Utterance:
     """One wav plus its ``.phn`` (or ``.PHN``) labels and optional ``.gci`` epochs."""
-    utt = load_wav(wav_path, speaker_id=speaker_id, utterance_id=utterance_id)
-    for suffix in (".phn", ".PHN"):
-        phn_path = wav_path.with_suffix(suffix)
-        if phn_path.exists():
-            utt.segments = parse_phn(phn_path)
-            break
+    samples, rate = _read_pcm(wav_path)
+    phn_paths = (wav_path.with_suffix(".phn"), wav_path.with_suffix(".PHN"))
+    segments = next((parse_phn(p) for p in phn_paths if p.exists()), None)
     gci_path = wav_path.with_suffix(".gci")
+    impulses = None
     if gci_path.exists():
         with open(gci_path, "r", encoding="utf-8") as fh:
-            utt.impulses = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-    return utt
+            impulses = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    return Utterance(samples, rate, speaker_id, utterance_id, segments, impulses)
 
 
 def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
@@ -369,7 +359,7 @@ def load_corpus(root) -> list[Utterance]:
         for part in root.iterdir()
     ):
         return load_timit_utterances(root)
-    utterances = [_read_utterance(wav_path) for wav_path in sorted(root.glob("*/*.wav"))]
+    utterances = [_read_utterance(p, p.parent.name, p.stem) for p in sorted(root.glob("*/*.wav"))]
     if not utterances:
         raise CorpusError(f"no wav files found under {root}")
     return utterances

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -65,24 +64,16 @@ def moving_average(x, win: int) -> np.ndarray:
     return scipy.ndimage.uniform_filter1d(x, win, mode="constant") * win / counts
 
 
-@dataclass(frozen=True)
-class ResonatorCoeffs:
-    """Two-pole resonator y[n] = gain*x[n] + b1*y[n-1] + b2*y[n-2]."""
-
-    center_hz: float
-    bandwidth_hz: float
-    sample_rate: int
-    b1: float
-    b2: float
-    gain: float
-
-    @property
-    def pole_radius(self) -> float:
-        return math.sqrt(-self.b2)
+# lfilter taps (b, a) of a radius-1 integrator pair at 0 Hz; only ever used
+# followed by trend removal
+ZERO_FREQUENCY_RESONATOR = ((1.0,), (1.0, -2.0, 1.0))
 
 
-def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> ResonatorCoeffs:
-    """Stable two-pole resonator with unity DC gain (pole radius < 1)."""
+def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> tuple[list[float], list[float]]:
+    """Stable two-pole resonator with unity DC gain (pole radius < 1), as lfilter taps (b, a).
+
+    y[n] = gain*x[n] + b1*y[n-1] + b2*y[n-2], so b = [gain] and a = [1, -b1, -b2].
+    """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive for a stable resonator")
     if sample_rate <= 0:
@@ -91,18 +82,12 @@ def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> Resona
     theta = 2.0 * math.pi * center_hz / sample_rate
     b1 = 2.0 * r * math.cos(theta)
     b2 = -r * r
-    gain = 1.0 - b1 - b2
-    return ResonatorCoeffs(center_hz, bandwidth_hz, sample_rate, b1, b2, gain)
+    return [1.0 - b1 - b2], [1.0, -b1, -b2]
 
 
-def zero_frequency_resonator(sample_rate: int) -> ResonatorCoeffs:
-    # Radius-1 integrator pair at 0 Hz; only ever used followed by trend removal.
-    return ResonatorCoeffs(0.0, 0.0, sample_rate, b1=2.0, b2=-1.0, gain=1.0)
-
-
-def resonate(x, coeffs: ResonatorCoeffs) -> np.ndarray:
-    """Run a signal through a two-pole resonator (zero initial state)."""
+def resonate(x, ba) -> np.ndarray:
+    """Run a signal through lfilter taps ``(b, a)`` (zero initial state)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty signal")
-    return scipy.signal.lfilter([coeffs.gain], [1.0, -coeffs.b1, -coeffs.b2], x)
+    return scipy.signal.lfilter(*ba, x)

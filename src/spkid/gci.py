@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import VoicedRegion, max_period, min_period
-from .dsp import autocorr_pitch, moving_average, resonate, zero_frequency_resonator
+from .dsp import ZERO_FREQUENCY_RESONATOR, autocorr_pitch, moving_average, resonate
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +76,7 @@ def detect_gci(region: VoicedRegion) -> EpochList:
     x = x - x.mean()
     period = autocorr_pitch(x, lo, hi)
 
-    zfr = zero_frequency_resonator(sr)
-    y = resonate(resonate(x, zfr), zfr)
+    y = resonate(resonate(x, ZERO_FREQUENCY_RESONATOR), ZERO_FREQUENCY_RESONATOR)
     win = period if period % 2 == 1 else period + 1
     for _ in range(TREND_REMOVAL_PASSES):
         y = y - moving_average(y, win)

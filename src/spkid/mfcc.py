@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import VoicedRegion
 from .dsp import dft, hanning
@@ -55,25 +56,23 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_filters: int) -> np.ndarray:
     return fb
 
 
-def frame_length(sample_rate: int, frame_ms: float = 20.0) -> int:
-    return int(round(frame_ms * sample_rate / 1000.0))
+def frame_length(sample_rate: int, config: MfccConfig = MfccConfig()) -> int:
+    return int(round(config.frame_ms * sample_rate / 1000.0))
 
 
-def frame_signal(region: VoicedRegion, frame_ms: float = 20.0, shift_ms: float = 10.0) -> np.ndarray:
-    """Slice a region into full frames; a trailing partial frame is dropped."""
-    flen = frame_length(region.sample_rate, frame_ms)
-    shift = int(round(shift_ms * region.sample_rate / 1000.0))
-    x = region.samples
-    if x.size < flen:
+def frame_signal(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Full frames of a region as a view of its samples; a trailing partial frame is dropped."""
+    flen = frame_length(region.sample_rate, config)
+    shift = int(round(config.shift_ms * region.sample_rate / 1000.0))
+    if region.samples.size < flen:
         return np.empty((0, flen))
-    offsets = range(0, x.size - flen + 1, shift)
-    return np.stack([x[o : o + flen] for o in offsets])
+    return sliding_window_view(region.samples, flen)[::shift]
 
 
 def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> FeatureVector:
     """Cepstral coefficients of one frame of exactly frame_ms samples."""
     x = np.asarray(frame, dtype=np.float64)
-    expected = frame_length(sample_rate, config.frame_ms)
+    expected = frame_length(sample_rate, config)
     if x.size != expected:
         raise ValueError(f"frame of {x.size} samples, expected {expected}")
     n_fft = max(config.n_fft, 1 << (x.size - 1).bit_length())
@@ -86,5 +85,5 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
 
 
 def mfcc_features_for_region(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> list[FeatureVector]:
-    frames = frame_signal(region, config.frame_ms, config.shift_ms)
+    frames = frame_signal(region, config)
     return [mfcc_feature(frame, region.sample_rate, config) for frame in frames]

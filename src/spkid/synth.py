@@ -35,12 +35,10 @@ class SynthSpeaker:
     bandwidths_hz: tuple[float, float, float]
 
 
-def synth_speakers(n_speakers: int, seed: int, rng: np.random.Generator | None = None) -> list[SynthSpeaker]:
-    """Deterministic speaker parameters: distinct pitches and formant sets."""
+def synth_speakers(n_speakers: int, rng: np.random.Generator) -> list[SynthSpeaker]:
+    """Speaker parameters drawn from ``rng``: distinct pitches and formant sets."""
     if n_speakers < 2:
         raise ValueError("need at least 2 speakers")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     base = np.linspace(PITCH_LO_HZ, PITCH_HI_HZ, n_speakers)
     jitter = rng.uniform(-3.0, 3.0, n_speakers)
     pitches = np.clip(base + jitter, PITCH_LO_HZ, PITCH_HI_HZ)
@@ -129,7 +127,7 @@ def synth_corpus(
     if utterances_per_speaker < 1:
         raise ValueError("need at least 1 utterance per speaker")
     rng = np.random.default_rng(seed)
-    speakers = synth_speakers(n_speakers, seed, rng=rng)
+    speakers = synth_speakers(n_speakers, rng)
     utterances = []
     for speaker in speakers:
         for j in range(utterances_per_speaker):

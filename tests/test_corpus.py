@@ -1,3 +1,4 @@
+import dataclasses
 import wave
 
 import numpy as np
@@ -149,15 +150,17 @@ def test_parse_phn_bad_line_reports_number(tmp_path):
 
 
 def test_utterance_validation():
-    with pytest.raises(ValueError):
+    # every error names the speaker and the utterance
+    named = "^speaker s utterance u: "
+    with pytest.raises(ValueError, match=named):
         Utterance(np.array([]), 16000, "s", "u")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=named):
         Utterance(np.array([2.0]), 16000, "s", "u")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=named):
         Utterance(np.zeros(10), 0, "s", "u")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=named):
         make_utt(100, [PhoneSegment(0, 50, "a"), PhoneSegment(40, 80, "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=named):
         make_utt(100, [PhoneSegment(0, 200, "a")])
 
 
@@ -167,6 +170,26 @@ def test_utterance_rejects_non_finite_samples(bad):
     samples[40] = bad
     with pytest.raises(ValueError, match="^speaker spk01 utterance u03: samples must be finite$"):
         Utterance(samples, 16000, "spk01", "u03")
+
+
+def test_utterance_is_frozen():
+    utt = make_utt(100, [PhoneSegment(0, 100, "aa")])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        utt.segments = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        utt.samples = np.ones(100)
+    # a changed copy is checked like a new one
+    with pytest.raises(ValueError, match="^speaker s utterance u: segment ends at sample 200, past the 100 samples$"):
+        dataclasses.replace(utt, segments=[PhoneSegment(0, 200, "aa")])
+
+
+def test_voiced_regions_are_views_of_the_utterance():
+    utt = synth_corpus(2, 1, seed=3)[0]
+    regions = extract_voiced_regions(utt, frozenset({"v"}))
+    assert regions
+    for r in regions:
+        assert np.shares_memory(r.samples, utt.samples)
+        assert np.array_equal(r.samples, utt.samples[r.source_offset : r.source_offset + len(r)])
 
 
 def test_extract_voiced_regions_merges_runs():

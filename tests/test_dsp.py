@@ -4,13 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spkid.dsp import (
+    ZERO_FREQUENCY_RESONATOR,
     autocorr_pitch,
     dft,
     hanning,
     moving_average,
     resonate,
     resonator,
-    zero_frequency_resonator,
 )
 from spkid.synth import SynthSpeaker, _voiced_run
 
@@ -111,8 +111,7 @@ def zff_48k():
     sr = 48000
     speaker = SynthSpeaker("t", 118.0, (600.0, 1400.0, 2600.0), (80.0, 90.0, 100.0))
     x, _ = _voiced_run(speaker, 3 * sr, sr, 0.8, 30)
-    zfr = zero_frequency_resonator(sr)
-    return resonate(resonate(x - x.mean(), zfr), zfr)
+    return resonate(resonate(x - x.mean(), ZERO_FREQUENCY_RESONATOR), ZERO_FREQUENCY_RESONATOR)
 
 
 @pytest.mark.parametrize("win", [407, 406, 801, 800])
@@ -156,16 +155,18 @@ def test_autocorr_pitch_matches_power_of_two_fft(n, min_period, span, period, se
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=400))
 @settings(max_examples=50, deadline=None)
 def test_resonate_stable_bounded(xs):
-    coeffs = resonator(800.0, 100.0, 16000)
-    h = resonate(np.eye(1, 4000, 0)[0], coeffs)  # impulse response
+    ba = resonator(800.0, 100.0, 16000)
+    h = resonate(np.eye(1, 4000, 0)[0], ba)  # impulse response
     gain_budget = np.abs(h).sum()
-    y = resonate(np.array(xs), coeffs)
+    y = resonate(np.array(xs), ba)
     assert np.all(np.isfinite(y))
     assert np.max(np.abs(y)) <= gain_budget * 1.0 + 1e-9
 
 
 def test_resonator_is_stable_and_validates():
-    assert resonator(500.0, 80.0, 16000).pole_radius < 1.0
+    b, a = resonator(500.0, 80.0, 16000)
+    assert np.all(np.abs(np.roots(a)) < 1.0)
+    assert np.isclose(np.sum(b) / np.sum(a), 1.0)  # unity gain at 0 Hz
     with pytest.raises(ValueError):
         resonator(500.0, 0.0, 16000)
     with pytest.raises(ValueError):
@@ -173,9 +174,8 @@ def test_resonator_is_stable_and_validates():
 
 
 def test_zero_frequency_resonator_integrates():
-    zfr = zero_frequency_resonator(16000)
-    assert zfr.pole_radius == 1.0
+    assert np.allclose(np.abs(np.roots(ZERO_FREQUENCY_RESONATOR[1])), 1.0)
     impulse = np.zeros(10)
     impulse[0] = 1.0
     # double integration of an impulse is a unit-slope ramp
-    assert np.allclose(resonate(impulse, zfr), np.arange(1, 11))
+    assert np.allclose(resonate(impulse, ZERO_FREQUENCY_RESONATOR), np.arange(1, 11))

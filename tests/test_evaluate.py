@@ -238,10 +238,12 @@ def test_sweep_names_speaker_without_test_vectors_before_training(monkeypatch):
     monkeypatch.setattr(evaluate, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(evaluate, "train_codebook", no_training)
     utts = synth_corpus(4, 8, seed=5)
-    for split in split_speakers(utts):
-        if split.speaker_id == "spk00":
-            for utt in split.test_utterances:
-                utt.segments = [PhoneSegment(0, utt.samples.size, "h#")]
+    (split,) = [s for s in split_speakers(utts) if s.speaker_id == "spk00"]
+    unvoiced = {id(u) for u in split.test_utterances}
+    utts = [
+        dataclasses.replace(u, segments=[PhoneSegment(0, u.samples.size, "h#")]) if id(u) in unvoiced else u
+        for u in utts
+    ]
     with pytest.raises(ValueError, match="^speaker spk00: no psdct test vectors$"):
         sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15), sweep_codebook_size=8), utterances=utts)
 

@@ -3,6 +3,7 @@ import pytest
 
 from spkid.corpus import VoicedRegion
 from spkid.mfcc import (
+    MfccConfig,
     frame_signal,
     hz_to_mel,
     mel_filterbank,
@@ -29,6 +30,14 @@ def test_frame_signal_offsets():
 def test_frame_signal_boundaries():
     assert frame_signal(region_of(np.zeros(319))).shape[0] == 0
     assert frame_signal(region_of(np.zeros(320))).shape[0] == 1
+
+
+def test_frame_signal_is_a_view_of_the_region():
+    region = region_of(np.arange(800) / 1000.0)
+    frames = frame_signal(region, MfccConfig(frame_ms=10.0, shift_ms=5.0))
+    assert frames.shape == (9, 160)
+    assert np.shares_memory(frames, region.samples)
+    assert np.array_equal(frames[2], region.samples[160:320])
 
 
 def test_mel_scale_round_trip():

@@ -28,7 +28,7 @@ def test_different_seed_differs():
 
 
 def test_speaker_parameters_in_range_and_distinct():
-    speakers = synth_speakers(12, seed=5)
+    speakers = synth_speakers(12, np.random.default_rng(5))
     pitches = [s.pitch_hz for s in speakers]
     assert all(PITCH_LO_HZ <= p <= PITCH_HI_HZ for p in pitches)
     assert len(set(pitches)) == 12

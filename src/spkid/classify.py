@@ -106,17 +106,21 @@ def fuse(
     return fused, fused[0].speaker_id
 
 
-def write_score_csv(fh, scores: list[CmdScore], test_speaker: str = "") -> None:
+def write_score_csv(fh, rankings: dict[str, list[CmdScore]]) -> None:
+    """One header, then each test speaker's scores ranked ascending."""
     writer = csv.writer(fh)
     writer.writerow(["test_speaker", "speaker", "kind", "cmd", "n_vectors", "rank"])
-    for rank, s in enumerate(sorted(scores, key=lambda s: (s.cmd, s.speaker_id)), start=1):
-        writer.writerow([test_speaker, s.speaker_id, s.kind, f"{s.cmd:.9g}", s.n_vectors, rank])
+    for spk, scores in rankings.items():
+        for rank, s in enumerate(sorted(scores, key=lambda s: (s.cmd, s.speaker_id)), start=1):
+            writer.writerow([spk, s.speaker_id, s.kind, f"{s.cmd:.9g}", s.n_vectors, rank])
 
 
-def write_fused_csv(fh, fused: list[FusedScore], alpha: float, test_speaker: str = "") -> None:
+def write_fused_csv(fh, rankings: dict[str, list[FusedScore]], alpha: float) -> None:
+    """One header, then each test speaker's fused scores ranked ascending."""
     writer = csv.writer(fh)
     writer.writerow(["test_speaker", "speaker", "d_dct", "d_mfcc", "alpha", "d_com", "rank"])
-    for rank, s in enumerate(sorted(fused, key=lambda s: (s.d_com, s.speaker_id)), start=1):
-        writer.writerow(
-            [test_speaker, s.speaker_id, f"{s.d_dct:.9g}", f"{s.d_mfcc:.9g}", f"{alpha:.6f}", f"{s.d_com:.9g}", rank]
-        )
+    for spk, fused in rankings.items():
+        for rank, s in enumerate(sorted(fused, key=lambda s: (s.d_com, s.speaker_id)), start=1):
+            writer.writerow(
+                [spk, s.speaker_id, f"{s.d_dct:.9g}", f"{s.d_mfcc:.9g}", f"{alpha:.6f}", f"{s.d_com:.9g}", rank]
+            )

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
-from .corpus import load_corpus, load_voiced_set, save_corpus, split_speakers
+from .corpus import extract_voiced_regions, load_corpus, load_voiced_set, save_corpus, split_speakers
+from .gci import detect_gci, dump_epochs_csv, map_to_peaks
 from .mfcc import MfccConfig
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
@@ -72,9 +73,6 @@ def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
     utts = load_corpus(args.corpus)
     if args.epoch_dump:
-        from .corpus import extract_voiced_regions
-        from .gci import detect_gci, dump_epochs_csv, map_to_peaks
-
         voiced = config.effective_voiced_set()
         with open(args.epoch_dump, "w", encoding="utf-8", newline="") as fh:
             fh.write("region_id,epoch,mapped_peak\n")
@@ -105,12 +103,11 @@ def cmd_train(args) -> int:
     splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     feats = ev.split_features(splits, config, kinds, "training")
-    ev.check_codebook_sizes(feats, config.codebook_sizes)
     speakers = [s.speaker_id for s in splits]
-    size = args.codebook_size
-    codebooks = [cb for kind in kinds for cb in ev.train_codebooks(feats, speakers, kind, (size,), args.seed)[size]]
+    books = ev.train_codebooks(feats, speakers, kinds, config.codebook_sizes, config.seed)
+    codebooks = [cb for by_size in books.values() for cb in by_size[args.codebook_size]]
     save_model_dir(codebooks, args.model_dir)
-    print(f"wrote {len(codebooks)} codebooks (k={size}) to {args.model_dir}")
+    print(f"wrote {len(codebooks)} codebooks (k={args.codebook_size}) to {args.model_dir}")
     return 0
 
 
@@ -130,21 +127,22 @@ def cmd_identify(args) -> int:
     splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
     test_feats = ev.split_features(splits, config, kinds, "test")
 
-    correct = total = 0
+    rankings, predicted = {}, {}
+    for spk in (s.speaker_id for s in splits):
+        if fused_mode:
+            ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
+            ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
+            rankings[spk], predicted[spk] = fuse(ranked_dct, ranked_mfcc, weights)
+        else:
+            rankings[spk], predicted[spk] = identify(test_feats[spk, args.kind], books[args.kind])
+        print(f"{spk}: predicted {predicted[spk]}", file=sys.stderr)
     with _out_stream(args.report_out) as fh:
-        for spk in (s.speaker_id for s in splits):
-            if fused_mode:
-                ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
-                ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
-                fused, predicted = fuse(ranked_dct, ranked_mfcc, weights)
-                write_fused_csv(fh, fused, weights.alpha, test_speaker=spk)
-            else:
-                ranked, predicted = identify(test_feats[spk, args.kind], books[args.kind])
-                write_score_csv(fh, ranked, test_speaker=spk)
-            correct += predicted == spk
-            total += 1
-            print(f"{spk}: predicted {predicted}", file=sys.stderr)
-    print(f"identified {correct}/{total} test speakers correctly", file=sys.stderr)
+        if fused_mode:
+            write_fused_csv(fh, rankings, weights.alpha)
+        else:
+            write_score_csv(fh, rankings)
+    correct = sum(p == spk for spk, p in predicted.items())
+    print(f"identified {correct}/{len(predicted)} test speakers correctly", file=sys.stderr)
     return 0
 
 

@@ -222,6 +222,19 @@ def parse_phn(path) -> list[PhoneSegment]:
     return segments
 
 
+def _parse_gci(path: Path) -> np.ndarray:
+    """Read an epoch file: one sample index per line."""
+    epochs: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                epochs.append(int(line))
+            except ValueError:  # blank lines are skipped
+                if line.strip():
+                    raise CorpusError(f"{path}:{lineno}: expected one sample index, got {line!r}") from None
+    return np.array(epochs, dtype=np.int64)
+
+
 def load_voiced_set(path) -> frozenset[str]:
     """Read a voiced-set file: one phone label per line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -307,10 +320,7 @@ def _read_utterance(wav_path: Path, speaker_id: str, utterance_id: str) -> Utter
     phn_paths = (wav_path.with_suffix(".phn"), wav_path.with_suffix(".PHN"))
     segments = next((parse_phn(p) for p in phn_paths if p.exists()), None)
     gci_path = wav_path.with_suffix(".gci")
-    impulses = None
-    if gci_path.exists():
-        with open(gci_path, "r", encoding="utf-8") as fh:
-            impulses = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    impulses = _parse_gci(gci_path) if gci_path.exists() else None
     return Utterance(samples, rate, speaker_id, utterance_id, segments, impulses)
 
 

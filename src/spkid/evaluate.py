@@ -12,8 +12,6 @@ import csv
 import logging
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .classify import CmdScore, FusionWeights, fuse, identify
 from .corpus import (
     DEFAULT_VOICED_SET,
@@ -25,7 +23,6 @@ from .corpus import (
 from .gci import PitchCycle, cycles_from_region
 from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureVector, mec, psdct_feature
-from .synth import VOICED_PHONE
 from .vq import DEFAULT_SEED, Codebook, kmeanspp_seeds, train_codebook
 
 log = logging.getLogger(__name__)
@@ -74,12 +71,13 @@ class ExperimentConfig:
             raise ValueError("n_coeffs must be >= 1")
         if not self.kinds:
             raise ValueError("at least one feature kind required")
+        for name in ("codebook_sizes", "coeff_counts", "kinds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must list each value once, got {','.join(map(str, values))}")
 
     def effective_voiced_set(self) -> frozenset[str]:
-        # default covers TIMIT sonorants plus the synthetic generator's marker
-        if self.voiced_set is not None:
-            return self.voiced_set
-        return DEFAULT_VOICED_SET | {VOICED_PHONE}
+        return DEFAULT_VOICED_SET if self.voiced_set is None else self.voiced_set
 
 
 @dataclass
@@ -227,48 +225,35 @@ def split_features(
     return out
 
 
-def check_codebook_sizes(
-    train: dict[tuple[str, str], list[FeatureVector]], sizes: tuple[int, ...], dim: int | None = None
-) -> None:
-    """Fail before any training if a codebook size exceeds a speaker's distinct vectors.
-
-    ``train`` maps (speaker, kind) to the training vectors, of which the first
-    ``dim`` values count (all by default). One error lists every speaker, kind
-    and size that does not fit; ``lloyd_kmeans`` would stop at the first.
-    """
-    misfits = []
-    for (speaker_id, kind), vectors in train.items():
-        n_distinct = len(np.unique(np.array([v.values[:dim] for v in vectors]), axis=0))
-        too_big = [k for k in sizes if k > n_distinct]
-        if too_big:
-            misfits.append(
-                f"{speaker_id} {kind} k={','.join(map(str, too_big))} ({n_distinct} distinct)"
-            )
-    if misfits:
-        raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
-
-
 def train_codebooks(
     train: dict[tuple[str, str], list[FeatureVector]],
     speakers: list[str],
-    kind: str,
+    kinds: tuple[str, ...],
     sizes: tuple[int, ...],
     seed: int,
-) -> dict[int, list[Codebook]]:
-    """size -> one codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``.
+) -> dict[str, dict[int, list[Codebook]]]:
+    """kind -> size -> one codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``.
 
-    A speaker's k-means++ seeds are drawn once, at the largest size, and each
-    size's Lloyd run starts from their prefix: the codebooks are those of
-    separate ``train_codebook`` calls with the same seed.
+    Each (speaker, kind)'s k-means++ seeds are drawn first, once, at the
+    largest size; each size's Lloyd run starts from their prefix, so the
+    codebooks are those of separate ``train_codebook`` calls with the same
+    seed. A draw never repeats a row, so one short of the largest size has
+    found every distinct vector. Before any Lloyd run, one error then lists
+    every speaker, kind and size that does not fit.
     """
-    seeds = {spk: kmeanspp_seeds(train[spk, kind], max(sizes), seed) for spk in speakers}
-    return {
-        size: [
-            train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk, init=seeds[spk][:size])
-            for spk in speakers
-        ]
-        for size in sizes
-    }
+    largest = max(sizes)
+    seeds = {(spk, kind): kmeanspp_seeds(train[spk, kind], largest, seed) for spk in speakers for kind in kinds}
+    misfits = [
+        f"{spk} {kind} k={','.join(str(k) for k in sizes if k > len(rows))} ({len(rows)} distinct)"
+        for (spk, kind), rows in seeds.items() if len(rows) < largest
+    ]
+    if misfits:
+        raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
+
+    def book(spk: str, kind: str, size: int) -> Codebook:
+        return train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk, init=seeds[spk, kind][:size])
+
+    return {kind: {size: [book(spk, kind, size) for spk in speakers] for size in sizes} for kind in kinds}
 
 
 def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> EvalReport:
@@ -282,16 +267,15 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> Eva
     speakers = [s.speaker_id for s in splits]
     train_feats = split_features(splits, config, config.kinds, "training")
     test_feats = split_features(splits, config, config.kinds, "test")
-    check_codebook_sizes(train_feats, config.codebook_sizes)
+    books = train_codebooks(train_feats, speakers, config.kinds, config.codebook_sizes, config.seed)
 
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
     # scores[(kind, size, test speaker)] -> ranked CmdScore list
     scores: dict[tuple[str, int, str], list[CmdScore]] = {}
     for kind in config.kinds:
-        books = train_codebooks(train_feats, speakers, kind, config.codebook_sizes, config.seed)
         for size in config.codebook_sizes:
             for spk in speakers:
-                ranked, _ = identify(test_feats[spk, kind], books[size])
+                ranked, _ = identify(test_feats[spk, kind], books[kind][size])
                 scores[(kind, size, spk)] = ranked
                 report.trials.append(
                     TrialResult(
@@ -343,7 +327,9 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
     requested coefficient count are excluded once up front, so the energy
     statistics for every K are computed over the same cycle set and are
     monotone in K by construction. Each cycle is transformed once, at the
-    largest K; every smaller K keeps the first K values of those rows.
+    largest K; every smaller K keeps the first K values of those rows. The
+    smallest K trains first, and its rows have the fewest distinct values,
+    so a codebook size too large for any K fails before any Lloyd run.
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)
@@ -355,17 +341,12 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
         s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced_set) if len(c) > max_k]
         for s in splits
     }
+    for spk in speakers:  # the report's check, made by split_features there
+        if not train_cycles[spk]:
+            raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
     pooled_train = [c for spk in speakers for c in train_cycles[spk]]
-    if not pooled_train:
-        raise ValueError("no usable pitch cycles in the training data")
     train_rows = {spk: psdct_features(train_cycles[spk], max_k) for spk in speakers}
     test_feats = split_features(splits, replace(config, n_coeffs=max_k), (KIND_PSDCT,), "test")
-    # a prefix of a row has at most as many distinct values as the row: the smallest K binds
-    check_codebook_sizes(
-        {(spk, KIND_PSDCT): train_rows[spk] for spk in speakers},
-        (config.sweep_codebook_size,),
-        dim=min(config.coeff_counts),
-    )
 
     def first(rows: list[FeatureVector], k: int) -> list[FeatureVector]:
         return [FeatureVector(v.values[:k], KIND_PSDCT) for v in rows]
@@ -374,7 +355,7 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
     rows = []
     for k in sorted(config.coeff_counts):
         train_k = {(spk, KIND_PSDCT): first(train_rows[spk], k) for spk in speakers}
-        codebooks = train_codebooks(train_k, speakers, KIND_PSDCT, (size,), config.seed)[size]
+        codebooks = train_codebooks(train_k, speakers, (KIND_PSDCT,), (size,), config.seed)[KIND_PSDCT][size]
         correct = 0
         for spk in speakers:
             _, predicted = identify(first(test_feats[spk, KIND_PSDCT], k), codebooks)

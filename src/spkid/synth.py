@@ -2,8 +2,9 @@
 
 Each synthetic speaker is an impulse-train source at a fixed pitch driving a
 cascade of three fixed formant resonators; speakers differ in pitch and
-formant layout. Utterances alternate voiced runs (phone ``v``) with silence
-(phone ``h#``), and the exact impulse positions are kept as ground truth for
+formant layout. Utterances alternate voiced runs (phone ``ax``, a TIMIT
+sonorant, so the default voiced set takes them) with silence (phone ``h#``),
+and the exact impulse positions are kept as ground truth for
 excitation-instant tests.
 """
 
@@ -19,7 +20,7 @@ from .dsp import resonate, resonator
 PITCH_LO_HZ = 90.0
 PITCH_HI_HZ = 260.0
 
-VOICED_PHONE = "v"
+VOICED_PHONE = "ax"
 SILENCE_PHONE = "h#"
 
 # (low, high) Hz ranges the three per-speaker resonator centers are drawn from

@@ -71,7 +71,7 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
-            raise ValueError(f"k={k} exceeds the {len(chosen)} distinct training vectors")
+            break
         # the steps of rng.choice(n, p=d2 / total) without its checks of p: the same row
         cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
@@ -98,6 +98,8 @@ def lloyd_kmeans(
 
     if init is None:
         centroids = _kmeanspp_init(data, k, np.random.default_rng(seed))
+        if len(centroids) < k:
+            raise ValueError(f"k={k} exceeds the {len(centroids)} distinct training vectors")
     elif init.shape != (k, dim):
         raise ValueError(f"init has shape {init.shape}, expected ({k}, {dim})")
     else:
@@ -161,6 +163,8 @@ def kmeanspp_seeds(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEE
 
     k-means++ draws them one at a time from one generator, so the first j
     rows are the seeds of ``train_codebook(vectors, j, seed)`` for any j <= k.
+    It never draws a row equal to one already drawn, so with n < k distinct
+    rows the draw stops after n and returns an (n, dim) matrix of them all.
     """
     data, _ = _as_matrix(vectors)
     return _kmeanspp_init(data, k, np.random.default_rng(seed))

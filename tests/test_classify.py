@@ -160,14 +160,14 @@ def test_fuse_speaker_set_mismatch():
 
 def test_score_csv_writers():
     buf = io.StringIO()
-    write_score_csv(buf, scores_of([2.0, 1.0], KIND_PSDCT), test_speaker="spk1")
+    write_score_csv(buf, {"spk1": scores_of([2.0, 1.0], KIND_PSDCT)})
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "test_speaker,speaker,kind,cmd,n_vectors,rank"
     assert lines[1].startswith("spk1,spk1,psdct,1,")
 
     fused, _ = fuse(scores_of([1.0, 3.0], KIND_PSDCT), scores_of([4.0, 1.0], KIND_MFCC), FusionWeights(0.5, 0.5))
     buf = io.StringIO()
-    write_fused_csv(buf, fused, 0.5, test_speaker="spk0")
+    write_fused_csv(buf, {"spk0": fused}, 0.5)
     lines = buf.getvalue().strip().splitlines()
     assert "alpha" in lines[0] and "d_com" in lines[0]
     assert len(lines) == 3

@@ -14,7 +14,7 @@ from spkid.cli import main
 from spkid.corpus import extract_voiced_regions, load_corpus, load_timit_utterances
 from spkid.evaluate import ExperimentConfig, run_experiment, sweep_coefficients, sweep_to_markdown
 from spkid.gci import detect_gci, map_to_peaks
-from spkid.synth import synth_corpus
+from spkid.synth import VOICED_PHONE, synth_corpus
 from spkid.vq import load_model_dir
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,7 +104,7 @@ def test_train_then_identify(corpus_dir, tmp_path, capsys):
         "--kind", "psdct", "--report-out", str(out),
     ]) == 0
     assert "identified 4/4" in capsys.readouterr().err
-    assert out.read_text().count("\n") >= 4 * 5
+    assert out.read_text().count("\n") == 1 + 4 * 4  # one header, 4 candidates per test speaker
 
     out2 = tmp_path / "fused.csv"
     assert main([
@@ -152,7 +152,7 @@ def test_sweep_writes_reports(corpus_dir, tmp_path, capsys):
 
 def test_voiced_set_flag(corpus_dir, tmp_path):
     vset = tmp_path / "voiced.txt"
-    vset.write_text("v\n")
+    vset.write_text(f"{VOICED_PHONE}\n")
     out = tmp_path / "f.csv"
     assert main([
         "extract", "--corpus", str(corpus_dir), "--kind", "psdct",
@@ -165,7 +165,6 @@ def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path,
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
-    monkeypatch.setattr(ev, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(ev, "train_codebook", no_training)
     err = assert_input_error(
         capsys, ["train", "--corpus", str(corpus_dir), "--model-dir", str(tmp_path / "m"), "--codebook-size", "5000"],
@@ -204,13 +203,33 @@ def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("psdct", []), ("mfcc", []), ("fused", ["--acc-dct", "0.9", "--acc-mfcc", "0.8"]),
+])
+def test_identify_csv_has_one_header(kind, extra, corpus_dir, fused_model, tmp_path):
+    out = tmp_path / "scores.csv"
+    argv = ["identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model), "--kind", kind, *extra]
+    assert main([*argv, "--report-out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [i for i, line in enumerate(lines) if line.startswith("test_speaker,")] == [0]
+    assert len(lines) == 1 + 4 * 4
+
+
+@pytest.mark.parametrize("command, flag, values, field", [
+    ("evaluate", "--codebook-size", "8,8", "codebook_sizes"), ("sweep", "--coeffs", "10,10", "coeff_counts"),
+])
+def test_repeated_values_rejected_before_extracting(command, flag, values, field, corpus_dir, no_extraction, capsys):
+    assert_input_error(capsys, [command, "--corpus", str(corpus_dir), flag, values],
+                       f"{field} must list each value once, got {values}")
+
+
 def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     model, out = tmp_path / "model", tmp_path / "scores.csv"
     common = ["--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"]
     assert main(["train", *common, "--codebook-size", "8", "--seed", "42"]) == 0
     assert main(["identify", *common, "--report-out", str(out)]) == 0
     with open(out, newline="") as fh:
-        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh) if r["rank"] != "rank"}
+        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh)}
 
     config = ExperimentConfig(codebook_sizes=(8,), kinds=("psdct",), seed=42)
     report = run_experiment(config, utterances=load_corpus(corpus_dir))
@@ -301,7 +320,7 @@ def test_identify_reads_psdct_width_from_model(corpus_dir, tmp_path):
     assert main(["train", *common, "--codebook-size", "8", "--coeffs", "20"]) == 0
     assert main(["identify", *common, "--report-out", str(out)]) == 0
     with open(out, newline="") as fh:
-        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh) if r["rank"] != "rank"}
+        cli_scores = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh)}
 
     config = ExperimentConfig(codebook_sizes=(8,), kinds=("psdct",), n_coeffs=20)
     report = run_experiment(config, utterances=load_corpus(corpus_dir))

@@ -29,7 +29,7 @@ from spkid.corpus import (
     split_speakers,
     write_wav,
 )
-from spkid.synth import synth_corpus
+from spkid.synth import VOICED_PHONE, synth_corpus
 
 
 def write_raw_wav(path, ints, rate=16000, channels=1, sampwidth=2):
@@ -185,7 +185,7 @@ def test_utterance_is_frozen():
 
 def test_voiced_regions_are_views_of_the_utterance():
     utt = synth_corpus(2, 1, seed=3)[0]
-    regions = extract_voiced_regions(utt, frozenset({"v"}))
+    regions = extract_voiced_regions(utt, frozenset({VOICED_PHONE}))
     assert regions
     for r in regions:
         assert np.shares_memory(r.samples, utt.samples)

@@ -8,7 +8,7 @@ import scipy.fft
 
 import spkid.evaluate as evaluate
 from spkid.classify import identify
-from spkid.corpus import PhoneSegment, split_speakers
+from spkid.corpus import PhoneSegment, Utterance, extract_voiced_regions, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     collect_cycles,
@@ -50,6 +50,19 @@ def test_config_validation():
         ExperimentConfig(kinds=())
     with pytest.raises(ValueError, match="n_coeffs"):
         ExperimentConfig(n_coeffs=0)
+    with pytest.raises(ValueError, match="^codebook_sizes must list each value once, got 8,16,8$"):
+        ExperimentConfig(codebook_sizes=(8, 16, 8))
+    with pytest.raises(ValueError, match="^coeff_counts must list each value once, got 10,10$"):
+        ExperimentConfig(coeff_counts=(10, 10))
+    with pytest.raises(ValueError, match="^kinds must list each value once, got psdct,mfcc,psdct$"):
+        ExperimentConfig(kinds=("psdct", "mfcc", "psdct"))
+
+
+def test_default_voiced_set_stops_at_the_timit_v_fricative():
+    phones = [(0, 1000, "h#"), (1000, 2000, "iy"), (2000, 3000, "v"), (3000, 5000, "ah"), (5000, 6000, "h#")]
+    utt = Utterance(np.zeros(6000), 16000, "s", "u", segments=[PhoneSegment(*p) for p in phones])
+    regions = extract_voiced_regions(utt, ExperimentConfig().effective_voiced_set())
+    assert [(r.source_offset, r.source_offset + len(r)) for r in regions] == [(1000, 2000), (3000, 5000)]
 
 
 def test_accuracies_and_fusion_present(report6):
@@ -193,7 +206,7 @@ def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, mo
 
     monkeypatch.setattr(evaluate, "kmeanspp_seeds", counted_seeds)
     sizes = (32, 16, 128, 64)
-    books = train_codebooks(train, speakers, KIND_PSDCT, sizes, 9)
+    books = train_codebooks(train, speakers, (KIND_PSDCT,), sizes, 9)[KIND_PSDCT]
     assert draws == [128] * len(speakers)
     assert list(books) == list(sizes)
     for size in sizes:
@@ -212,7 +225,6 @@ def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
 
-    monkeypatch.setattr(evaluate, "kmeanspp_seeds", no_training)
     monkeypatch.setattr(evaluate, "train_codebook", no_training)
     speakers = sorted({u.speaker_id for u in corpus8k})
 
@@ -229,6 +241,13 @@ def test_oversized_codebooks_fail_before_any_training(corpus8k, monkeypatch):
         sweep_coefficients(config, utterances=corpus8k)
     for spk in speakers:
         assert f"{spk} psdct k=5000 (" in str(err.value)
+
+
+def test_sweep_names_speaker_without_cycles_longer_than_the_largest_k(corpus8k):
+    # at 8 kHz a pitch cycle is at most 8000 / 60 = 133 samples long
+    config = ExperimentConfig(coeff_counts=(10, 200), n_train=3, n_test=2)
+    with pytest.raises(ValueError, match="^speaker spk00: no psdct training vectors$"):
+        sweep_coefficients(config, utterances=corpus8k)
 
 
 def test_sweep_names_speaker_without_test_vectors_before_training(monkeypatch):

@@ -84,6 +84,12 @@ def _labels_past_the_end(utts, root):
     phn.write_text("\n".join(lines + [f"{begin} {int(end) + 4000} {phone}"]) + "\n")
 
 
+def _malformed_epoch_line(utts, root):
+    save_corpus(utts, root)
+    gci = root / "spk01" / "u03.gci"
+    gci.write_text(gci.read_text() + "12x\n")
+
+
 NO_PSDCT = re.escape("speaker spk02: no psdct training vectors")
 TOO_BIG = re.escape("codebook sizes exceed the distinct training vectors: ") + "; ".join(
     rf"{spk} {kind} k=100000 \(\d+ distinct\)" for spk in SPEAKERS for kind in ("psdct", "mfcc")
@@ -99,6 +105,9 @@ FAIL = {
     "k larger than the data": (save_corpus, 100000, TOO_BIG),
     "labels past the end": (
         _labels_past_the_end, SIZE, r"speaker spk00 utterance u00: segment ends at sample \d+, past the \d+ samples"
+    ),
+    "malformed epoch line": (
+        _malformed_epoch_line, SIZE, r".+/spk01/u03\.gci:\d+: expected one sample index, got '12x\\n'"
     ),
 }
 

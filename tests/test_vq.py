@@ -206,10 +206,11 @@ def test_kmeanspp_draw_matches_rng_choice_reference(seed, dim):
     for k in (1, 2, 16, 59, 60):
         seeds = vq._kmeanspp_init(data, k, np.random.default_rng(seed))
         assert np.array_equal(seeds, reference_kmeanspp(data, k, seed))
-    for draw in (lambda: vq._kmeanspp_init(data, 61, np.random.default_rng(seed)),
-                 lambda: reference_kmeanspp(data, 61, seed)):
-        with pytest.raises(ValueError, match=r"^k=61 exceeds the 60 distinct training vectors$"):
-            draw()
+    # past the 60 distinct rows the draw stops and returns them all; the reference raises
+    seeds = vq._kmeanspp_init(data, 61, np.random.default_rng(seed))
+    assert np.array_equal(seeds, reference_kmeanspp(data, 60, seed))
+    with pytest.raises(ValueError, match=r"^k=61 exceeds the 60 distinct training vectors$"):
+        reference_kmeanspp(data, 61, seed)
 
 
 def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300):

@@ -16,8 +16,8 @@ from pathlib import Path
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
 from .corpus import extract_voiced_regions, load_corpus, load_voiced_set, save_corpus, split_speakers
-from .gci import detect_gci, dump_epochs_csv, map_to_peaks
-from .mfcc import MfccConfig
+from .gci import detect_gci, dump_epochs_csv, map_to_peaks, segment_cycles
+from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
 from .vq import DEFAULT_SEED, load_model_dir, save_model_dir
@@ -69,26 +69,41 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _dumped_features(utt, config: ev.ExperimentConfig, kind: str, dump) -> list:
+    """One utterance's feature vectors, writing each voiced region's epochs to ``dump``.
+
+    Each region's epochs are detected once and serve both the dump and the
+    PS-DCT cycles.
+    """
+    feats = []
+    for region in extract_voiced_regions(utt, config.effective_voiced_set()):
+        epochs = detect_gci(region)
+        peaks = map_to_peaks(region, epochs)
+        dump_epochs_csv(dump, region, epochs, peaks)
+        if kind == KIND_PSDCT:
+            feats.extend(ev.psdct_features(segment_cycles(region, peaks), config.n_coeffs))
+        else:
+            feats.extend(mfcc_features_for_region(region, config.mfcc))
+    return feats
+
+
 def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
     utts = load_corpus(args.corpus)
-    if args.epoch_dump:
-        voiced = config.effective_voiced_set()
-        with open(args.epoch_dump, "w", encoding="utf-8", newline="") as fh:
-            fh.write("region_id,epoch,mapped_peak\n")
-            for utt in utts:
-                for region in extract_voiced_regions(utt, voiced):
-                    epochs = detect_gci(region)
-                    peaks = map_to_peaks(region, epochs)
-                    dump_epochs_csv(fh, region, epochs, peaks)
     if args.kind == KIND_PSDCT:
         index, width = "cycle_index", config.n_coeffs
     else:
         index, width = "frame_index", config.mfcc.n_coeffs
-    with _out_stream(args.report_out) as fh:
+    dump_out = open(args.epoch_dump, "w", encoding="utf-8", newline="") if args.epoch_dump else nullcontext()
+    with dump_out as dump, _out_stream(args.report_out) as fh:
+        if dump is not None:
+            dump.write("region_id,epoch,mapped_peak\n")
         fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
         for utt in utts:
-            feats = ev.collect_features([utt], config, (args.kind,))[args.kind]
+            if dump is not None:
+                feats = _dumped_features(utt, config, args.kind, dump)
+            else:
+                feats = ev.collect_features([utt], config, (args.kind,))[args.kind]
             for i, f in enumerate(feats):
                 fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
     return 0

@@ -1,13 +1,8 @@
-"""Shared numeric kernels: DFT, Hanning window, autocorrelation pitch, resonators."""
+"""Shared numeric kernels: DFT, Hanning window, autocorrelation pitch, zero-frequency resonator."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-import scipy.fft
-import scipy.ndimage
-import scipy.signal
 
 
 def dft(x, n: int | None = None) -> np.ndarray:
@@ -40,9 +35,9 @@ def autocorr_pitch(x, min_period: int, max_period: int) -> int:
     if min_period > hi:
         raise ValueError(f"signal of length {x.size} too short for lag {min_period}")
     # lags up to hi are free of circular wrap once nfft >= x.size + hi
-    nfft = scipy.fft.next_fast_len(x.size + hi + 1, real=True)
-    spectrum = scipy.fft.rfft(x, nfft)
-    r = scipy.fft.irfft(np.abs(spectrum) ** 2, nfft)
+    nfft = 1 << (x.size + hi).bit_length()
+    spectrum = np.fft.rfft(x, nfft)
+    r = np.fft.irfft(np.abs(spectrum) ** 2, nfft)
     return int(np.argmax(r[min_period : hi + 1])) + min_period
 
 
@@ -57,37 +52,25 @@ def moving_average(x, win: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     if x.size == 0:
         raise ValueError("empty signal")
-    i = np.arange(x.size)
-    counts = np.minimum(i + (win - 1) // 2 + 1, x.size) - np.maximum(i - win // 2, 0)
-    # uniform_filter1d updates its running sum by differences, so rounding
-    # does not grow with the region length as a prefix sum's does
-    return scipy.ndimage.uniform_filter1d(x, win, mode="constant") * win / counts
+    n = x.size
+    left, right = win // 2, (win - 1) // 2
+    # the window sum moves by the sample entering minus the one leaving, so
+    # rounding does not grow with the region length as a prefix sum's does
+    steps = np.zeros(n)
+    steps[0] = x[: right + 1].sum()
+    steps[1 : max(n - right, 1)] = x[right + 1 :]
+    steps[left + 1 :] -= x[: max(n - left - 1, 0)]
+    sums = np.cumsum(steps, out=steps)
+    # only windows within `left` of the start or `right` of the end are cut short
+    i = np.concatenate((np.arange(min(left, n)), np.arange(max(n - right, 0), n)))
+    counts = np.full(n, float(win))
+    counts[i] = np.minimum(i + right + 1, n) - np.maximum(i - left, 0)
+    return sums / counts
 
 
-# lfilter taps (b, a) of a radius-1 integrator pair at 0 Hz; only ever used
-# followed by trend removal
-ZERO_FREQUENCY_RESONATOR = ((1.0,), (1.0, -2.0, 1.0))
-
-
-def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> tuple[list[float], list[float]]:
-    """Stable two-pole resonator with unity DC gain (pole radius < 1), as lfilter taps (b, a).
-
-    y[n] = gain*x[n] + b1*y[n-1] + b2*y[n-2], so b = [gain] and a = [1, -b1, -b2].
-    """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive for a stable resonator")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    r = math.exp(-math.pi * bandwidth_hz / sample_rate)
-    theta = 2.0 * math.pi * center_hz / sample_rate
-    b1 = 2.0 * r * math.cos(theta)
-    b2 = -r * r
-    return [1.0 - b1 - b2], [1.0, -b1, -b2]
-
-
-def resonate(x, ba) -> np.ndarray:
-    """Run a signal through lfilter taps ``(b, a)`` (zero initial state)."""
+def resonate(x) -> np.ndarray:
+    """One ideal resonator at 0 Hz, 1/(1 - z^-1)^2: two running sums (zero initial state)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty signal")
-    return scipy.signal.lfilter(*ba, x)
+    return np.cumsum(np.cumsum(x))

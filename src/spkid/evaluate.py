@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("coeff_counts must be a non-empty list of counts >= 1")
         if self.n_coeffs < 1:
             raise ValueError("n_coeffs must be >= 1")
+        if self.sweep_codebook_size < 1:
+            raise ValueError("sweep_codebook_size must be >= 1")
         if not self.kinds:
             raise ValueError("at least one feature kind required")
         for name in ("codebook_sizes", "coeff_counts", "kinds"):

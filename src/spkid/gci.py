@@ -1,13 +1,14 @@
 """Excitation-epoch detection and peak-to-peak pitch-cycle segmentation.
 
 Epochs are found by zero-frequency filtering: the mean-removed region is
-passed twice through a radius-1 resonator at 0 Hz, the polynomial trend this
-introduces is removed by mean subtraction over one pitch period, and the
-positive local maxima of the residue mark the excitation instants. (For
-impulse-like excitation the residue is near-sinusoidal with its peaks at the
-impulses; its upward zero crossings sit a quarter period early, so the peaks
-are the phase-correct marker.) Each epoch is then mapped to the nearest
-waveform peak, and cycles are cut peak to peak.
+passed twice through an ideal resonator at 0 Hz (two running sums each), the
+polynomial trend this introduces is removed by mean subtraction over one
+pitch period, and the positive local maxima of the residue mark the
+excitation instants. (For impulse-like excitation the residue is
+near-sinusoidal with its peaks at the impulses; its upward zero crossings sit
+a quarter period early, so the peaks are the phase-correct marker.) Each
+epoch is then mapped to the nearest waveform peak, and cycles are cut peak to
+peak.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import VoicedRegion, max_period, min_period
-from .dsp import ZERO_FREQUENCY_RESONATOR, autocorr_pitch, moving_average, resonate
+from .dsp import autocorr_pitch, moving_average, resonate
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ def detect_gci(region: VoicedRegion) -> EpochList:
     x = x - x.mean()
     period = autocorr_pitch(x, lo, hi)
 
-    y = resonate(resonate(x, ZERO_FREQUENCY_RESONATOR), ZERO_FREQUENCY_RESONATOR)
+    y = resonate(resonate(x))
     win = period if period % 2 == 1 else period + 1
     for _ in range(TREND_REMOVAL_PASSES):
         y = y - moving_average(y, win)

@@ -10,12 +10,12 @@ excitation-instant tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import PCM_SCALE, PhoneSegment, Utterance
-from .dsp import resonate, resonator
 
 PITCH_LO_HZ = 90.0
 PITCH_HI_HZ = 260.0
@@ -58,15 +58,35 @@ def synth_speakers(n_speakers: int, rng: np.random.Generator) -> list[SynthSpeak
     return speakers
 
 
+def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> tuple[list[float], list[float]]:
+    """Stable two-pole resonator with unity DC gain (pole radius < 1), as lfilter taps (b, a).
+
+    y[n] = gain*x[n] + b1*y[n-1] + b2*y[n-2], so b = [gain] and a = [1, -b1, -b2].
+    """
+    if bandwidth_hz <= 0:
+        raise ValueError("bandwidth must be positive for a stable resonator")
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    r = math.exp(-math.pi * bandwidth_hz / sample_rate)
+    theta = 2.0 * math.pi * center_hz / sample_rate
+    b1 = 2.0 * r * math.cos(theta)
+    b2 = -r * r
+    return [1.0 - b1 - b2], [1.0, -b1, -b2]
+
+
 def _voiced_run(speaker: SynthSpeaker, n_samples: int, sample_rate: int, amplitude: float, phase: int):
     """One voiced stretch: impulse train through the speaker's resonators."""
+    # imported here, not at module level: scipy.signal takes about 1 s to
+    # import, and only corpus generation needs it
+    import scipy.signal
+
     period = int(round(sample_rate / speaker.pitch_hz))
     positions = np.arange(phase, n_samples, period)
     source = np.zeros(n_samples)
     source[positions] = amplitude
     out = source
     for f, bw in zip(speaker.formants_hz, speaker.bandwidths_hz):
-        out = resonate(out, resonator(f, bw, sample_rate))
+        out = scipy.signal.lfilter(*resonator(f, bw, sample_rate), out)
     return out, positions
 
 

@@ -287,6 +287,12 @@ def test_train_rejects_codebook_size_zero_before_extracting(corpus_dir, tmp_path
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_sweep_rejects_codebook_size_below_one_before_extracting(size, corpus_dir, no_extraction, capsys):
+    assert_input_error(capsys, ["sweep", "--corpus", str(corpus_dir), "--codebook-size", size],
+                       "sweep_codebook_size must be >= 1")
+
+
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
 def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, tmp_path, no_extraction, capsys):
     argv = [command, "--corpus", str(corpus_dir), "--coeffs", "0"]
@@ -362,3 +368,23 @@ def test_extract_epoch_dump(corpus_dir, tmp_path):
                 expected.append([region.region_id, str(e), str(nearest)])
     assert len(expected) > 1000
     assert rows[1:] == expected
+
+
+def test_extract_epoch_dump_detects_epochs_once_per_region(corpus_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(region):
+        calls.append(region.region_id)
+        return detect_gci(region)
+
+    # both bindings: the dump's in spkid.cli and the cycle cutter's in spkid.gci
+    monkeypatch.setattr("spkid.cli.detect_gci", counting)
+    monkeypatch.setattr("spkid.gci.detect_gci", counting)
+    assert main([
+        "extract", "--corpus", str(corpus_dir), "--kind", "psdct",
+        "--report-out", str(tmp_path / "feats.csv"), "--epoch-dump", str(tmp_path / "epochs.csv"),
+    ]) == 0
+    voiced = ExperimentConfig().effective_voiced_set()
+    regions = [r.region_id for utt in load_corpus(corpus_dir) for r in extract_voiced_regions(utt, voiced)]
+    assert len(regions) > 100
+    assert calls == regions

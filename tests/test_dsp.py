@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spkid.dsp import (
-    ZERO_FREQUENCY_RESONATOR,
-    autocorr_pitch,
-    dft,
-    hanning,
-    moving_average,
-    resonate,
-    resonator,
-)
+from spkid.dsp import autocorr_pitch, dft, hanning, moving_average, resonate
 from spkid.synth import SynthSpeaker, _voiced_run
 
 
@@ -106,12 +99,28 @@ def reference_autocorr_pitch(x, min_period, max_period):
 
 
 @pytest.fixture(scope="module")
-def zff_48k():
-    """3 s of a 48 kHz voiced run, mean removed and integrated by the ZFF pair twice."""
+def voiced_48k():
+    """3 s of a 48 kHz voiced run, mean removed."""
     sr = 48000
     speaker = SynthSpeaker("t", 118.0, (600.0, 1400.0, 2600.0), (80.0, 90.0, 100.0))
     x, _ = _voiced_run(speaker, 3 * sr, sr, 0.8, 30)
-    return resonate(resonate(x - x.mean(), ZERO_FREQUENCY_RESONATOR), ZERO_FREQUENCY_RESONATOR)
+    return x - x.mean()
+
+
+@pytest.fixture(scope="module")
+def zff_48k(voiced_48k):
+    """The voiced run integrated by the zero-frequency resonator twice."""
+    return resonate(resonate(voiced_48k))
+
+
+def test_resonate_matches_lfilter_on_zff_48k(voiced_48k, zff_48k):
+    # the recursion y[n] = x[n] + 2y[n-1] - y[n-2] rounds worse than two
+    # running sums: ~8e-9 of the peak after one resonator on this run, where
+    # the running sums stay within ~5e-14 of a long-double reference
+    reference = voiced_48k
+    for got in (resonate(voiced_48k), zff_48k):
+        reference = scipy.signal.lfilter([1.0], [1.0, -2.0, 1.0], reference)
+        assert np.max(np.abs(got - reference)) <= 1e-7 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("win", [407, 406, 801, 800])
@@ -152,30 +161,10 @@ def test_autocorr_pitch_matches_power_of_two_fft(n, min_period, span, period, se
     assert autocorr_pitch(x, min_period, max_period) == reference_autocorr_pitch(x, min_period, max_period)
 
 
-@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=400))
-@settings(max_examples=50, deadline=None)
-def test_resonate_stable_bounded(xs):
-    ba = resonator(800.0, 100.0, 16000)
-    h = resonate(np.eye(1, 4000, 0)[0], ba)  # impulse response
-    gain_budget = np.abs(h).sum()
-    y = resonate(np.array(xs), ba)
-    assert np.all(np.isfinite(y))
-    assert np.max(np.abs(y)) <= gain_budget * 1.0 + 1e-9
-
-
-def test_resonator_is_stable_and_validates():
-    b, a = resonator(500.0, 80.0, 16000)
-    assert np.all(np.abs(np.roots(a)) < 1.0)
-    assert np.isclose(np.sum(b) / np.sum(a), 1.0)  # unity gain at 0 Hz
-    with pytest.raises(ValueError):
-        resonator(500.0, 0.0, 16000)
-    with pytest.raises(ValueError):
-        resonator(500.0, 80.0, 0)
-
-
 def test_zero_frequency_resonator_integrates():
-    assert np.allclose(np.abs(np.roots(ZERO_FREQUENCY_RESONATOR[1])), 1.0)
     impulse = np.zeros(10)
     impulse[0] = 1.0
     # double integration of an impulse is a unit-slope ramp
-    assert np.allclose(resonate(impulse, ZERO_FREQUENCY_RESONATOR), np.arange(1, 11))
+    assert np.allclose(resonate(impulse), np.arange(1, 11))
+    with pytest.raises(ValueError):
+        resonate([])

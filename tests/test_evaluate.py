@@ -50,6 +50,8 @@ def test_config_validation():
         ExperimentConfig(kinds=())
     with pytest.raises(ValueError, match="n_coeffs"):
         ExperimentConfig(n_coeffs=0)
+    with pytest.raises(ValueError, match="^sweep_codebook_size must be >= 1$"):
+        ExperimentConfig(sweep_codebook_size=0)
     with pytest.raises(ValueError, match="^codebook_sizes must list each value once, got 8,16,8$"):
         ExperimentConfig(codebook_sizes=(8, 16, 8))
     with pytest.raises(ValueError, match="^coeff_counts must list each value once, got 10,10$"):

@@ -1,14 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spkid.synth import (
     PITCH_HI_HZ,
     PITCH_LO_HZ,
     SILENCE_PHONE,
     VOICED_PHONE,
+    resonator,
     synth_corpus,
     synth_speakers,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_corpus_is_deterministic():
@@ -73,3 +84,36 @@ def test_samples_on_pcm_grid_and_peak():
     assert np.max(np.abs(utt.samples)) <= 1.0
     scaled = utt.samples * 32768.0
     assert np.allclose(scaled, np.rint(scaled))
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=400))
+@settings(max_examples=50, deadline=None)
+def test_resonate_stable_bounded(xs):
+    ba = resonator(800.0, 100.0, 16000)
+    h = scipy.signal.lfilter(*ba, np.eye(1, 4000, 0)[0])  # impulse response
+    gain_budget = np.abs(h).sum()
+    y = scipy.signal.lfilter(*ba, np.array(xs))
+    assert np.all(np.isfinite(y))
+    assert np.max(np.abs(y)) <= gain_budget * 1.0 + 1e-9
+
+
+def test_resonator_is_stable_and_validates():
+    b, a = resonator(500.0, 80.0, 16000)
+    assert np.all(np.abs(np.roots(a)) < 1.0)
+    assert np.isclose(np.sum(b) / np.sum(a), 1.0)  # unity gain at 0 Hz
+    with pytest.raises(ValueError):
+        resonator(500.0, 0.0, 16000)
+    with pytest.raises(ValueError):
+        resonator(500.0, 80.0, 0)
+
+
+def test_import_loads_no_scipy_until_synth():
+    # a fresh process: this test session has scipy loaded already
+    code = (
+        "import sys, spkid, spkid.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(len(spkid.synth_corpus(2, 1, seed=3, sample_rate=8000)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "2"]

@@ -69,28 +69,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _dumped_features(utt, config: ev.ExperimentConfig, kind: str, dump) -> list:
-    """One utterance's feature vectors, writing each voiced region's epochs to ``dump``.
-
-    Each region's epochs are detected once and serve both the dump and the
-    PS-DCT cycles.
-    """
-    feats = []
-    for region in extract_voiced_regions(utt, config.effective_voiced_set()):
-        epochs = detect_gci(region)
-        peaks = map_to_peaks(region, epochs)
-        dump_epochs_csv(dump, region, epochs, peaks)
-        if kind == KIND_PSDCT:
-            feats.extend(ev.psdct_features(segment_cycles(region, peaks), config.n_coeffs))
-        else:
-            feats.extend(mfcc_features_for_region(region, config.mfcc))
-    return feats
-
-
 def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
     utts = load_corpus(args.corpus)
-    if args.kind == KIND_PSDCT:
+    voiced = config.effective_voiced_set()
+    psdct = args.kind == KIND_PSDCT
+    if psdct:
         index, width = "cycle_index", config.n_coeffs
     else:
         index, width = "frame_index", config.mfcc.n_coeffs
@@ -100,10 +84,18 @@ def cmd_extract(args) -> int:
             dump.write("region_id,epoch,mapped_peak\n")
         fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
         for utt in utts:
-            if dump is not None:
-                feats = _dumped_features(utt, config, args.kind, dump)
-            else:
-                feats = ev.collect_features([utt], config, (args.kind,))[args.kind]
+            feats = []
+            for region in extract_voiced_regions(utt, voiced):
+                # one epoch detection per region serves both the dump and the cycles
+                if psdct or dump is not None:
+                    epochs = detect_gci(region)
+                    peaks = map_to_peaks(region, epochs)
+                    if dump is not None:
+                        dump_epochs_csv(dump, region, epochs, peaks)
+                if psdct:
+                    feats.extend(ev.psdct_features(segment_cycles(region, peaks), config.n_coeffs))
+                else:
+                    feats.extend(mfcc_features_for_region(region, config.mfcc))
             for i, f in enumerate(feats):
                 fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
     return 0

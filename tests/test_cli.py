@@ -370,6 +370,23 @@ def test_extract_epoch_dump(corpus_dir, tmp_path):
     assert rows[1:] == expected
 
 
+@pytest.mark.parametrize("kind", ["psdct", "mfcc"])
+def test_extract_features_same_with_and_without_epoch_dump(corpus_dir, tmp_path, kind):
+    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    assert main(["extract", "--corpus", str(corpus_dir), "--kind", kind, "--report-out", str(plain)]) == 0
+    assert main([
+        "extract", "--corpus", str(corpus_dir), "--kind", kind,
+        "--report-out", str(dumped), "--epoch-dump", str(tmp_path / "epochs.csv"),
+    ]) == 0
+    assert dumped.read_bytes() == plain.read_bytes()
+    # and both are the features evaluate collects
+    config = ExperimentConfig()
+    rows = plain.read_text().splitlines()[1:]
+    feats = [f for utt in load_corpus(corpus_dir) for f in ev.collect_features([utt], config, (kind,))[kind]]
+    assert len(rows) == len(feats) > 100
+    assert all(r.split(",", 3)[3] == ",".join(f"{v:.9g}" for v in f.values) for r, f in zip(rows, feats))
+
+
 def test_extract_epoch_dump_detects_epochs_once_per_region(corpus_dir, tmp_path, monkeypatch):
     calls = []
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spkid.dsp import autocorr_pitch, dft, hanning, moving_average, resonate
+from spkid.dsp import _fast_len, autocorr_pitch, dft, hanning, moving_average, resonate
 from spkid.synth import SynthSpeaker, _voiced_run
 
 
@@ -159,6 +160,12 @@ def test_autocorr_pitch_matches_power_of_two_fft(n, min_period, span, period, se
     x = rng.normal(size=n)
     x[rng.integers(0, period) :: period] += 4.0
     assert autocorr_pitch(x, min_period, max_period) == reference_autocorr_pitch(x, min_period, max_period)
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    # autocorr_pitch's FFT length without importing scipy.fft
+    for n in [*range(1, 3000), 16_001, 48_001, 65_537, 99_999]:
+        assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True)
 
 
 def test_zero_frequency_resonator_integrates():

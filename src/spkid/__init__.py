@@ -26,7 +26,7 @@ from .gci import EpochList, PitchCycle, cycles_from_region, detect_gci, map_to_p
 from .mfcc import MfccConfig, frame_signal, mfcc_feature
 from .psdct import FeatureVector, dct2, mec, normalize_energy, psdct_feature
 from .synth import SynthSpeaker, synth_corpus, synth_speakers
-from .vq import Codebook, distortion, load_model_dir, save_model_dir, train_codebook
+from .vq import Codebook, load_model_dir, save_model_dir, train_codebook
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "cycles_from_region",
     "dct2",
     "detect_gci",
-    "distortion",
     "extract_voiced_regions",
     "frame_signal",
     "fuse",

@@ -276,6 +276,9 @@ def split_speakers(utterances: list[Utterance], n_train: int = 6, n_test: int = 
     are placed in the test set first; remaining test slots are filled from
     the end of the id-sorted list. Deterministic.
     """
+    for name, count in (("n_train", n_train), ("n_test", n_test)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     by_speaker: dict[str, list[Utterance]] = {}
     for utt in utterances:
         by_speaker.setdefault(utt.speaker_id, []).append(utt)

@@ -22,17 +22,10 @@ DEFAULT_NUM_COEFFS = 15
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Fixed-dimension real feature vector tagged with its feature kind."""
+    """A 1-D float64 feature row and its kind; unchecked, as ``vq._as_matrix`` checks each matrix."""
 
     values: np.ndarray
     kind: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("feature values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature values must be finite")
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,7 @@ from .corpus import PCM_SCALE, PhoneSegment, Utterance
 
 PITCH_LO_HZ = 90.0
 PITCH_HI_HZ = 260.0
+MIN_PHASE = 5  # a voiced run's first impulse: at this sample or later, within one period
 
 VOICED_PHONE = "ax"
 SILENCE_PHONE = "h#"
@@ -115,7 +116,7 @@ def synth_utterance(
     for _ in range(n_runs):
         n = int(round(rng.uniform(0.3, 0.6) * sample_rate))
         amplitude = float(rng.uniform(0.5, 1.0))
-        phase = int(rng.integers(5, period))
+        phase = int(rng.integers(MIN_PHASE, period))
         run, positions = _voiced_run(speaker, n, sample_rate, amplitude, phase)
         chunks.append(run)
         segments.append(PhoneSegment(cursor, cursor + n, VOICED_PHONE))
@@ -147,6 +148,9 @@ def synth_corpus(
     """Generate a deterministic corpus; same arguments give identical output."""
     if utterances_per_speaker < 1:
         raise ValueError("need at least 1 utterance per speaker")
+    if int(round(sample_rate / PITCH_HI_HZ)) <= MIN_PHASE:
+        raise ValueError(f"sample_rate {sample_rate} too low: {PITCH_HI_HZ:g} Hz needs a period "
+                         f"over {MIN_PHASE} samples")
     rng = np.random.default_rng(seed)
     speakers = synth_speakers(n_speakers, rng)
     utterances = []

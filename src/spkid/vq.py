@@ -144,18 +144,28 @@ def lloyd_kmeans(
 
 
 def _as_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, str]:
+    """Stack the rows into an (N, dim) matrix and return it with their kind.
+
+    Feature vectors are checked here, once per matrix, where they are consumed.
+    """
     if not vectors:
         raise ValueError("empty vector list")
     kind = vectors[0].kind
+    dim = vectors[0].values.size
+    rows = []
     for v in vectors:
+        row = v.values
         if v.kind != kind:
             raise ValueError(f"mixed feature kinds: {kind} vs {v.kind}")
-    rows = [v.values for v in vectors]
-    dim = rows[0].size
-    for row in rows:
-        if row.size != dim:
+        if row.size != dim or row.ndim != 1 or not dim:  # a bad row: find which message
+            if row.ndim != 1 or not row.size:
+                raise ValueError("feature values must be a non-empty 1-D vector")
             raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
-    return np.concatenate(rows).reshape(len(rows), dim), kind
+        rows.append(row)
+    data = np.concatenate(rows).reshape(len(rows), dim)
+    if not np.isfinite(data).all():
+        raise ValueError("feature values must be finite")
+    return data, kind
 
 
 def kmeanspp_seeds(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -195,16 +205,6 @@ def train_codebook(
         seed=seed,
         train_vector_count=data.shape[0],
     )
-
-
-def distortion(vectors: list[FeatureVector], codebook: Codebook) -> float:
-    """Mean squared Euclidean distance to the nearest centroid."""
-    data, kind = _as_matrix(vectors)
-    if kind != codebook.kind:
-        raise ValueError(f"feature kind {kind} does not match codebook kind {codebook.kind}")
-    if data.shape[1] != codebook.dim:
-        raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.dim}")
-    return float(np.mean(np.min(_sq_dists(data, codebook.centroids), axis=1)))
 
 
 def save_codebook(codebook: Codebook, path) -> None:

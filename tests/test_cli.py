@@ -71,6 +71,14 @@ def test_synth_is_deterministic_on_disk(corpus_dir, tmp_path):
     assert a == b
 
 
+def test_synth_rejects_unusable_sample_rate(capsys, tmp_path):
+    out = tmp_path / "bad-sr"
+    for rate in ("0", "-8000", "1000"):
+        argv = ["synth", "--corpus", str(out), "--speakers", "2", "--utterances", "2", "--sample-rate", rate]
+        assert_input_error(capsys, argv, f"sample_rate {rate} too low")
+    assert not out.exists()
+
+
 def test_extract_psdct_csv(corpus_dir, tmp_path):
     out = tmp_path / "feats.csv"
     assert main(["extract", "--corpus", str(corpus_dir), "--kind", "psdct", "--report-out", str(out)]) == 0

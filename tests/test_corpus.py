@@ -275,6 +275,18 @@ def test_split_speakers_too_few_names_speaker():
         split_speakers(utts)
 
 
+def test_split_speakers_rejects_counts_below_one():
+    utts = [make_utt(100, None, "spk", f"u{i}") for i in range(8)]
+    for n_train, n_test, message in [
+        (0, 2, "n_train must be >= 1, got 0"),
+        (-2, 2, "n_train must be >= 1, got -2"),
+        (6, 0, "n_test must be >= 1, got 0"),
+        (6, -1, "n_test must be >= 1, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            split_speakers(utts, n_train, n_test)
+
+
 def test_voiced_set_file(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("aa\niy\n\nv\n")

@@ -269,6 +269,14 @@ def test_sweep_names_speaker_without_test_vectors_before_training(monkeypatch):
         sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15), sweep_codebook_size=8), utterances=utts)
 
 
+def test_run_experiment_rejects_split_counts_below_one(corpus8k):
+    # n_train=-2 used to train on rest[:-2]; n_test=0 used to blame the data
+    with pytest.raises(ValueError, match="^n_train must be >= 1, got -2$"):
+        run_experiment(ExperimentConfig(n_train=-2, codebook_sizes=(8,)), utterances=corpus8k)
+    with pytest.raises(ValueError, match="^n_test must be >= 1, got 0$"):
+        run_experiment(ExperimentConfig(n_test=0, codebook_sizes=(8,)), utterances=corpus8k)
+
+
 def test_each_utterance_read_once(corpus8k, monkeypatch):
     calls = []
     real = evaluate.extract_voiced_regions

@@ -8,7 +8,6 @@ from spkid import psdct
 from spkid.gci import PitchCycle
 from spkid.psdct import (
     KIND_PSDCT,
-    FeatureVector,
     dct2,
     mec,
     normalize_energy,
@@ -111,13 +110,6 @@ def test_psdct_feature_scale_invariance():
 def test_psdct_feature_too_short_raises():
     with pytest.raises(ValueError):
         psdct_feature(cycle_of(np.ones(15)), 15)
-
-
-def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([1.0, np.nan]), KIND_PSDCT)
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([]), KIND_PSDCT)
 
 
 def test_mec_monotone_and_bounded():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spkid.synth import (
+    MIN_PHASE,
     PITCH_HI_HZ,
     PITCH_LO_HZ,
     SILENCE_PHONE,
@@ -105,6 +106,14 @@ def test_resonator_is_stable_and_validates():
         resonator(500.0, 0.0, 16000)
     with pytest.raises(ValueError):
         resonator(500.0, 80.0, 0)
+
+
+def test_sample_rate_floor_is_the_top_pitch_period():
+    # 1430 Hz is the lowest rate whose 260 Hz period rounds to more than 5 samples
+    assert int(round(1430 / PITCH_HI_HZ)) == MIN_PHASE + 1
+    assert len(synth_corpus(2, 1, seed=3, sample_rate=1430)) == 2
+    with pytest.raises(ValueError, match="^sample_rate 1429 too low"):
+        synth_corpus(2, 1, seed=3, sample_rate=1429)
 
 
 def test_import_loads_no_scipy_until_synth():

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 import spkid.vq as vq
+from spkid.classify import cmd
 from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureVector
 from spkid.vq import (
     Codebook,
-    distortion,
+    kmeanspp_seeds,
     lloyd_kmeans,
     load_codebook,
     load_model_dir,
@@ -44,7 +47,7 @@ def test_k_equals_distinct_gives_zero_distortion():
     data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     vecs = vectors_from(np.repeat(data, 3, axis=0))
     cb = train_codebook(vecs, 4, seed=42, speaker_id="s")
-    assert distortion(vecs, cb) == pytest.approx(0.0, abs=1e-18)
+    assert cmd(vecs, cb).cmd == 0
     assert {tuple(c) for c in cb.centroids} == {tuple(r) for r in data}
 
 
@@ -113,14 +116,21 @@ def test_mixed_inputs_raise():
         train_codebook([], 1)
 
 
-def test_distortion_simple_cases():
-    vecs = [fv([0.0, 0.0]), fv([3.0, 4.0])]
-    cb = Codebook("s", KIND_PSDCT, 2, 2, np.array([[0.0, 0.0], [3.0, 4.0]]), 42, 2)
-    assert distortion(vecs, cb) == 0.0
-    single = Codebook("s", KIND_PSDCT, 1, 2, np.array([[0.0, 0.0]]), 42, 1)
-    assert distortion([fv([3.0, 4.0])], single) == pytest.approx(25.0)
-    with pytest.raises(ValueError):
-        distortion(vecs, Codebook("s", KIND_MFCC, 1, 2, np.zeros((1, 2)), 42, 1))
+def test_consumers_reject_bad_feature_rows():
+    # FeatureVector checks nothing; each consumer checks the stacked matrix once
+    cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
+    consumers = (lambda v: train_codebook(v, 1), lambda v: kmeanspp_seeds(v, 1), lambda v: cmd(v, cb))
+    bad_rows = [
+        (np.array([1.0, np.nan]), "feature values must be finite"),
+        (np.array([1.0, np.inf]), "feature values must be finite"),
+        (np.array([]), "feature values must be a non-empty 1-D vector"),
+        (np.zeros((1, 2)), "feature values must be a non-empty 1-D vector"),
+    ]
+    for row, message in bad_rows:
+        for vecs in ([fv([0.0, 1.0]), fv([2.0, 3.0]), fv(row)], [fv(row), fv([0.0, 1.0])]):
+            for consume in consumers:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    consume(vecs)
 
 
 def test_codebook_file_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -13,11 +15,14 @@ def dft(x, n: int | None = None) -> np.ndarray:
     return np.fft.fft(x, n=n)
 
 
+@lru_cache(maxsize=None)
 def hanning(m: int) -> np.ndarray:
-    """Hanning window w[n] = 0.5 - 0.5*cos(2*pi*n/(M-1))."""
+    """Hanning window w[n] = 0.5 - 0.5*cos(2*pi*n/(M-1)), built once per length and read-only."""
     if m < 1:
         raise ValueError("window length must be >= 1")
-    return np.hanning(m)
+    window = np.hanning(m)
+    window.flags.writeable = False
+    return window
 
 
 def _fast_len(n: int) -> int:

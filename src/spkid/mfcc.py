@@ -39,10 +39,11 @@ def mel_to_hz(m):
 
 @lru_cache(maxsize=None)
 def mel_filterbank(sample_rate: int, n_fft: int, n_filters: int) -> np.ndarray:
-    """Triangular filters on the mel scale, (n_filters, n_fft//2 + 1).
+    """Triangular filters on the mel scale, (n_filters, n_fft//2 + 1), read-only.
 
     Continuous triangles evaluated at the bin frequencies: overlapping
-    neighbors sum to exactly 1 between the first and last centers.
+    neighbors sum to exactly 1 between the first and last centers. One bank
+    is built per (rate, FFT size, filter count) and shared by every caller.
     """
     n_bins = n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * (sample_rate / n_fft)
@@ -53,6 +54,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_filters: int) -> np.ndarray:
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         fb[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

@@ -37,10 +37,11 @@ _BASES: dict[int, np.ndarray] = {}
 
 
 def _dct_basis(m: int, rows: int) -> np.ndarray:
-    """First ``rows`` rows of the M-point orthonormal DCT-II matrix.
+    """First ``rows`` rows of the M-point orthonormal DCT-II matrix, read-only.
 
     One basis is kept per length and rebuilt only when a caller asks for more
     rows than it holds, so truncated callers never pay for an M x M matrix.
+    Every caller shares it, so it cannot be written through.
     """
     basis = _BASES.get(m)
     if basis is None or basis.shape[0] < rows:
@@ -49,6 +50,7 @@ def _dct_basis(m: int, rows: int) -> np.ndarray:
         basis = np.cos(np.pi * (2.0 * n[None, :] + 1.0) * np.arange(rows)[:, None] / (2.0 * m))
         basis *= np.sqrt(2.0 / m)
         basis[0] *= np.sqrt(0.5)
+        basis.flags.writeable = False
         _BASES[m] = basis
     return basis[:rows]
 

@@ -55,29 +55,44 @@ class Codebook:
             raise ValueError("centroids must be finite")
 
 
-def _sq_dists(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(
+    data: np.ndarray, centroids: np.ndarray, norms: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances of every row to every centroid, (n, k), clipped at 0.
+
+    ``norms`` is ``np.sum(data**2, axis=1)`` if the caller has it already, and
+    ``out`` an (n, k) buffer to write into. The result is bit-identical to
+    ``np.maximum(norms[:, None] - 2.0 * data @ centroids.T + np.sum(centroids**2, axis=1), 0.0)``:
+    scaling by -2 is exact, and ``a - b`` equals ``-b + a`` in IEEE arithmetic,
+    so the product and both sums can be taken in place, with no (n, k) temporaries.
+    """
+    if norms is None:
+        norms = np.sum(data**2, axis=1)
+    d2 = np.matmul(data, (-2.0 * centroids).T, out=out)
+    d2 += norms[:, None]
+    d2 += np.sum(centroids**2, axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
+    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer;
+    # d2 and scratch are the two length-n buffers
+    diff = np.empty_like(data)
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((data - data[chosen[0]]) ** 2, axis=1)
+    d2 = np.square(np.subtract(data, data[chosen[0]], out=diff), out=diff).sum(axis=1)
+    scratch = np.empty(n)
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
             break
         # the steps of rng.choice(n, p=d2 / total) without its checks of p: the same row
-        cdf = (d2 / total).cumsum()
+        cdf = np.cumsum(np.divide(d2, total, out=scratch), out=scratch)
         cdf /= cdf[-1]
         idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((data - data[idx]) ** 2, axis=1))
+        np.square(np.subtract(data, data[idx], out=diff), out=diff).sum(axis=1, out=scratch)
+        np.minimum(d2, scratch, out=d2)
     return data[chosen]
 
 
@@ -107,11 +122,11 @@ def lloyd_kmeans(
     norms = np.sum(data**2, axis=1)
     scale = float(np.sqrt(np.mean(norms))) or 1.0
     rows = np.arange(n)
+    d2 = np.empty((n, k))  # one distance buffer for every iteration
 
     history: list[float] = []
     for _ in range(DEFAULT_MAX_ITER):
-        # _sq_dists, with the data's row norms taken once per call
-        d2 = np.maximum(norms[:, None] - 2.0 * data @ centroids.T + np.sum(centroids**2, axis=1)[None, :], 0.0)
+        _sq_dists(data, centroids, norms, out=d2)
         labels = np.argmin(d2, axis=1)
         distortion = float(np.mean(d2[rows, labels]))
         if history and distortion > history[-1] + 1e-12 * (1.0 + history[-1]):

@@ -51,6 +51,18 @@ def test_hanning_length_one():
         hanning(0)
 
 
+def test_hanning_is_numpys_window_built_once_and_read_only():
+    for m in (1, 2, 33, 320, 960):
+        w = hanning(m)
+        assert w.dtype == np.float64 and w.tobytes() == np.hanning(m).tobytes()
+        assert hanning(m) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="window length must be >= 1"):
+            hanning(m)
+
+
 def test_autocorr_pitch_impulse_train():
     x = np.zeros(8000)
     x[np.arange(20, 8000, 160)] = 1.0

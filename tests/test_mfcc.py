@@ -61,6 +61,14 @@ def test_mel_filterbank_shape_and_weights():
         assert np.all(np.diff(row[peak : support[-1] + 1]) <= 1e-12)
 
 
+def test_cached_filterbank_is_read_only():
+    frame = np.random.default_rng(3).normal(size=320)
+    before = mfcc_feature(frame, SR).values
+    with pytest.raises(ValueError):
+        mel_filterbank(SR, 512, 26)[:] = 0.0
+    assert np.array_equal(mfcc_feature(frame, SR).values, before)
+
+
 def test_mfcc_zero_frame_is_flat_floor():
     f = mfcc_feature(np.zeros(320), SR)
     assert f.kind == KIND_MFCC

@@ -179,6 +179,14 @@ def test_dct2_rows_independent_of_request_order(monkeypatch):
     assert psdct._BASES[333].shape == (41, 333)
 
 
+def test_cached_dct_basis_is_read_only():
+    x = np.random.default_rng(9).normal(size=77)
+    before = dct2(x, 16)
+    with pytest.raises(ValueError):
+        psdct._dct_basis(77, 16)[:] = 0.0
+    assert np.array_equal(dct2(x, 16), before)
+
+
 def mec_reference(cycles, n_coeffs, include_dc):
     ratios = []
     for cycle in cycles:

@@ -223,6 +223,31 @@ def test_kmeanspp_draw_matches_rng_choice_reference(seed, dim):
         reference_kmeanspp(data, 61, seed)
 
 
+def textbook_sq_dists(x, c):
+    return np.maximum(np.sum(x**2, 1)[:, None] - 2.0 * x @ c.T + np.sum(c**2, 1)[None, :], 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 15])
+@pytest.mark.parametrize("k", [1, 128])
+def test_sq_dists_is_the_textbook_formula_bit_for_bit(dim, k):
+    # mixed scales and repeated rows; some centroids are data rows, so some distances clip to 0
+    rng = np.random.default_rng(10 * dim + k)
+    rows = rng.normal(size=(150, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(150, 1))
+    data = rng.permutation(np.concatenate([rows, rows[:50]]))
+    centroids = data[rng.choice(data.shape[0], size=k, replace=False)]
+    centroids[1::2] += rng.normal(size=centroids[1::2].shape)
+    expected = textbook_sq_dists(data, centroids)
+    norms = np.sum(data**2, axis=1)
+    buffer = np.full((data.shape[0], k), np.nan)
+    for given in (None, norms):
+        assert np.array_equal(vq._sq_dists(data, centroids, given), expected)
+        assert vq._sq_dists(data, centroids, given, out=buffer) is buffer
+        assert np.array_equal(buffer, expected)
+    # the same buffer again, as each Lloyd iteration reuses it, with other centroids
+    moved = centroids + 0.5
+    assert np.array_equal(vq._sq_dists(data, moved, norms, out=buffer), textbook_sq_dists(data, moved))
+
+
 def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300):
     """The per-cell Lloyd loop that lloyd_kmeans must reproduce bit for bit."""
     n = data.shape[0]

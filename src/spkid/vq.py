@@ -65,6 +65,8 @@ def _sq_dists(
     ``np.maximum(norms[:, None] - 2.0 * data @ centroids.T + np.sum(centroids**2, axis=1), 0.0)``:
     scaling by -2 is exact, and ``a - b`` equals ``-b + a`` in IEEE arithmetic,
     so the product and both sums can be taken in place, with no (n, k) temporaries.
+    Centroids are C-contiguous, as every caller passes them, so both products
+    take the same BLAS path.
     """
     if norms is None:
         norms = np.sum(data**2, axis=1)
@@ -76,8 +78,7 @@ def _sq_dists(
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
-    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer;
-    # d2 and scratch are the two length-n buffers
+    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer
     diff = np.empty_like(data)
     chosen = [int(rng.integers(n))]
     d2 = np.square(np.subtract(data, data[chosen[0]], out=diff), out=diff).sum(axis=1)

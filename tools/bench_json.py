@@ -1,13 +1,14 @@
-"""Summarise a batch of timed benchmark runs into one ``BENCH_<pr>.json``.
+"""Summarise a batch of timed benchmark runs into one ``BENCH_<tag>.json``.
 
     python3 perfbench/run.py --workload report --seed 301 --seconds 5 --trace 0   # ... per seed
-    python3 tools/bench_json.py --checkout . --seeds 301-310 --pr 16
+    python3 tools/bench_json.py --checkout . --seeds 301-310 --tag <n>
 
 Reads ``<checkout>/perfbench/_out/<workload>-seed<n>-trace0.json``, the
 record each timed run leaves, for every given seed and every workload that
 has one; reads nothing else under ``perfbench/`` but its ``BLAS_THREADS``
-pin, and writes nothing there. Writes ``<checkout>/BENCH_<pr>.json`` (or
-``--out``) with the checkout's commit, the seeds, a machine record and, per
+pin, and writes nothing there. Writes ``<checkout>/BENCH_<tag>.json`` (or
+``--out``) with the checkout's commit (and whether ``src/`` or ``perfbench/``
+differ from it), the seeds, a machine record and, per
 workload, the median and quartiles of each end-to-end metric over the seeds,
 its per-seed values, and the operations attempted and failed. Run it with
 the interpreter that ran the batch: the Python and numpy versions recorded
@@ -85,7 +86,8 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
         raise SystemExit(f"no timed records (*-seed<n>-trace0.json) for seeds {seeds} under {out}")
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        # the batch measured the commit only if the code it runs matches it
+        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench")),
         "seeds": seeds,
         "machine": {
             "nproc": os.cpu_count(),
@@ -101,11 +103,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=Path("."), help="the checkout the batch ran in")
     parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 301-310 or 301,303,305")
-    parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    parser.add_argument("--out", type=Path, help="default: <checkout>/BENCH_<pr>.json")
+    parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    parser.add_argument("--out", type=Path, help="default: <checkout>/BENCH_<tag>.json")
     args = parser.parse_args(argv)
     summary = summarise(args.checkout.resolve(), args.seeds)
-    path = args.out or args.checkout / f"BENCH_{args.pr}.json"
+    path = args.out or args.checkout / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}: {', '.join(summary['workloads'])} over seeds {args.seeds}", file=sys.stderr)
     return 0

@@ -1,11 +1,11 @@
 """License-free synthetic test corpus.
 
 Each synthetic speaker is an impulse-train source at a fixed pitch driving a
-cascade of three fixed formant resonators; speakers differ in pitch and
-formant layout. Utterances alternate voiced runs (phone ``ax``, a TIMIT
+cascade of three two-pole formant resonators (Klatt, 1980), numpy only: the
+cascade's impulse response is built once per speaker, and each voiced run sums
+it at the pitch period. Utterances alternate voiced runs (phone ``ax``, a TIMIT
 sonorant, so the default voiced set takes them) with silence (phone ``h#``),
-and the exact impulse positions are kept as ground truth for
-excitation-instant tests.
+and the exact impulse positions are ground truth for excitation-instant tests.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PCM_SCALE, PhoneSegment, Utterance
+from .dsp import _fast_len
 
 PITCH_LO_HZ = 90.0
 PITCH_HI_HZ = 260.0
 MIN_PHASE = 5  # a voiced run's first impulse: at this sample or later, within one period
+RUN_S = (0.3, 0.6)  # (shortest, longest) voiced run, seconds
 
 VOICED_PHONE = "ax"
 SILENCE_PHONE = "h#"
@@ -59,45 +61,42 @@ def synth_speakers(n_speakers: int, rng: np.random.Generator) -> list[SynthSpeak
     return speakers
 
 
-def resonator(center_hz: float, bandwidth_hz: float, sample_rate: int) -> tuple[list[float], list[float]]:
-    """Stable two-pole resonator with unity DC gain (pole radius < 1), as lfilter taps (b, a).
+def formant_response(speaker: SynthSpeaker, n: int, sample_rate: int) -> np.ndarray:
+    """First ``n`` samples of the impulse response of the speaker's resonator cascade, unity gain at 0 Hz.
 
-    y[n] = gain*x[n] + b1*y[n-1] + b2*y[n-2], so b = [gain] and a = [1, -b1, -b2].
+    Resonator y[m] = g*x[m] + 2r*cos(t)*y[m-1] - r^2*y[m-2], g = 1 - 2r*cos(t) + r^2, has impulse
+    response g*r^m*sin((m+1)t)/sin(t); the three are convolved as one FFT product.
     """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive for a stable resonator")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    r = math.exp(-math.pi * bandwidth_hz / sample_rate)
-    theta = 2.0 * math.pi * center_hz / sample_rate
-    b1 = 2.0 * r * math.cos(theta)
-    b2 = -r * r
-    return [1.0 - b1 - b2], [1.0, -b1, -b2]
-
-
-def _voiced_run(speaker: SynthSpeaker, n_samples: int, sample_rate: int, amplitude: float, phase: int):
-    """One voiced stretch: impulse train through the speaker's resonators."""
-    # imported here, not at module level: scipy.signal takes about 1 s to
-    # import, and only corpus generation needs it
-    import scipy.signal
-
-    period = int(round(sample_rate / speaker.pitch_hz))
-    positions = np.arange(phase, n_samples, period)
-    source = np.zeros(n_samples)
-    source[positions] = amplitude
-    out = source
+    m = np.arange(n)
+    nfft = _fast_len(2 * n)
+    spectrum = np.ones(nfft // 2 + 1, dtype=complex)
     for f, bw in zip(speaker.formants_hz, speaker.bandwidths_hz):
-        out = scipy.signal.lfilter(*resonator(f, bw, sample_rate), out)
-    return out, positions
+        r = math.exp(-math.pi * bw / sample_rate)
+        theta = 2.0 * math.pi * f / sample_rate
+        gain = 1.0 - 2.0 * r * math.cos(theta) + r * r
+        spectrum *= np.fft.rfft(gain * r**m * np.sin((m + 1) * theta) / math.sin(theta), nfft)
+    return np.fft.irfft(spectrum, nfft)[:n]
+
+
+def _voiced_run(speaker: SynthSpeaker, n_samples: int, sample_rate: int, amplitude: float, phase: int, response):
+    """Constant-amplitude impulse train through the cascade: ``response`` cumulatively summed down period-long rows.
+
+    ``response`` spans at least ``n_samples - phase`` samples.
+    """
+    period = int(round(sample_rate / speaker.pitch_hz))
+    n = n_samples - phase
+    combed = np.pad(response[:n], (0, -n % period)).reshape(-1, period).cumsum(axis=0).ravel()[:n]
+    return amplitude * np.concatenate([np.zeros(phase), combed]), np.arange(phase, n_samples, period)
 
 
 def synth_utterance(
     speaker: SynthSpeaker,
     utterance_id: str,
     rng: np.random.Generator,
+    response: np.ndarray,
     sample_rate: int = 16000,
 ) -> Utterance:
-    """One utterance: 3-4 voiced runs separated by silence, PCM-grid quantized."""
+    """One utterance: 3-4 voiced runs between silences, PCM-grid quantized; ``response`` spans the longest run."""
     period = int(round(sample_rate / speaker.pitch_hz))
     n_runs = int(rng.integers(3, 5))
     chunks: list[np.ndarray] = []
@@ -114,10 +113,10 @@ def synth_utterance(
 
     add_silence(rng.uniform(0.08, 0.15))
     for _ in range(n_runs):
-        n = int(round(rng.uniform(0.3, 0.6) * sample_rate))
+        n = int(round(rng.uniform(*RUN_S) * sample_rate))
         amplitude = float(rng.uniform(0.5, 1.0))
         phase = int(rng.integers(MIN_PHASE, period))
-        run, positions = _voiced_run(speaker, n, sample_rate, amplitude, phase)
+        run, positions = _voiced_run(speaker, n, sample_rate, amplitude, phase, response)
         chunks.append(run)
         segments.append(PhoneSegment(cursor, cursor + n, VOICED_PHONE))
         impulses.extend(int(p) + cursor for p in positions)
@@ -155,6 +154,7 @@ def synth_corpus(
     speakers = synth_speakers(n_speakers, rng)
     utterances = []
     for speaker in speakers:
+        response = formant_response(speaker, int(round(RUN_S[1] * sample_rate)), sample_rate)
         for j in range(utterances_per_speaker):
-            utterances.append(synth_utterance(speaker, f"u{j:02d}", rng, sample_rate))
+            utterances.append(synth_utterance(speaker, f"u{j:02d}", rng, response, sample_rate))
     return utterances

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spkid.dsp import _fast_len, autocorr_pitch, dft, hanning, moving_average, resonate
-from spkid.synth import SynthSpeaker, _voiced_run
+from spkid.synth import SynthSpeaker, _voiced_run, formant_response
 
 
 def naive_dft(x):
@@ -116,7 +116,7 @@ def voiced_48k():
     """3 s of a 48 kHz voiced run, mean removed."""
     sr = 48000
     speaker = SynthSpeaker("t", 118.0, (600.0, 1400.0, 2600.0), (80.0, 90.0, 100.0))
-    x, _ = _voiced_run(speaker, 3 * sr, sr, 0.8, 30)
+    x, _ = _voiced_run(speaker, 3 * sr, sr, 0.8, 30, formant_response(speaker, 3 * sr, sr))
     return x - x.mean()
 
 

@@ -12,7 +12,7 @@ from spkid.gci import (
     map_to_peaks,
     segment_cycles,
 )
-from spkid.synth import SynthSpeaker, VOICED_PHONE, _voiced_run
+from spkid.synth import SynthSpeaker, VOICED_PHONE, _voiced_run, formant_response
 
 SR = 16000
 
@@ -26,7 +26,7 @@ def impulse_train_region(period=160, n=8000, start=20):
 
 def formant_region(pitch_hz, n=8000, formants=(500.0, 1500.0, 2500.0)):
     speaker = SynthSpeaker("t", pitch_hz, formants, (80.0, 90.0, 100.0))
-    samples, truth = _voiced_run(speaker, n, SR, 0.8, 20)
+    samples, truth = _voiced_run(speaker, n, SR, 0.8, 20, formant_response(speaker, n, SR))
     return VoicedRegion(samples, 0, SR, f"form{pitch_hz}"), truth
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,15 +10,22 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spkid.synth as synth
 from spkid.synth import (
+    BANDWIDTH_RANGE,
+    FORMANT_RANGES,
     MIN_PHASE,
     PITCH_HI_HZ,
     PITCH_LO_HZ,
+    RUN_S,
     SILENCE_PHONE,
     VOICED_PHONE,
-    resonator,
+    SynthSpeaker,
+    _voiced_run,
+    formant_response,
     synth_corpus,
     synth_speakers,
+    synth_utterance,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,25 +95,63 @@ def test_samples_on_pcm_grid_and_peak():
     assert np.allclose(scaled, np.rint(scaled))
 
 
+def lfilter_voiced_run(speaker, n_samples, sample_rate, amplitude, phase, response):
+    """``_voiced_run`` as three scipy ``lfilter`` recursions over the impulse train; ``response`` is unused."""
+    period = int(round(sample_rate / speaker.pitch_hz))
+    positions = np.arange(phase, n_samples, period)
+    out = np.zeros(n_samples)
+    out[positions] = amplitude
+    for f, bw in zip(speaker.formants_hz, speaker.bandwidths_hz):
+        r = math.exp(-math.pi * bw / sample_rate)
+        b1, b2 = 2.0 * r * math.cos(2.0 * math.pi * f / sample_rate), -r * r
+        out = scipy.signal.lfilter([1.0 - b1 - b2], [1.0, -b1, -b2], out)
+    return out, positions
+
+
+@pytest.mark.parametrize("sample_rate", [1430, 8000, 16000, 48000])
+def test_utterance_is_byte_identical_to_lfilter_cascade(monkeypatch, sample_rate):
+    # at 1430 Hz, F2 and F3 lie above the 715 Hz Nyquist frequency
+    speaker = synth_speakers(2, np.random.default_rng(sample_rate))[1]
+    response = formant_response(speaker, int(round(RUN_S[1] * sample_rate)), sample_rate)
+    got = synth_utterance(speaker, "u00", np.random.default_rng(1), response, sample_rate)
+    monkeypatch.setattr(synth, "_voiced_run", lfilter_voiced_run)
+    want = synth_utterance(speaker, "u00", np.random.default_rng(1), response, sample_rate)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert np.array_equal(got.impulses, want.impulses) and got.segments == want.segments
+
+
+def test_voiced_run_matches_lfilter_cascade_before_rounding():
+    sr = 16000
+    speaker = SynthSpeaker("t", 118.0, (600.0, 1400.0, 2600.0), (60.0, 90.0, 120.0))
+    got, positions = _voiced_run(speaker, 9000, sr, 0.8, 30, formant_response(speaker, 9600, sr))
+    want, want_positions = lfilter_voiced_run(speaker, 9000, sr, 0.8, 30, None)
+    assert np.array_equal(positions, want_positions)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@given(
+    st.tuples(*(st.floats(lo, hi) for lo, hi in FORMANT_RANGES)),
+    st.tuples(*(st.floats(*BANDWIDTH_RANGE) for _ in range(3))),
+    st.sampled_from([8000, 16000, 48000]),
+)
+@settings(max_examples=50, deadline=None)
+def test_formant_response_has_unity_dc_gain_and_decays(formants, bandwidths, sr):
+    # at 8-48 kHz no formant range holds a multiple of sr/2, where the closed form's sin(theta) is 0
+    h = formant_response(SynthSpeaker("t", 118.0, formants, bandwidths), int(round(RUN_S[1] * sr)), sr)
+    assert np.all(np.isfinite(h))
+    assert math.isclose(h.sum(), 1.0, abs_tol=1e-9)  # unity gain at 0 Hz
+    # stable: every pole radius is below 1, so the response dies out well within the longest run
+    assert np.max(np.abs(h[h.size // 2 :])) <= 1e-12 * np.max(np.abs(h))
+
+
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=400))
 @settings(max_examples=50, deadline=None)
 def test_resonate_stable_bounded(xs):
-    ba = resonator(800.0, 100.0, 16000)
-    h = scipy.signal.lfilter(*ba, np.eye(1, 4000, 0)[0])  # impulse response
+    h = formant_response(SynthSpeaker("t", 118.0, (800.0, 1500.0, 2500.0), (100.0, 90.0, 120.0)), 4000, 16000)
     gain_budget = np.abs(h).sum()
-    y = scipy.signal.lfilter(*ba, np.array(xs))
+    y = np.convolve(xs, h)[: len(xs)]
     assert np.all(np.isfinite(y))
     assert np.max(np.abs(y)) <= gain_budget * 1.0 + 1e-9
-
-
-def test_resonator_is_stable_and_validates():
-    b, a = resonator(500.0, 80.0, 16000)
-    assert np.all(np.abs(np.roots(a)) < 1.0)
-    assert np.isclose(np.sum(b) / np.sum(a), 1.0)  # unity gain at 0 Hz
-    with pytest.raises(ValueError):
-        resonator(500.0, 0.0, 16000)
-    with pytest.raises(ValueError):
-        resonator(500.0, 80.0, 0)
 
 
 def test_sample_rate_floor_is_the_top_pitch_period():
@@ -116,13 +162,44 @@ def test_sample_rate_floor_is_the_top_pitch_period():
         synth_corpus(2, 1, seed=3, sample_rate=1429)
 
 
-def test_import_loads_no_scipy_until_synth():
-    # a fresh process: this test session has scipy loaded already
-    code = (
-        "import sys, spkid, spkid.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(len(spkid.synth_corpus(2, 1, seed=3, sample_rate=8000)))\n"
-    )
+# spkid's code in a fresh process whose every scipy import fails
+NO_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    print("scipy blocked")
+
+import spkid
+from spkid.cli import main
+
+corpus, model = sys.argv[1:]
+utterances = spkid.synth_corpus(4, 8, seed=5, sample_rate=8000)
+report = spkid.run_experiment(spkid.ExperimentConfig(codebook_sizes=(8,), coeff_counts=(15,)), utterances)
+print(len(utterances), len(report.trials))
+assert main(["synth", "--corpus", corpus, "--speakers", "4", "--utterances", "8", "--seed", "5",
+             "--sample-rate", "8000"]) == 0
+assert main(["train", "--corpus", corpus, "--model-dir", model, "--kind", "fused", "--codebook-size", "8"]) == 0
+assert main(["identify", "--corpus", corpus, "--model-dir", model, "--kind", "psdct", "--report-out",
+             model + "/scores.csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_numpy_alone_runs_synth_train_and_identify(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "2"]
+    argv = [sys.executable, "-c", NO_SCIPY, str(tmp_path / "corpus"), str(tmp_path / "model")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    # 4 speakers x 8 utterances; a psdct, mfcc and fused trial per test speaker; no scipy module loaded
+    assert lines[:2] == ["scipy blocked", "32 12"] and lines[-1] == "[]"
+    assert len(list((tmp_path / "corpus").glob("*/*.wav"))) == 32
+    assert (tmp_path / "model" / "scores.csv").read_text().startswith("test_speaker,")

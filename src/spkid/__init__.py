@@ -24,7 +24,7 @@ from .corpus import (
 from .evaluate import EvalReport, ExperimentConfig, run_experiment, sweep_coefficients
 from .gci import EpochList, PitchCycle, cycles_from_region, detect_gci, map_to_peaks, segment_cycles
 from .mfcc import MfccConfig, frame_signal, mfcc_feature
-from .psdct import FeatureVector, dct2, mec, normalize_energy, psdct_feature
+from .psdct import FeatureMatrix, FeatureVector, dct2, mec, normalize_energy, psdct_feature
 from .synth import SynthSpeaker, synth_corpus, synth_speakers
 from .vq import Codebook, load_model_dir, save_model_dir, train_codebook
 
@@ -37,6 +37,7 @@ __all__ = [
     "EpochList",
     "EvalReport",
     "ExperimentConfig",
+    "FeatureMatrix",
     "FeatureVector",
     "FusedScore",
     "FusionWeights",

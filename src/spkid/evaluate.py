@@ -12,6 +12,8 @@ import csv
 import logging
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .classify import CmdScore, FusionWeights, fuse, identify
 from .corpus import (
     DEFAULT_VOICED_SET,
@@ -22,7 +24,7 @@ from .corpus import (
 )
 from .gci import PitchCycle, cycles_from_region
 from .mfcc import MfccConfig, mfcc_features_for_region
-from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureVector, mec, psdct_feature
+from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector, mec, psdct_feature
 from .vq import DEFAULT_SEED, Codebook, kmeanspp_seeds, train_codebook
 
 log = logging.getLogger(__name__)
@@ -211,24 +213,25 @@ def collect_mfcc_features(
 
 def split_features(
     splits: list[SpeakerSplit], config: ExperimentConfig, kinds: tuple[str, ...], role: str
-) -> dict[tuple[str, str], list[FeatureVector]]:
-    """(speaker, kind) -> vectors of each split's ``"training"`` or ``"test"`` utterances.
+) -> dict[tuple[str, str], FeatureMatrix]:
+    """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors.
 
-    Raises if a speaker has no vectors of a kind.
+    Each matrix is stacked and checked here, once, for every codebook and
+    score that uses it. Raises if a speaker has no vectors of a kind.
     """
-    out: dict[tuple[str, str], list[FeatureVector]] = {}
+    out: dict[tuple[str, str], FeatureMatrix] = {}
     for split in splits:
         utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
         feats = collect_features(utts, config, kinds)
         for kind in kinds:
             if not feats[kind]:
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")
-            out[split.speaker_id, kind] = feats[kind]
+            out[split.speaker_id, kind] = FeatureMatrix.stack(feats[kind])
     return out
 
 
 def train_codebooks(
-    train: dict[tuple[str, str], list[FeatureVector]],
+    train: dict[tuple[str, str], FeatureMatrix | list[FeatureVector]],
     speakers: list[str],
     kinds: tuple[str, ...],
     sizes: tuple[int, ...],
@@ -329,7 +332,7 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
     requested coefficient count are excluded once up front, so the energy
     statistics for every K are computed over the same cycle set and are
     monotone in K by construction. Each cycle is transformed once, at the
-    largest K; every smaller K keeps the first K values of those rows. The
+    largest K; every smaller K keeps the first K columns of those matrices. The
     smallest K trains first, and its rows have the fewest distinct values,
     so a codebook size too large for any K fails before any Lloyd run.
     """
@@ -347,11 +350,12 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) ->
         if not train_cycles[spk]:
             raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
     pooled_train = [c for spk in speakers for c in train_cycles[spk]]
-    train_rows = {spk: psdct_features(train_cycles[spk], max_k) for spk in speakers}
+    train_rows = {spk: FeatureMatrix.stack(psdct_features(train_cycles[spk], max_k)) for spk in speakers}
     test_feats = split_features(splits, replace(config, n_coeffs=max_k), (KIND_PSDCT,), "test")
 
-    def first(rows: list[FeatureVector], k: int) -> list[FeatureVector]:
-        return [FeatureVector(v.values[:k], KIND_PSDCT) for v in rows]
+    def first(rows: FeatureMatrix, k: int) -> FeatureMatrix:
+        # a contiguous copy: a strided slice can take another BLAS path and change the bytes
+        return FeatureMatrix(np.ascontiguousarray(rows.matrix[:, :k]), KIND_PSDCT)
 
     size = config.sweep_codebook_size
     rows = []

@@ -22,7 +22,7 @@ DEFAULT_NUM_COEFFS = 15
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """A 1-D float64 feature row and its kind; unchecked, as ``vq._as_matrix`` checks each matrix."""
+    """A 1-D float64 feature row and its kind; unchecked, as ``FeatureMatrix`` checks each matrix."""
 
     values: np.ndarray
     kind: str
@@ -30,6 +30,60 @@ class FeatureVector:
     @property
     def dim(self) -> int:
         return self.values.size
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """One speaker's features of one kind: a checked, read-only, C-contiguous (N, dim) float64 matrix.
+
+    The constructor checks the matrix once (2-D, non-empty, finite), so its
+    consumers (``train_codebook``, ``kmeanspp_seeds``, ``cmd``) check nothing
+    per call; it is read-only so that the check holds for every later use.
+    Iterating yields each row as a ``FeatureVector`` view.
+    """
+
+    matrix: np.ndarray
+    kind: str
+
+    def __post_init__(self):
+        m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
+        if m.ndim != 2:
+            raise ValueError(f"feature matrix must be 2-D, got shape {m.shape}")
+        if not m.shape[0]:
+            raise ValueError("empty vector list")
+        if not m.shape[1]:
+            raise ValueError("feature values must be a non-empty 1-D vector")
+        if not np.isfinite(m).all():
+            raise ValueError("feature values must be finite")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def stack(cls, vectors: FeatureMatrix | list[FeatureVector]) -> FeatureMatrix:
+        """The rows as one matrix; a ``FeatureMatrix`` is returned as it is."""
+        if isinstance(vectors, FeatureMatrix):
+            return vectors
+        if not vectors:
+            raise ValueError("empty vector list")
+        kind = vectors[0].kind
+        dim = vectors[0].values.size
+        rows = []
+        for v in vectors:
+            row = v.values
+            if v.kind != kind:
+                raise ValueError(f"mixed feature kinds: {kind} vs {v.kind}")
+            if row.size != dim or row.ndim != 1 or not dim:  # a bad row: find which message
+                if row.ndim != 1 or not row.size:
+                    raise ValueError("feature values must be a non-empty 1-D vector")
+                raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
+            rows.append(row)
+        return cls(np.concatenate(rows).reshape(len(rows), dim), kind)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __iter__(self):
+        return (FeatureVector(row, self.kind) for row in self.matrix)
 
 
 # length M -> the first rows of its DCT-II basis, as many as any caller has asked for

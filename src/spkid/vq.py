@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .psdct import FeatureVector
+from .psdct import FeatureMatrix, FeatureVector
 
 log = logging.getLogger(__name__)
 
@@ -159,32 +159,7 @@ def lloyd_kmeans(
     return centroids, history
 
 
-def _as_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, str]:
-    """Stack the rows into an (N, dim) matrix and return it with their kind.
-
-    Feature vectors are checked here, once per matrix, where they are consumed.
-    """
-    if not vectors:
-        raise ValueError("empty vector list")
-    kind = vectors[0].kind
-    dim = vectors[0].values.size
-    rows = []
-    for v in vectors:
-        row = v.values
-        if v.kind != kind:
-            raise ValueError(f"mixed feature kinds: {kind} vs {v.kind}")
-        if row.size != dim or row.ndim != 1 or not dim:  # a bad row: find which message
-            if row.ndim != 1 or not row.size:
-                raise ValueError("feature values must be a non-empty 1-D vector")
-            raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
-        rows.append(row)
-    data = np.concatenate(rows).reshape(len(rows), dim)
-    if not np.isfinite(data).all():
-        raise ValueError("feature values must be finite")
-    return data, kind
-
-
-def kmeanspp_seeds(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+def kmeanspp_seeds(vectors: FeatureMatrix | list[FeatureVector], k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """The k-means++ seeds of ``train_codebook(vectors, k, seed)``, as a (k, dim) matrix.
 
     k-means++ draws them one at a time from one generator, so the first j
@@ -192,12 +167,11 @@ def kmeanspp_seeds(vectors: list[FeatureVector], k: int, seed: int = DEFAULT_SEE
     It never draws a row equal to one already drawn, so with n < k distinct
     rows the draw stops after n and returns an (n, dim) matrix of them all.
     """
-    data, _ = _as_matrix(vectors)
-    return _kmeanspp_init(data, k, np.random.default_rng(seed))
+    return _kmeanspp_init(FeatureMatrix.stack(vectors).matrix, k, np.random.default_rng(seed))
 
 
 def train_codebook(
-    vectors: list[FeatureVector],
+    vectors: FeatureMatrix | list[FeatureVector],
     k: int,
     seed: int = DEFAULT_SEED,
     speaker_id: str = "",
@@ -209,12 +183,13 @@ def train_codebook(
     ``init``, the first k rows of ``kmeanspp_seeds(vectors, K, seed)`` for
     some K >= k, skips drawing the seeds again; the codebook is the same.
     """
-    data, kind = _as_matrix(vectors)
-    log.info("training %s codebook k=%d for %r on %d vectors", kind, k, speaker_id, len(vectors))
+    features = FeatureMatrix.stack(vectors)
+    data = features.matrix
+    log.info("training %s codebook k=%d for %r on %d vectors", features.kind, k, speaker_id, len(data))
     centroids, _ = lloyd_kmeans(data, k, seed=seed, init=init)
     return Codebook(
         speaker_id=speaker_id,
-        kind=kind,
+        kind=features.kind,
         k=k,
         dim=data.shape[1],
         centroids=centroids,

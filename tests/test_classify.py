@@ -14,7 +14,7 @@ from spkid.classify import (
     write_fused_csv,
     write_score_csv,
 )
-from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureVector
+from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector
 from spkid.vq import Codebook
 
 
@@ -102,6 +102,25 @@ def test_identify_rejects_mixed_kinds():
         identify([fv([0.0])], [book([[0.0]]), book([[0.0]], kind=KIND_MFCC)])
     with pytest.raises(ValueError):
         identify([fv([0.0])], [])
+
+
+def test_identify_checks_a_list_once_and_scores_it_as_its_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    books = [book(rng.normal(size=(4, 5)) + i, speaker=f"spk{i}") for i in range(6)]
+    vecs = [fv(row) for row in rng.normal(size=(25, 5)) + 2.0]
+    from_matrix = identify(FeatureMatrix.stack(vecs), books)
+
+    stacked = []
+    plain = FeatureMatrix.stack.__func__
+
+    def counting(cls, vectors):
+        if not isinstance(vectors, FeatureMatrix):
+            stacked.append(len(vectors))
+        return plain(cls, vectors)
+
+    monkeypatch.setattr(FeatureMatrix, "stack", classmethod(counting))
+    assert identify(vecs, books) == from_matrix
+    assert stacked == [25]
 
 
 def test_fusion_weights_alpha():

@@ -19,7 +19,7 @@ from spkid.evaluate import (
     train_codebooks,
     write_sweep_csv,
 )
-from spkid.psdct import KIND_PSDCT, FeatureVector
+from spkid.psdct import KIND_PSDCT, FeatureMatrix, FeatureVector
 from spkid.synth import synth_corpus
 from spkid.vq import save_codebook, train_codebook
 
@@ -293,6 +293,29 @@ def test_each_utterance_read_once(corpus8k, monkeypatch):
         for u in s.train_utterances + s.test_utterances
     ]
     assert sorted(calls) == sorted(split_utts)
+
+
+def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus8k, monkeypatch):
+    # every codebook and score of a (speaker, kind, split) reuses its one checked matrix
+    stacked = []
+    plain = FeatureMatrix.stack.__func__
+
+    def counting(cls, vectors):
+        if not isinstance(vectors, FeatureMatrix):
+            stacked.append(vectors[0].kind)
+        return plain(cls, vectors)
+
+    monkeypatch.setattr(FeatureMatrix, "stack", classmethod(counting))
+    n_speakers = len({u.speaker_id for u in corpus8k})
+    run_experiment(ExperimentConfig(codebook_sizes=(4, 8), n_train=3, n_test=2), utterances=corpus8k)
+    # two kinds, two splits
+    assert sorted(stacked) == ["mfcc"] * 2 * n_speakers + ["psdct"] * 2 * n_speakers
+
+    stacked.clear()
+    sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15, 20), sweep_codebook_size=8, n_train=3, n_test=2),
+                       utterances=corpus8k)
+    # one training and one test matrix per speaker, whatever the number of K
+    assert stacked == ["psdct"] * 2 * n_speakers
 
 
 def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):

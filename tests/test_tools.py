@@ -21,14 +21,21 @@ def record(seed, speed, attempted, failed=0, check_error=None):
     return {"workload": "report", "seed": seed, "seconds": 5.0, "trace": 0, "rounds": rounds, "metrics": metrics}
 
 
+def init_checkout(path):
+    """A one-commit checkout with the benchmark's BLAS pin and the repo's ignore rules; returns its git argv."""
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (path / "perfbench").mkdir()
+    (path / "perfbench" / "run.py").write_text('BLAS_THREADS = "1"\n')
+    (path / ".gitignore").write_text((ROOT / ".gitignore").read_text())
+    subprocess.run([*git, "add", "perfbench/run.py", ".gitignore"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "c"], check=True)
+    return git
+
+
 def test_bench_json_summarises_a_batch(tmp_path):
     bench = load_tool("bench_json")
-    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text('BLAS_THREADS = "1"\n')
-    subprocess.run([*git, "add", "perfbench/run.py"], check=True)
-    subprocess.run([*git, "commit", "-q", "-m", "c"], check=True)
+    git = init_checkout(tmp_path)
     out = tmp_path / "perfbench" / "_out"
     out.mkdir()
     for seed, speed in ((1, 50.0), (2, 40.0), (3, 60.0), (4, 30.0), (5, 70.0)):
@@ -50,3 +57,25 @@ def test_bench_json_summarises_a_batch(tmp_path):
 
     with pytest.raises(SystemExit, match=r"records for seeds \[1, 2\] only"):
         bench.summarise(tmp_path, [1, 2, 6])
+
+
+def test_bench_json_flags_new_and_edited_program_files_but_not_ignored_ones(tmp_path):
+    bench = load_tool("bench_json")
+    init_checkout(tmp_path)
+    out = tmp_path / "perfbench" / "_out"
+    out.mkdir()
+    (out / "report-seed1-trace0.json").write_text(json.dumps(record(1, 50.0, 600)))
+    # run outputs, cached corpora and bytecode are ignored
+    (tmp_path / "perfbench" / "_cache").mkdir()
+    (tmp_path / "perfbench" / "_cache" / "corpus.wav").write_bytes(b"x")
+    (tmp_path / "perfbench" / "__pycache__").mkdir()
+    (tmp_path / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"x")
+    assert bench.summarise(tmp_path, [1])["dirty"] is False
+    # a new, uncommitted module under src/ is code the batch ran but the commit lacks
+    (tmp_path / "src" / "spkid").mkdir(parents=True)
+    (tmp_path / "src" / "spkid" / "new.py").write_text("X = 1\n")
+    assert bench.summarise(tmp_path, [1])["dirty"] is True
+    (tmp_path / "src" / "spkid" / "new.py").unlink()
+    assert bench.summarise(tmp_path, [1])["dirty"] is False
+    (tmp_path / "perfbench" / "run.py").write_text('BLAS_THREADS = "2"\n')
+    assert bench.summarise(tmp_path, [1])["dirty"] is True

@@ -5,7 +5,7 @@ import pytest
 
 import spkid.vq as vq
 from spkid.classify import cmd
-from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureVector
+from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector
 from spkid.vq import (
     Codebook,
     kmeanspp_seeds,
@@ -117,9 +117,14 @@ def test_mixed_inputs_raise():
 
 
 def test_consumers_reject_bad_feature_rows():
-    # FeatureVector checks nothing; each consumer checks the stacked matrix once
+    # FeatureVector checks nothing; each consumer stacks a list into a FeatureMatrix, which checks it once
     cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
-    consumers = (lambda v: train_codebook(v, 1), lambda v: kmeanspp_seeds(v, 1), lambda v: cmd(v, cb))
+    consumers = (
+        FeatureMatrix.stack,
+        lambda v: train_codebook(v, 1),
+        lambda v: kmeanspp_seeds(v, 1),
+        lambda v: cmd(v, cb),
+    )
     bad_rows = [
         (np.array([1.0, np.nan]), "feature values must be finite"),
         (np.array([1.0, np.inf]), "feature values must be finite"),
@@ -131,6 +136,75 @@ def test_consumers_reject_bad_feature_rows():
             for consume in consumers:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     consume(vecs)
+
+
+def test_feature_checks_fire_from_a_list_and_from_a_matrix():
+    cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
+    consumers = (
+        FeatureMatrix.stack,
+        lambda v: train_codebook(v, 1),
+        lambda v: kmeanspp_seeds(v, 1),
+        lambda v: cmd(v, cb),
+    )
+    bad_lists = [
+        ([], "empty vector list"),
+        ([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)], "mixed feature kinds: psdct vs mfcc"),
+        ([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])], "dimension mismatch: 2 vs 3"),
+    ]  # bad values within a row: test_consumers_reject_bad_feature_rows
+    for vecs, message in bad_lists:
+        for consume in consumers:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                consume(vecs)
+    # a matrix holds one kind and one width, so only its shape and values can be wrong
+    bad_matrices = [
+        (np.zeros((0, 2)), "empty vector list"),
+        (np.zeros((3, 0)), "feature values must be a non-empty 1-D vector"),
+        (np.zeros(4), "feature matrix must be 2-D, got shape (4,)"),
+        (np.zeros((2, 2, 2)), "feature matrix must be 2-D, got shape (2, 2, 2)"),
+        (np.array([[1.0, 2.0], [np.inf, 0.0]]), "feature values must be finite"),
+    ]
+    for matrix, message in bad_matrices:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FeatureMatrix(matrix, KIND_PSDCT)
+    # and cmd still checks the matrix against the codebook
+    with pytest.raises(ValueError, match="^feature kind mfcc does not match codebook kind psdct$"):
+        cmd(FeatureMatrix(np.zeros((2, 2)), KIND_MFCC), cb)
+    with pytest.raises(ValueError, match="^dimension 3 does not match codebook dim 2$"):
+        cmd(FeatureMatrix(np.zeros((2, 3)), KIND_PSDCT), cb)
+
+
+def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(40, 6))
+    vecs = vectors_from(data)
+    m = FeatureMatrix.stack(vecs)
+    assert FeatureMatrix.stack(m) is m
+    assert m.kind == KIND_PSDCT and len(m) == 40
+    assert m.matrix.dtype == np.float64 and m.matrix.flags.c_contiguous
+    assert np.array_equal(m.matrix, data)
+    # read-only through the record; an array handed to the constructor stays writeable for its owner
+    assert not m.matrix.flags.writeable
+    owned = FeatureMatrix(data, KIND_PSDCT)
+    assert np.shares_memory(owned.matrix, data) and data.flags.writeable
+    rows = list(m)
+    assert len(rows) == 40
+    for i, row in enumerate(rows):
+        assert isinstance(row, FeatureVector) and row.kind == KIND_PSDCT
+        assert np.shares_memory(row.values, m.matrix)
+        assert np.array_equal(row.values, m.matrix[i])
+
+
+def test_consumers_give_identical_results_from_a_list_and_its_matrix():
+    rng = np.random.default_rng(6)
+    vecs = vectors_from(rng.normal(size=(120, 15)))
+    m = FeatureMatrix.stack(vecs)
+    assert kmeanspp_seeds(vecs, 16, seed=3).tobytes() == kmeanspp_seeds(m, 16, seed=3).tobytes()
+    from_list = train_codebook(vecs, 8, seed=3, speaker_id="s")
+    from_matrix = train_codebook(m, 8, seed=3, speaker_id="s")
+    assert from_list.centroids.tobytes() == from_matrix.centroids.tobytes()
+    assert (from_matrix.kind, from_matrix.dim, from_matrix.train_vector_count) == (KIND_PSDCT, 15, 120)
+    test = vectors_from(rng.normal(size=(30, 15)))
+    assert cmd(test, from_list) == cmd(FeatureMatrix.stack(test), from_list)
 
 
 def test_codebook_file_round_trip(tmp_path):

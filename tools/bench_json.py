@@ -8,7 +8,7 @@ record each timed run leaves, for every given seed and every workload that
 has one; reads nothing else under ``perfbench/`` but its ``BLAS_THREADS``
 pin, and writes nothing there. Writes ``<checkout>/BENCH_<tag>.json`` (or
 ``--out``) with the checkout's commit (and whether ``src/`` or ``perfbench/``
-differ from it), the seeds, a machine record and, per
+differ from it, new files included), the seeds, a machine record and, per
 workload, the median and quartiles of each end-to-end metric over the seeds,
 its per-seed values, and the operations attempted and failed. Run it with
 the interpreter that ran the batch: the Python and numpy versions recorded
@@ -86,8 +86,9 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
         raise SystemExit(f"no timed records (*-seed<n>-trace0.json) for seeds {seeds} under {out}")
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
-        # the batch measured the commit only if the code it runs matches it
-        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench")),
+        # the batch measured the commit only if the code it runs matches it: an edited,
+        # deleted or new file counts; what .gitignore names (caches, run outputs) does not
+        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=normal", "--", "src", "perfbench")),
         "seeds": seeds,
         "machine": {
             "nproc": os.cpu_count(),

@@ -12,8 +12,10 @@ from .corpus import (
     PhoneSegment,
     SpeakerSplit,
     Utterance,
+    UtteranceFile,
     VoicedRegion,
     extract_voiced_regions,
+    list_corpus,
     load_corpus,
     load_wav,
     parse_phn,
@@ -47,6 +49,7 @@ __all__ = [
     "SpeakerSplit",
     "SynthSpeaker",
     "Utterance",
+    "UtteranceFile",
     "VoicedRegion",
     "cmd",
     "cycles_from_region",
@@ -56,6 +59,7 @@ __all__ = [
     "frame_signal",
     "fuse",
     "identify",
+    "list_corpus",
     "load_corpus",
     "load_model_dir",
     "load_wav",

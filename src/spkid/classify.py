@@ -63,7 +63,7 @@ def cmd(test_vectors: FeatureMatrix | list[FeatureVector], codebook: Codebook) -
         raise ValueError(f"feature kind {kind} does not match codebook kind {codebook.kind}")
     if data.shape[1] != codebook.dim:
         raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.dim}")
-    min_d = np.sqrt(np.min(_sq_dists(data, codebook.centroids), axis=1))
+    min_d = np.sqrt(np.min(_sq_dists(data, codebook.centroids, norms=test.sq_norms), axis=1))
     return CmdScore(codebook.speaker_id, kind, float(np.sum(min_d)), data.shape[0])
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
-from .corpus import extract_voiced_regions, load_corpus, load_voiced_set, save_corpus, split_speakers
+from .corpus import extract_voiced_regions, list_corpus, load_corpus, load_voiced_set, save_corpus, split_speakers
 from .gci import detect_gci, dump_epochs_csv, map_to_peaks, segment_cycles
 from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
@@ -71,7 +71,7 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs)
-    utts = load_corpus(args.corpus)
+    files = list_corpus(args.corpus)
     voiced = config.effective_voiced_set()
     psdct = args.kind == KIND_PSDCT
     if psdct:
@@ -83,7 +83,8 @@ def cmd_extract(args) -> int:
         if dump is not None:
             dump.write("region_id,epoch,mapped_peak\n")
         fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
-        for utt in utts:
+        for entry in files:  # read one utterance at a time
+            utt = entry.read()
             feats = []
             for region in extract_voiced_regions(utt, voiced):
                 # one epoch detection per region serves both the dump and the cycles
@@ -107,7 +108,8 @@ def _kinds(args) -> tuple[str, ...]:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,), seed=args.seed)
-    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
+    # split_features reads the training files alone, one speaker at a time
+    splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
     kinds = _kinds(args)
     feats = ev.split_features(splits, config, kinds, "training")
     speakers = [s.speaker_id for s in splits]
@@ -131,7 +133,8 @@ def cmd_identify(args) -> int:
     # the PS-DCT width is the one the model was trained with
     n_coeffs = books[KIND_PSDCT][0].dim if KIND_PSDCT in books else DEFAULT_NUM_COEFFS
     config = _config_from_args(args, n_coeffs=n_coeffs)
-    splits = split_speakers(load_corpus(args.corpus), config.n_train, config.n_test)
+    # split_features reads the test files alone, one speaker at a time
+    splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
     test_feats = ev.split_features(splits, config, kinds, "test")
 
     rankings, predicted = {}, {}

@@ -6,10 +6,15 @@ lines), and optionally ``<utt>.gci`` (ground-truth excitation instants written
 by the synthetic generator, one sample index per line). A TIMIT tree
 (``TRAIN``/``TEST``/``DR*``/``<speaker>``) loads as the 30-speaker protocol's
 seeded draw.
+
+Finding a corpus's files (``list_corpus``) is apart from reading them
+(``UtteranceFile.read``; ``load_corpus`` reads every listed file), so a
+listing can be split by id before any audio is read.
 """
 
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +118,32 @@ class Utterance:
         if prev_end > self.samples.size:
             raise ValueError(f"{where}: segment ends at sample {prev_end}, past the {self.samples.size} samples")
 
+    def read(self) -> Utterance:
+        """The utterance itself: it is in memory already, as an ``UtteranceFile`` is not."""
+        return self
+
+
+@dataclass(frozen=True)
+class UtteranceFile:
+    """One utterance of a corpus on disk, listed but not read: its ids and its wav path.
+
+    ``list_corpus`` finds them; ``split_speakers`` splits them by id as it
+    splits utterances, so a caller reads only the files of the split it uses.
+    """
+
+    speaker_id: str
+    utterance_id: str
+    path: Path
+
+    def read(self) -> Utterance:
+        """The wav plus its ``.phn`` (or ``.PHN``) labels and optional ``.gci`` epochs."""
+        samples, rate = _read_pcm(self.path)
+        phn_paths = (self.path.with_suffix(".phn"), self.path.with_suffix(".PHN"))
+        segments = next((parse_phn(p) for p in phn_paths if p.exists()), None)
+        gci_path = self.path.with_suffix(".gci")
+        impulses = _parse_gci(gci_path) if gci_path.exists() else None
+        return Utterance(samples, rate, self.speaker_id, self.utterance_id, segments, impulses)
+
 
 @dataclass(frozen=True, eq=False)
 class VoicedRegion:
@@ -129,9 +160,11 @@ class VoicedRegion:
 
 @dataclass
 class SpeakerSplit:
+    """One speaker's train and test utterances: ``Utterance``s, or ``UtteranceFile``s not yet read."""
+
     speaker_id: str
-    train_utterances: list[Utterance]
-    test_utterances: list[Utterance]
+    train_utterances: list[Utterance] | list[UtteranceFile]
+    test_utterances: list[Utterance] | list[UtteranceFile]
 
     def __post_init__(self):
         train_ids = {u.utterance_id for u in self.train_utterances}
@@ -223,15 +256,23 @@ def parse_phn(path) -> list[PhoneSegment]:
 
 
 def _parse_gci(path: Path) -> np.ndarray:
-    """Read an epoch file: one sample index per line."""
-    epochs: list[int] = []
+    """Read an epoch file: one sample index per line; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                epochs.append(int(line))
-            except ValueError:  # blank lines are skipped
-                if line.strip():
-                    raise CorpusError(f"{path}:{lineno}: expected one sample index, got {line!r}") from None
+        text = fh.read()
+    tokens = text.split()
+    # one conversion when every line holds one index, as save_corpus writes them
+    if "\n".join(tokens) == text.rstrip("\n"):
+        try:
+            return np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):  # the line-by-line pass below names the line
+            pass
+    epochs: list[int] = []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        try:
+            epochs.append(int(line))
+        except ValueError:  # blank lines are skipped
+            if line.strip():
+                raise CorpusError(f"{path}:{lineno}: expected one sample index, got {line!r}") from None
     return np.array(epochs, dtype=np.int64)
 
 
@@ -269,9 +310,12 @@ def extract_voiced_regions(utt: Utterance, voiced_set: frozenset[str]) -> list[V
     ]
 
 
-def split_speakers(utterances: list[Utterance], n_train: int = 6, n_test: int = 2) -> list[SpeakerSplit]:
-    """Group utterances by speaker into disjoint train/test sets.
+def split_speakers(
+    utterances: list[Utterance] | list[UtteranceFile], n_train: int = 6, n_test: int = 2
+) -> list[SpeakerSplit]:
+    """Group utterances (read, or listed files) by speaker into disjoint train/test sets.
 
+    The split looks at ids only, so a listing splits as its utterances would.
     Utterance ids starting with ``TEST_UTTERANCE_PREFIX`` (case-insensitive)
     are placed in the test set first; remaining test slots are filled from
     the end of the id-sorted list. Deterministic.
@@ -279,7 +323,7 @@ def split_speakers(utterances: list[Utterance], n_train: int = 6, n_test: int = 
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    by_speaker: dict[str, list[Utterance]] = {}
+    by_speaker: dict[str, list] = {}
     for utt in utterances:
         by_speaker.setdefault(utt.speaker_id, []).append(utt)
 
@@ -317,22 +361,11 @@ def save_corpus(utterances: list[Utterance], root) -> None:
                     fh.write(f"{int(pos)}\n")
 
 
-def _read_utterance(wav_path: Path, speaker_id: str, utterance_id: str) -> Utterance:
-    """One wav plus its ``.phn`` (or ``.PHN``) labels and optional ``.gci`` epochs."""
-    samples, rate = _read_pcm(wav_path)
-    phn_paths = (wav_path.with_suffix(".phn"), wav_path.with_suffix(".PHN"))
-    segments = next((parse_phn(p) for p in phn_paths if p.exists()), None)
-    gci_path = wav_path.with_suffix(".gci")
-    impulses = _parse_gci(gci_path) if gci_path.exists() else None
-    return Utterance(samples, rate, speaker_id, utterance_id, segments, impulses)
-
-
-def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
-    """Load a seeded draw of TIMIT_MALE male and TIMIT_FEMALE female speakers from a TIMIT tree.
+def list_timit_utterances(root, seed: int = 42) -> list[UtteranceFile]:
+    """The files of a seeded draw of TIMIT_MALE male and TIMIT_FEMALE female speakers from a TIMIT tree.
 
     Expects ``root/{TRAIN,TEST}/DR*/<speaker>/<utt>.{wav,phn}`` with speaker
-    directories named M* or F*. The .wav files must already be RIFF/WAVE
-    (SPHERE originals are rejected by load_wav with a conversion hint).
+    directories named M* or F*; utterance ids are the lower-cased file stems.
     """
     root = Path(root)
     speaker_dirs = sorted(
@@ -350,17 +383,26 @@ def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
     chosen = [males[i] for i in rng.choice(len(males), size=TIMIT_MALE, replace=False)]
     chosen += [females[i] for i in rng.choice(len(females), size=TIMIT_FEMALE, replace=False)]
     return [
-        _read_utterance(wav_path, speaker_id=spk_dir.name, utterance_id=wav_path.stem.lower())
+        UtteranceFile(spk_dir.name, wav_path.stem.lower(), wav_path)
         for spk_dir in chosen
         for wav_path in sorted(list(spk_dir.glob("*.wav")) + list(spk_dir.glob("*.WAV")))
     ]
 
 
-def load_corpus(root) -> list[Utterance]:
-    """Load every wav under root/<speaker>/, attaching labels and metadata.
+def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
+    """Read every file of ``list_timit_utterances(root, seed)``.
+
+    The .wav files must already be RIFF/WAVE (SPHERE originals are rejected
+    with a conversion hint).
+    """
+    return [f.read() for f in list_timit_utterances(root, seed)]
+
+
+def list_corpus(root) -> list[UtteranceFile]:
+    """The utterance files under root/<speaker>/<utt>.wav, in path order; nothing is read.
 
     A root whose TRAIN or TEST directory (any case) holds DR* directories is
-    a TIMIT tree: it loads as ``load_timit_utterances(root)``, the seed-42
+    a TIMIT tree: it lists as ``list_timit_utterances(root)``, the seed-42
     draw. A speaker directory named ``train`` or ``test`` holds only files.
     """
     root = Path(root)
@@ -371,8 +413,13 @@ def load_corpus(root) -> list[Utterance]:
         and any(p.name.upper().startswith("DR") and p.is_dir() for p in part.iterdir())
         for part in root.iterdir()
     ):
-        return load_timit_utterances(root)
-    utterances = [_read_utterance(p, p.parent.name, p.stem) for p in sorted(root.glob("*/*.wav"))]
-    if not utterances:
+        return list_timit_utterances(root)
+    files = [UtteranceFile(p.parent.name, p.stem, p) for p in sorted(root.glob("*/*.wav"))]
+    if not files:
         raise CorpusError(f"no wav files found under {root}")
-    return utterances
+    return files
+
+
+def load_corpus(root) -> list[Utterance]:
+    """Read every file of ``list_corpus(root)``, attaching labels and metadata."""
+    return [f.read() for f in list_corpus(root)]

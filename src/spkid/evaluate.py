@@ -217,12 +217,15 @@ def split_features(
     """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors.
 
     Each matrix is stacked and checked here, once, for every codebook and
-    score that uses it. Raises if a speaker has no vectors of a kind.
+    score that uses it. Raises if a speaker has no vectors of a kind. The
+    splits may list files (``UtteranceFile``): those of one role are read a
+    speaker at a time, and a speaker's audio is released before the next
+    speaker's files are opened.
     """
     out: dict[tuple[str, str], FeatureMatrix] = {}
     for split in splits:
         utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
-        feats = collect_features(utts, config, kinds)
+        feats = collect_features([u.read() for u in utts], config, kinds)
         for kind in kinds:
             if not feats[kind]:
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")

@@ -9,6 +9,7 @@ waveform peaks, matching the transform's basis endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class FeatureMatrix:
 
     The constructor checks the matrix once (2-D, non-empty, finite), so its
     consumers (``train_codebook``, ``kmeanspp_seeds``, ``cmd``) check nothing
-    per call; it is read-only so that the check holds for every later use.
+    per call; it is read-only so that the check, and the row norms
+    ``sq_norms`` that ``cmd`` takes from it, hold for every later use.
     Iterating yields each row as a ``FeatureVector`` view.
     """
 
@@ -78,6 +80,13 @@ class FeatureMatrix:
                 raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
             rows.append(row)
         return cls(np.concatenate(rows).reshape(len(rows), dim), kind)
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """``np.sum(matrix**2, axis=1)``, read-only: taken once for every ``cmd`` against this matrix."""
+        norms = np.sum(self.matrix**2, axis=1)
+        norms.flags.writeable = False
+        return norms
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

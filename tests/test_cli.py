@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import spkid.evaluate as ev
 from conftest import write_timit_tree
 from spkid.cli import main
-from spkid.corpus import extract_voiced_regions, load_corpus, load_timit_utterances
+from spkid.corpus import UtteranceFile, extract_voiced_regions, load_corpus, load_timit_utterances
 from spkid.evaluate import ExperimentConfig, run_experiment, sweep_coefficients, sweep_to_markdown
 from spkid.gci import detect_gci, map_to_peaks
 from spkid.synth import VOICED_PHONE, synth_corpus
@@ -42,6 +43,27 @@ def no_extraction(monkeypatch):
         raise AssertionError("features were extracted before the arguments were checked")
 
     monkeypatch.setattr(ev, "extract_voiced_regions", tripwire)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Each file read, in order: (speaker, utterance, speakers of the Utterances still alive just before it).
+
+    A weak set holds every Utterance the reader returned, so it counts only
+    those that something still refers to.
+    """
+    live = weakref.WeakSet()
+    seen = []
+    read = UtteranceFile.read
+
+    def counting(self):
+        seen.append((self.speaker_id, self.utterance_id, sorted(u.speaker_id for u in live)))
+        utt = read(self)
+        live.add(utt)
+        return utt
+
+    monkeypatch.setattr(UtteranceFile, "read", counting)
+    return seen
 
 
 def assert_input_error(capsys, argv, message):
@@ -413,3 +435,47 @@ def test_extract_epoch_dump_detects_epochs_once_per_region(corpus_dir, tmp_path,
     regions = [r.region_id for utt in load_corpus(corpus_dir) for r in extract_voiced_regions(utt, voiced)]
     assert len(regions) > 100
     assert calls == regions
+
+
+TRAIN_IDS = [f"u{i:02d}" for i in range(6)]
+TEST_IDS = ["u06", "u07"]
+SPEAKERS = ["spk00", "spk01", "spk02", "spk03"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--kind", "fused", "--codebook-size", "8"],
+    ["identify", "--kind", "psdct"],
+    ["identify", "--kind", "fused", "--acc-dct", "0.9", "--acc-mfcc", "0.8"],
+])
+def test_train_and_identify_read_their_split_one_speaker_at_a_time(argv, corpus_dir, fused_model, tmp_path, reads):
+    model = tmp_path / "model" if argv[0] == "train" else fused_model
+    assert main([argv[0], "--corpus", str(corpus_dir), "--model-dir", str(model), *argv[1:]]) == 0
+    ids = TRAIN_IDS if argv[0] == "train" else TEST_IDS
+    assert [(spk, utt) for spk, utt, _ in reads] == [(spk, utt) for spk in SPEAKERS for utt in ids]
+    # before each read, only Utterances of the speaker being read are alive
+    for spk, utt, alive in reads:
+        assert set(alive) <= {spk}, (spk, utt, alive)
+
+
+def test_extract_reads_one_utterance_at_a_time(corpus_dir, tmp_path, reads):
+    assert main(["extract", "--corpus", str(corpus_dir), "--report-out", str(tmp_path / "feats.csv")]) == 0
+    assert [(spk, utt) for spk, utt, _ in reads] == [(spk, utt) for spk in SPEAKERS for utt in TRAIN_IDS + TEST_IDS]
+    # the utterance just written out, at most, is alive while the next is read
+    assert max(len(alive) for _, _, alive in reads) <= 1
+
+
+@pytest.mark.parametrize("bad, fails, passes", [("u03", "train", "identify"), ("u07", "identify", "train")])
+def test_a_bad_file_fails_only_the_command_whose_split_holds_it(bad, fails, passes, corpus_dir, fused_model, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    gci = corpus / "spk01" / f"{bad}.gci"
+    lines = gci.read_text().count("\n")
+    gci.write_text(gci.read_text() + "12x\n")
+
+    def argv(command):
+        model = tmp_path / "model" if command == "train" else fused_model
+        return [command, "--corpus", str(corpus), "--model-dir", str(model), "--kind", "psdct"]
+
+    assert main(argv(passes)) == 0
+    capsys.readouterr()
+    assert_input_error(capsys, argv(fails), f"{gci}:{lines + 1}: expected one sample index, got '12x\\n'")

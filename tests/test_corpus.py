@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import wave
 
 import numpy as np
@@ -17,7 +18,11 @@ from spkid.corpus import (
     PhoneSegment,
     UnsupportedWavError,
     Utterance,
+    UtteranceFile,
+    _parse_gci,
     extract_voiced_regions,
+    list_corpus,
+    list_timit_utterances,
     load_corpus,
     load_timit_utterances,
     load_voiced_set,
@@ -365,3 +370,102 @@ def test_timit_sa_sentences_go_to_test(timit_tree):
     for split in splits:
         assert [u.utterance_id for u in split.test_utterances] == ["sa1", "sa2"]
         assert [u.utterance_id for u in split.train_utterances] == ["si1", "si2", "sx1", "sx2", "sx3", "sx4"]
+
+
+def _same_utterance(a, b):
+    assert (a.speaker_id, a.utterance_id, a.sample_rate) == (b.speaker_id, b.utterance_id, b.sample_rate)
+    assert np.array_equal(a.samples, b.samples)
+    assert a.segments == b.segments
+    assert (a.impulses is None) == (b.impulses is None)
+    if a.impulses is not None:
+        assert a.impulses.dtype == b.impulses.dtype and np.array_equal(a.impulses, b.impulses)
+
+
+def test_load_corpus_reads_every_listed_file(tmp_path, timit_tree):
+    save_corpus(synth_corpus(3, 2, seed=3), tmp_path)
+    for root in (tmp_path, timit_tree[0]):
+        files = list_corpus(root)
+        assert all(isinstance(f, UtteranceFile) for f in files)
+        loaded = load_corpus(root)
+        assert len(loaded) == len(files) > 0
+        for utt, f in zip(loaded, files):
+            _same_utterance(utt, f.read())
+
+
+def test_plain_listing_is_the_sorted_wav_paths(tmp_path):
+    save_corpus(synth_corpus(2, 3, seed=3), tmp_path)
+    assert list_corpus(tmp_path) == [
+        UtteranceFile(p.parent.name, p.stem, p) for p in sorted(tmp_path.glob("*/*.wav"))
+    ]
+
+
+def test_timit_listing_is_the_draw_load_timit_utterances_reads(timit_tree):
+    root, _ = timit_tree
+    files = list_timit_utterances(root, seed=3)
+    assert list_corpus(root) == list_timit_utterances(root)  # the seed-42 draw
+    loaded = load_timit_utterances(root, seed=3)
+    assert len(loaded) == len(files) == (TIMIT_MALE + TIMIT_FEMALE) * len(TIMIT_IDS)
+    for utt, f in zip(loaded, files):
+        _same_utterance(utt, f.read())
+
+
+def test_listing_splits_as_its_utterances_do(timit_tree, tmp_path):
+    save_corpus(synth_corpus(3, 9, seed=3), tmp_path)
+    for root in (tmp_path, timit_tree[0]):
+        by_file = split_speakers(list_corpus(root), 5, 3)
+        by_utt = split_speakers(load_corpus(root), 5, 3)
+        assert len(by_file) == len(by_utt)
+        for f, u in zip(by_file, by_utt):
+            assert f.speaker_id == u.speaker_id
+            for role in ("train_utterances", "test_utterances"):
+                assert [x.utterance_id for x in getattr(f, role)] == [x.utterance_id for x in getattr(u, role)]
+                assert all(isinstance(x, UtteranceFile) for x in getattr(f, role))
+
+
+def test_listing_checks_the_root_as_load_corpus_did(tmp_path):
+    for root, message in ((tmp_path / "nope", "is not a directory"), (tmp_path, "no wav files found under")):
+        with pytest.raises(CorpusError, match=message):
+            list_corpus(root)
+
+
+def _parse_gci_line_by_line(path):
+    """The epoch-file parser as it was before the one-conversion fast path."""
+    epochs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                epochs.append(int(line))
+            except ValueError:
+                if line.strip():
+                    raise CorpusError(f"{path}:{lineno}: expected one sample index, got {line!r}") from None
+    return np.array(epochs, dtype=np.int64)
+
+
+def test_gci_parse_matches_the_line_by_line_parser(tmp_path):
+    save_corpus(synth_corpus(3, 2, seed=9), tmp_path)
+    paths = sorted(tmp_path.glob("*/*.gci"))
+    assert len(paths) == 6
+    # save_corpus output takes the fast path; the other texts leave it (blank lines, CRLF, spaces,
+    # no final newline, a sign, an underscore) and must still parse as before
+    odd = ["1\n\n2\n", "1\r\n2\r\n", " 3 \n4", "", "\n\n", "5\n\n\n", "\n7\n", "+8\n-9\n", "1_0\n"]
+    for i, text in enumerate(odd):
+        path = tmp_path / f"odd{i}.gci"
+        path.write_bytes(text.encode())
+        paths.append(path)
+    for path in paths:
+        fast, ref = _parse_gci(path), _parse_gci_line_by_line(path)
+        assert fast.dtype == ref.dtype == np.int64
+        assert np.array_equal(fast, ref), path.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["1\n12x\n3\n", "1\n12 13\n", "1\n\n2\n3x", "1.5\n", "4\n5\t6\n"])
+def test_gci_bad_line_message_is_unchanged(tmp_path, text):
+    path = tmp_path / "u.gci"
+    path.write_bytes(text.encode())
+    with pytest.raises(CorpusError) as fast:
+        _parse_gci(path)
+    with pytest.raises(CorpusError) as ref:
+        _parse_gci_line_by_line(path)
+    assert str(fast.value) == str(ref.value)
+    bad = next(i for i, line in enumerate(io.StringIO(text), start=1) if line.strip() and not line.strip().isdigit())
+    assert str(fast.value).startswith(f"{path}:{bad}: expected one sample index, got ")

@@ -316,11 +316,12 @@ def test_corpus_dir_round_trip(tmp_path):
 
 
 def test_load_corpus_missing(tmp_path):
-    with pytest.raises(CorpusError):
-        load_corpus(tmp_path / "nope")
     (tmp_path / "empty").mkdir()
-    with pytest.raises(CorpusError):
-        load_corpus(tmp_path / "empty")
+    for finder in (load_corpus, list_corpus):
+        with pytest.raises(CorpusError, match="is not a directory"):
+            finder(tmp_path / "nope")
+        with pytest.raises(CorpusError, match="no wav files found under"):
+            finder(tmp_path / "empty")
 
 
 @pytest.mark.parametrize("name", ["test", "TRAIN"])
@@ -420,12 +421,6 @@ def test_listing_splits_as_its_utterances_do(timit_tree, tmp_path):
             for role in ("train_utterances", "test_utterances"):
                 assert [x.utterance_id for x in getattr(f, role)] == [x.utterance_id for x in getattr(u, role)]
                 assert all(isinstance(x, UtteranceFile) for x in getattr(f, role))
-
-
-def test_listing_checks_the_root_as_load_corpus_did(tmp_path):
-    for root, message in ((tmp_path / "nope", "is not a directory"), (tmp_path, "no wav files found under")):
-        with pytest.raises(CorpusError, match=message):
-            list_corpus(root)
 
 
 def _parse_gci_line_by_line(path):

@@ -17,7 +17,6 @@ from .corpus import (
     extract_voiced_regions,
     list_corpus,
     load_corpus,
-    load_wav,
     parse_phn,
     save_corpus,
     split_speakers,
@@ -62,7 +61,6 @@ __all__ = [
     "list_corpus",
     "load_corpus",
     "load_model_dir",
-    "load_wav",
     "map_to_peaks",
     "mec",
     "mfcc_feature",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psdct import FeatureMatrix, FeatureVector
+from .psdct import FeatureMatrix
 from .vq import Codebook, _sq_dists
 
 
@@ -55,9 +55,8 @@ class FusedScore:
     d_com: float
 
 
-def cmd(test_vectors: FeatureMatrix | list[FeatureVector], codebook: Codebook) -> CmdScore:
+def cmd(test: FeatureMatrix, codebook: Codebook) -> CmdScore:
     """Sum over test vectors of the min Euclidean distance to any centroid."""
-    test = FeatureMatrix.stack(test_vectors)
     data, kind = test.matrix, test.kind
     if kind != codebook.kind:
         raise ValueError(f"feature kind {kind} does not match codebook kind {codebook.kind}")
@@ -67,12 +66,9 @@ def cmd(test_vectors: FeatureMatrix | list[FeatureVector], codebook: Codebook) -
     return CmdScore(codebook.speaker_id, kind, float(np.sum(min_d)), data.shape[0])
 
 
-def identify(
-    test_vectors: FeatureMatrix | list[FeatureVector], codebooks: list[Codebook]
-) -> tuple[list[CmdScore], str]:
+def identify(test: FeatureMatrix, codebooks: list[Codebook]) -> tuple[list[CmdScore], str]:
     """Score against every enrolled codebook; least distance wins.
 
-    The test vectors are stacked and checked once, not once per codebook.
     Returns the scores ranked ascending plus the predicted speaker id; ties
     break lexicographically on speaker id.
     """
@@ -81,7 +77,6 @@ def identify(
     kinds = {cb.kind for cb in codebooks}
     if len(kinds) != 1:
         raise ValueError(f"mixed codebook kinds: {sorted(kinds)}")
-    test = FeatureMatrix.stack(test_vectors)
     scores = [cmd(test, cb) for cb in codebooks]
     scores.sort(key=lambda s: (s.cmd, s.speaker_id))
     return scores, scores[0].speaker_id

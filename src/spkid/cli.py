@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
-from .corpus import extract_voiced_regions, list_corpus, load_corpus, load_voiced_set, save_corpus, split_speakers
+from .corpus import extract_voiced_regions, list_corpus, load_voiced_set, save_corpus, split_speakers
 from .gci import detect_gci, dump_epochs_csv, map_to_peaks, segment_cycles
 from .mfcc import MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
     config = _config_from_args(
         args, n_coeffs=args.coeffs, codebook_sizes=args.codebook_size, kinds=_kinds(args), seed=args.seed
     )
-    report = ev.run_experiment(config, utterances=load_corpus(args.corpus))
+    report = ev.run_experiment(config, utterances=list_corpus(args.corpus))
     _print_report(report.to_markdown(), args.report_out, report.write_csv)
     return 0
 
@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(
         args, coeff_counts=args.coeffs, sweep_codebook_size=args.codebook_size, seed=args.seed
     )
-    rows = ev.sweep_coefficients(config, utterances=load_corpus(args.corpus))
+    rows = ev.sweep_coefficients(config, utterances=list_corpus(args.corpus))
     markdown = ev.sweep_to_markdown(rows, args.codebook_size)
     _print_report(markdown, args.report_out, lambda fh: ev.write_sweep_csv(fh, rows))
     return 0

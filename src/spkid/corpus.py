@@ -200,23 +200,6 @@ def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
     return np.frombuffer(raw, "<i2") / PCM_SCALE, rate
 
 
-def load_wav(path, speaker_id: str | None = None, utterance_id: str | None = None) -> Utterance:
-    """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
-
-    Speaker and utterance ids default to the parent directory name and the
-    file stem. NIST SPHERE containers (unconverted TIMIT) are rejected with
-    a dedicated message.
-    """
-    path = Path(path)
-    samples, rate = _read_pcm(path)
-    return Utterance(
-        samples,
-        rate,
-        speaker_id if speaker_id is not None else path.parent.name,
-        utterance_id if utterance_id is not None else path.stem,
-    )
-
-
 def write_wav(path, samples, sample_rate: int) -> None:
     """Write samples in [-1, 1] as PCM 16-bit mono."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -366,6 +349,8 @@ def list_timit_utterances(root, seed: int = 42) -> list[UtteranceFile]:
 
     Expects ``root/{TRAIN,TEST}/DR*/<speaker>/<utt>.{wav,phn}`` with speaker
     directories named M* or F*; utterance ids are the lower-cased file stems.
+    The .wav files must already be RIFF/WAVE: reading a SPHERE original
+    raises with a conversion hint.
     """
     root = Path(root)
     speaker_dirs = sorted(
@@ -387,15 +372,6 @@ def list_timit_utterances(root, seed: int = 42) -> list[UtteranceFile]:
         for spk_dir in chosen
         for wav_path in sorted(list(spk_dir.glob("*.wav")) + list(spk_dir.glob("*.WAV")))
     ]
-
-
-def load_timit_utterances(root, seed: int = 42) -> list[Utterance]:
-    """Read every file of ``list_timit_utterances(root, seed)``.
-
-    The .wav files must already be RIFF/WAVE (SPHERE originals are rejected
-    with a conversion hint).
-    """
-    return [f.read() for f in list_timit_utterances(root, seed)]
 
 
 def list_corpus(root) -> list[UtteranceFile]:

@@ -19,6 +19,7 @@ from .corpus import (
     DEFAULT_VOICED_SET,
     SpeakerSplit,
     Utterance,
+    UtteranceFile,
     extract_voiced_regions,
     split_speakers,
 )
@@ -172,10 +173,11 @@ class EvalReport:
                 )
 
 
-def collect_cycles(utterances: list[Utterance], voiced_set: frozenset[str]) -> list[PitchCycle]:
+def collect_cycles(utterances: list[Utterance] | list[UtteranceFile], voiced_set: frozenset[str]) -> list[PitchCycle]:
+    """Pitch cycles of every voiced region, reading each listed file as it comes to it."""
     cycles: list[PitchCycle] = []
     for utt in utterances:
-        for region in extract_voiced_regions(utt, voiced_set):
+        for region in extract_voiced_regions(utt.read(), voiced_set):
             cycles.extend(cycles_from_region(region))
     return cycles
 
@@ -234,7 +236,7 @@ def split_features(
 
 
 def train_codebooks(
-    train: dict[tuple[str, str], FeatureMatrix | list[FeatureVector]],
+    train: dict[tuple[str, str], FeatureMatrix],
     speakers: list[str],
     kinds: tuple[str, ...],
     sizes: tuple[int, ...],
@@ -264,12 +266,13 @@ def train_codebooks(
     return {kind: {size: [book(spk, kind, size) for spk in speakers] for size in sizes} for kind in kinds}
 
 
-def run_experiment(config: ExperimentConfig, utterances: list[Utterance]) -> EvalReport:
+def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | list[UtteranceFile]) -> EvalReport:
     """Train, identify, and fuse over every configured codebook size.
 
-    The fusion weight per size is derived from the two systems' accuracies
-    measured in this same report (the closed-loop protocol the reference
-    results use).
+    ``utterances`` may be a listing (``list_corpus``): only the files of the
+    split are read, one speaker at a time. The fusion weight per size is
+    derived from the two systems' accuracies measured in this same report
+    (the closed-loop protocol the reference results use).
     """
     splits = split_speakers(utterances, config.n_train, config.n_test)
     speakers = [s.speaker_id for s in splits]
@@ -328,16 +331,17 @@ class SweepRow:
     accuracy: float
 
 
-def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance]) -> list[SweepRow]:
+def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | list[UtteranceFile]) -> list[SweepRow]:
     """Accuracy and mean-energy-captured as a function of coefficient count.
 
-    Codebook size is fixed (default 32). Cycles shorter than the largest
-    requested coefficient count are excluded once up front, so the energy
-    statistics for every K are computed over the same cycle set and are
-    monotone in K by construction. Each cycle is transformed once, at the
-    largest K; every smaller K keeps the first K columns of those matrices. The
-    smallest K trains first, and its rows have the fewest distinct values,
-    so a codebook size too large for any K fails before any Lloyd run.
+    ``utterances`` may be a listing, as for ``run_experiment``. Codebook size
+    is fixed (default 32). Cycles shorter than the largest requested
+    coefficient count are excluded once up front, so the energy statistics
+    for every K are computed over the same cycle set and are monotone in K by
+    construction. Each cycle is transformed once, at the largest K; every
+    smaller K keeps the first K columns of those matrices. The smallest K
+    trains first, and its rows have the fewest distinct values, so a codebook
+    size too large for any K fails before any Lloyd run.
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)

@@ -61,10 +61,8 @@ class FeatureMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def stack(cls, vectors: FeatureMatrix | list[FeatureVector]) -> FeatureMatrix:
-        """The rows as one matrix; a ``FeatureMatrix`` is returned as it is."""
-        if isinstance(vectors, FeatureMatrix):
-            return vectors
+    def stack(cls, vectors: list[FeatureVector]) -> FeatureMatrix:
+        """The rows as one matrix, after the per-row kind and width checks."""
         if not vectors:
             raise ValueError("empty vector list")
         kind = vectors[0].kind

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .psdct import FeatureMatrix, FeatureVector
+from .psdct import FeatureMatrix
 
 log = logging.getLogger(__name__)
 
@@ -76,50 +76,20 @@ def _sq_dists(
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = data.shape[0]
-    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer
-    diff = np.empty_like(data)
-    chosen = [int(rng.integers(n))]
-    d2 = np.square(np.subtract(data, data[chosen[0]], out=diff), out=diff).sum(axis=1)
-    scratch = np.empty(n)
-    for _ in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
-            break
-        # the steps of rng.choice(n, p=d2 / total) without its checks of p: the same row
-        cdf = np.cumsum(np.divide(d2, total, out=scratch), out=scratch)
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        chosen.append(idx)
-        np.square(np.subtract(data, data[idx], out=diff), out=diff).sum(axis=1, out=scratch)
-        np.minimum(d2, scratch, out=d2)
-    return data[chosen]
+def lloyd_kmeans(data: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """k-means centroids from the k = ``len(init)`` seeds ``init``, plus the per-iteration distortion history.
 
-
-def lloyd_kmeans(
-    data: np.ndarray, k: int, seed: int = DEFAULT_SEED, *, init: np.ndarray | None = None
-) -> tuple[np.ndarray, list[float]]:
-    """k-means centroids plus the per-iteration mean-squared-distance history.
-
-    Stops when the largest centroid displacement falls below DEFAULT_TOL
-    relative to the RMS vector norm of the data, or after DEFAULT_MAX_ITER
-    iterations. ``init`` is the first k rows of ``kmeanspp_seeds`` drawn from
-    the same data and seed, which are the seeds this call would draw itself.
+    The distortion is the mean squared distance to the nearest centroid. Stops
+    when the largest centroid displacement falls below DEFAULT_TOL relative to
+    the RMS vector norm of the data, or after DEFAULT_MAX_ITER iterations.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     n, dim = data.shape
     if n == 0:
         raise ValueError("no training vectors")
 
-    if init is None:
-        centroids = _kmeanspp_init(data, k, np.random.default_rng(seed))
-        if len(centroids) < k:
-            raise ValueError(f"k={k} exceeds the {len(centroids)} distinct training vectors")
-    elif init.shape != (k, dim):
-        raise ValueError(f"init has shape {init.shape}, expected ({k}, {dim})")
-    else:
-        centroids = init
+    centroids = init
+    k = len(init)
     norms = np.sum(data**2, axis=1)
     scale = float(np.sqrt(np.mean(norms))) or 1.0
     rows = np.arange(n)
@@ -159,19 +129,38 @@ def lloyd_kmeans(
     return centroids, history
 
 
-def kmeanspp_seeds(vectors: FeatureMatrix | list[FeatureVector], k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """The k-means++ seeds of ``train_codebook(vectors, k, seed)``, as a (k, dim) matrix.
+def kmeanspp_seeds(features: FeatureMatrix, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """The k-means++ seeds of ``train_codebook(features, k, seed)``, as a (k, dim) matrix.
 
     k-means++ draws them one at a time from one generator, so the first j
-    rows are the seeds of ``train_codebook(vectors, j, seed)`` for any j <= k.
+    rows are the seeds of ``train_codebook(features, j, seed)`` for any j <= k.
     It never draws a row equal to one already drawn, so with n < k distinct
     rows the draw stops after n and returns an (n, dim) matrix of them all.
     """
-    return _kmeanspp_init(FeatureMatrix.stack(vectors).matrix, k, np.random.default_rng(seed))
+    data = features.matrix
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer
+    diff = np.empty_like(data)
+    chosen = [int(rng.integers(n))]
+    d2 = np.square(np.subtract(data, data[chosen[0]], out=diff), out=diff).sum(axis=1)
+    scratch = np.empty(n)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:  # every distinct row is chosen: k-means++ never picks a duplicate
+            break
+        # the steps of rng.choice(n, p=d2 / total) without its checks of p: the same row
+        cdf = np.cumsum(np.divide(d2, total, out=scratch), out=scratch)
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        chosen.append(idx)
+        np.square(np.subtract(data, data[idx], out=diff), out=diff).sum(axis=1, out=scratch)
+        np.minimum(d2, scratch, out=d2)
+    return data[chosen]
 
 
 def train_codebook(
-    vectors: FeatureMatrix | list[FeatureVector],
+    features: FeatureMatrix,
     k: int,
     seed: int = DEFAULT_SEED,
     speaker_id: str = "",
@@ -180,13 +169,18 @@ def train_codebook(
 ) -> Codebook:
     """Cluster one speaker's vectors of one kind into a k-entry codebook.
 
-    ``init``, the first k rows of ``kmeanspp_seeds(vectors, K, seed)`` for
+    ``init``, the first k rows of ``kmeanspp_seeds(features, K, seed)`` for
     some K >= k, skips drawing the seeds again; the codebook is the same.
     """
-    features = FeatureMatrix.stack(vectors)
     data = features.matrix
     log.info("training %s codebook k=%d for %r on %d vectors", features.kind, k, speaker_id, len(data))
-    centroids, _ = lloyd_kmeans(data, k, seed=seed, init=init)
+    if init is None:
+        init = kmeanspp_seeds(features, k, seed)
+        if len(init) < k:
+            raise ValueError(f"k={k} exceeds the {len(init)} distinct training vectors")
+    elif init.shape != (k, data.shape[1]):
+        raise ValueError(f"init has shape {init.shape}, expected ({k}, {data.shape[1]})")
+    centroids, _ = lloyd_kmeans(data, init)
     return Codebook(
         speaker_id=speaker_id,
         kind=features.kind,

@@ -10,17 +10,22 @@ import numpy as np
 import pytest
 
 from spkid.classify import CmdScore, FusionWeights, cmd, fuse
-from spkid.corpus import extract_voiced_regions, load_timit_utterances, max_period, min_period
+from spkid.corpus import extract_voiced_regions, load_corpus, max_period, min_period
 from spkid.evaluate import ExperimentConfig, collect_cycles, run_experiment
 from spkid.gci import PitchCycle, cycles_from_region, detect_gci
-from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureVector, dct2, mec, normalize_energy, psdct_feature
-from spkid.vq import Codebook, lloyd_kmeans, save_codebook, train_codebook
+from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix, dct2, mec, normalize_energy, psdct_feature
+from spkid.vq import Codebook, kmeanspp_seeds, lloyd_kmeans, save_codebook, train_codebook
 
 VOICED = ExperimentConfig().effective_voiced_set()
 
 
 def report(n, text):
     print(f"\n[criterion {n}] PASS - {text}")
+
+
+def seeded_lloyd(data, k, seed):
+    """Lloyd's k-means from the k-means++ seeds that ``train_codebook`` draws."""
+    return lloyd_kmeans(data, kmeanspp_seeds(FeatureMatrix(data, KIND_PSDCT), k, seed))
 
 
 def dct_via_dft(x):
@@ -123,7 +128,7 @@ def test_criterion_5_kmeans_suite(tmp_path):
     # monotone distortion on assorted runs (also asserted inside training)
     rng = np.random.default_rng(500)
     for seed in range(4):
-        _, history = lloyd_kmeans(rng.normal(size=(400, 10)), 12, seed=seed)
+        _, history = seeded_lloyd(rng.normal(size=(400, 10)), 12, seed=seed)
         assert all(b <= a + 1e-12 * (1.0 + a) for a, b in zip(history, history[1:]))
 
     # 4-blob recovery vs the frozen 50-restart oracle (see test_vq.py)
@@ -131,13 +136,13 @@ def test_criterion_5_kmeans_suite(tmp_path):
     centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]])
     data = np.concatenate([c + blob_rng.normal(scale=0.6, size=(50, 2)) for c in centers])
     oracle = 0.7610185291089583
-    centroids, _ = lloyd_kmeans(data, 4, seed=42)
+    centroids, _ = seeded_lloyd(data, 4, seed=42)
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     achieved = float(d2.min(axis=1).mean())
     assert achieved <= 1.05 * oracle
 
     # fixed seed -> bit-identical codebook files
-    vecs = [FeatureVector(row, KIND_PSDCT) for row in rng.normal(size=(300, 15))]
+    vecs = FeatureMatrix(rng.normal(size=(300, 15)), KIND_PSDCT)
     for i in (1, 2):
         save_codebook(train_codebook(vecs, 16, seed=42, speaker_id="s"), tmp_path / f"{i}.cb")
     assert (tmp_path / "1.cb").read_bytes() == (tmp_path / "2.cb").read_bytes()
@@ -180,7 +185,7 @@ def test_criterion_7_fusion_properties():
 
     worst = 0.0
     for _ in range(20):
-        vecs = [FeatureVector(row, KIND_PSDCT) for row in rng.normal(size=(50, 15))]
+        vecs = FeatureMatrix(rng.normal(size=(50, 15)), KIND_PSDCT)
         cents = rng.normal(size=(8, 15))
         cb = Codebook("s", KIND_PSDCT, 8, 15, cents, 42, 50)
         brute = sum(
@@ -197,7 +202,7 @@ def test_criterion_8_timit_protocol():
     from spkid.corpus import UnsupportedWavError
 
     try:
-        utterances = load_timit_utterances(os.environ["TIMIT_ROOT"], seed=42)
+        utterances = load_corpus(os.environ["TIMIT_ROOT"])
     except UnsupportedWavError as exc:
         pytest.skip(f"TIMIT wavs need conversion: {exc}")
     config = ExperimentConfig(codebook_sizes=(16, 32, 64, 128), seed=42)

@@ -14,12 +14,12 @@ from spkid.classify import (
     write_fused_csv,
     write_score_csv,
 )
-from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector
+from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix
 from spkid.vq import Codebook
 
 
-def fv(values, kind=KIND_PSDCT):
-    return FeatureVector(np.asarray(values, dtype=np.float64), kind)
+def fm(rows, kind=KIND_PSDCT):
+    return FeatureMatrix(np.asarray(rows, dtype=np.float64), kind)
 
 
 def book(centroids, speaker="s", kind=KIND_PSDCT):
@@ -29,7 +29,7 @@ def book(centroids, speaker="s", kind=KIND_PSDCT):
 
 def test_cmd_zero_when_vectors_hit_centroids():
     cb = book([[0.0, 0.0], [1.0, 1.0]])
-    score = cmd([fv([0.0, 0.0]), fv([1.0, 1.0])], cb)
+    score = cmd(fm([[0.0, 0.0], [1.0, 1.0]]), cb)
     assert score.cmd == pytest.approx(0.0, abs=1e-12)
     assert score.n_vectors == 2
 
@@ -37,13 +37,13 @@ def test_cmd_zero_when_vectors_hit_centroids():
 def test_cmd_takes_nearest_centroid():
     # ||v-c1|| = 3, ||v-c2|| = 5
     cb = book([[3.0, 0.0], [0.0, 5.0]])
-    score = cmd([fv([0.0, 0.0])], cb)
+    score = cmd(fm([[0.0, 0.0]]), cb)
     assert score.cmd == pytest.approx(3.0, abs=1e-12)
 
 
 def test_cmd_matches_brute_force():
     rng = np.random.default_rng(0)
-    vecs = [fv(row) for row in rng.normal(size=(50, 15))]
+    vecs = fm(rng.normal(size=(50, 15)))
     cb = book(rng.normal(size=(8, 15)))
     expected = sum(
         min(float(np.sqrt(np.sum((v.values - c) ** 2))) for c in cb.centroids) for v in vecs
@@ -54,11 +54,11 @@ def test_cmd_matches_brute_force():
 def test_cmd_validates_inputs():
     cb = book([[0.0, 0.0]])
     with pytest.raises(ValueError):
-        cmd([], cb)
+        cmd(fm(np.zeros((0, 2))), cb)
     with pytest.raises(ValueError, match="kind"):
-        cmd([fv([1.0, 2.0], KIND_MFCC)], cb)
+        cmd(fm([[1.0, 2.0]], KIND_MFCC), cb)
     with pytest.raises(ValueError, match="imension"):
-        cmd([fv([1.0, 2.0, 3.0])], cb)
+        cmd(fm([[1.0, 2.0, 3.0]]), cb)
 
 
 @given(st.lists(st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3), min_size=1, max_size=20))
@@ -66,15 +66,14 @@ def test_cmd_validates_inputs():
 def test_cmd_monotone_under_appending(rows):
     rng = np.random.default_rng(1)
     cb = book(rng.normal(size=(4, 3)))
-    vecs = [fv(row) for row in rows]
-    partial = cmd(vecs, cb).cmd
-    extended = cmd(vecs + [fv([1.0, 2.0, 3.0])], cb).cmd
+    partial = cmd(fm(rows), cb).cmd
+    extended = cmd(fm(rows + [[1.0, 2.0, 3.0]]), cb).cmd
     assert extended >= partial - 1e-12
 
 
 def test_identify_single_speaker():
     cb = book([[0.0, 0.0]], speaker="only")
-    ranked, predicted = identify([fv([5.0, 5.0])], [cb])
+    ranked, predicted = identify(fm([[5.0, 5.0]]), [cb])
     assert predicted == "only"
     assert len(ranked) == 1
 
@@ -82,7 +81,7 @@ def test_identify_single_speaker():
 def test_identify_exact_match_wins():
     a = book([[0.0, 0.0], [1.0, 0.0]], speaker="a")
     b = book([[5.0, 5.0], [6.0, 5.0]], speaker="b")
-    ranked, predicted = identify([fv([0.0, 0.0]), fv([1.0, 0.0])], [a, b])
+    ranked, predicted = identify(fm([[0.0, 0.0], [1.0, 0.0]]), [a, b])
     assert predicted == "a"
     assert ranked[0].cmd == pytest.approx(0.0, abs=1e-12)
     assert ranked[0].cmd <= ranked[1].cmd
@@ -90,37 +89,16 @@ def test_identify_exact_match_wins():
 
 def test_identify_breaks_ties_lexicographically():
     same = [[1.0, 1.0]]
-    ranked, predicted = identify(
-        [fv([0.0, 0.0])], [book(same, speaker="zeta"), book(same, speaker="alpha")]
-    )
+    ranked, predicted = identify(fm([[0.0, 0.0]]), [book(same, speaker="zeta"), book(same, speaker="alpha")])
     assert predicted == "alpha"
     assert [s.speaker_id for s in ranked] == ["alpha", "zeta"]
 
 
 def test_identify_rejects_mixed_kinds():
     with pytest.raises(ValueError, match="kind"):
-        identify([fv([0.0])], [book([[0.0]]), book([[0.0]], kind=KIND_MFCC)])
+        identify(fm([[0.0]]), [book([[0.0]]), book([[0.0]], kind=KIND_MFCC)])
     with pytest.raises(ValueError):
-        identify([fv([0.0])], [])
-
-
-def test_identify_checks_a_list_once_and_scores_it_as_its_matrix(monkeypatch):
-    rng = np.random.default_rng(4)
-    books = [book(rng.normal(size=(4, 5)) + i, speaker=f"spk{i}") for i in range(6)]
-    vecs = [fv(row) for row in rng.normal(size=(25, 5)) + 2.0]
-    from_matrix = identify(FeatureMatrix.stack(vecs), books)
-
-    stacked = []
-    plain = FeatureMatrix.stack.__func__
-
-    def counting(cls, vectors):
-        if not isinstance(vectors, FeatureMatrix):
-            stacked.append(len(vectors))
-        return plain(cls, vectors)
-
-    monkeypatch.setattr(FeatureMatrix, "stack", classmethod(counting))
-    assert identify(vecs, books) == from_matrix
-    assert stacked == [25]
+        identify(fm([[0.0]]), [])
 
 
 def test_fusion_weights_alpha():

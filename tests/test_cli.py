@@ -12,7 +12,7 @@ import pytest
 import spkid.evaluate as ev
 from conftest import write_timit_tree
 from spkid.cli import main
-from spkid.corpus import UtteranceFile, extract_voiced_regions, load_corpus, load_timit_utterances
+from spkid.corpus import UtteranceFile, extract_voiced_regions, load_corpus, save_corpus
 from spkid.evaluate import ExperimentConfig, run_experiment, sweep_coefficients, sweep_to_markdown
 from spkid.gci import detect_gci, map_to_peaks
 from spkid.synth import VOICED_PHONE, synth_corpus
@@ -280,7 +280,7 @@ def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):
     root, _ = timit_tree
     assert main(["evaluate", "--corpus", str(root), "--kind", "psdct", "--codebook-size", "4"]) == 0
     config = ExperimentConfig(codebook_sizes=(4,), kinds=("psdct",))
-    expected = run_experiment(config, utterances=load_timit_utterances(root)).to_markdown()
+    expected = run_experiment(config, utterances=load_corpus(root)).to_markdown()
     assert capsys.readouterr().out == expected + "\n"
     assert "- speakers: 30" in expected
 
@@ -479,3 +479,32 @@ def test_a_bad_file_fails_only_the_command_whose_split_holds_it(bad, fails, pass
     assert main(argv(passes)) == 0
     capsys.readouterr()
     assert_input_error(capsys, argv(fails), f"{gci}:{lines + 1}: expected one sample index, got '12x\\n'")
+
+
+def test_evaluate_and_sweep_read_only_their_split(tmp_path, capsys):
+    # 9 utterances a speaker: the 6/2 split leaves u06 out, so a bad u06 file is never read
+    corpus = tmp_path / "corpus"
+    save_corpus(synth_corpus(3, 9, seed=5, sample_rate=8000), corpus)
+    commands = {
+        "evaluate": ["--codebook-size", "4,8"],
+        "sweep": ["--coeffs", "10,15", "--codebook-size", "8"],
+    }
+
+    def run(command, out):
+        assert main([command, "--corpus", str(corpus), *commands[command], "--report-out", str(out)]) == 0
+        return {suffix: out.with_suffix(suffix).read_bytes() for suffix in (".md", ".csv")}
+
+    clean = {command: run(command, tmp_path / f"{command}-clean") for command in commands}
+    outside = corpus / "spk01" / "u06.gci"
+    outside.write_text(outside.read_text() + "12x\n")
+    for command in commands:
+        assert run(command, tmp_path / f"{command}-bad-u06") == clean[command]
+    capsys.readouterr()
+
+    # a bad file inside the split still fails the command
+    inside = corpus / "spk01" / "u03.gci"
+    lines = inside.read_text().count("\n")
+    inside.write_text(inside.read_text() + "12x\n")
+    for command in commands:
+        assert_input_error(capsys, [command, "--corpus", str(corpus), *commands[command]],
+                           f"{inside}:{lines + 1}: expected one sample index, got '12x\\n'")

@@ -24,9 +24,7 @@ from spkid.corpus import (
     list_corpus,
     list_timit_utterances,
     load_corpus,
-    load_timit_utterances,
     load_voiced_set,
-    load_wav,
     max_period,
     min_period,
     parse_phn,
@@ -45,6 +43,16 @@ def write_raw_wav(path, ints, rate=16000, channels=1, sampwidth=2):
         wf.writeframes(np.asarray(ints, dtype="<i2").tobytes())
 
 
+def read_wav(path):
+    """The file read as a corpus reads it: ids from the directory name and the file stem."""
+    return UtteranceFile(path.parent.name, path.stem, path).read()
+
+
+def read_timit(root, seed=42):
+    """Every file of the seeded TIMIT draw, read."""
+    return [f.read() for f in list_timit_utterances(root, seed=seed)]
+
+
 def make_utt(n=4000, segments=None, speaker="s", utt="u"):
     return Utterance(np.zeros(n), 16000, speaker, utt, segments=segments)
 
@@ -58,7 +66,7 @@ def test_period_bounds_at_16k():
 def test_load_wav_pcm_scaling(tmp_path):
     path = tmp_path / "t.wav"
     write_raw_wav(path, [0, 16384, -16384])
-    utt = load_wav(path)
+    utt = read_wav(path)
     assert utt.samples.tolist() == [0.0, 0.5, -0.5]
     assert utt.sample_rate == 16000
     assert utt.utterance_id == "t"
@@ -68,28 +76,28 @@ def test_load_wav_rejects_sphere(tmp_path):
     path = tmp_path / "sphere.wav"
     path.write_bytes(b"NIST_1A\n   1024\n" + b"\x00" * 64)
     with pytest.raises(UnsupportedWavError, match="SPHERE"):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_load_wav_rejects_garbage(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"this is not audio at all")
     with pytest.raises(MalformedWavError):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_load_wav_rejects_truncated_riff(tmp_path):
     path = tmp_path / "trunc.wav"
     path.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
     with pytest.raises(MalformedWavError):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_load_wav_rejects_stereo(tmp_path):
     path = tmp_path / "st.wav"
     write_raw_wav(path, [0, 0, 0, 0], channels=2)
     with pytest.raises(UnsupportedWavError, match="mono"):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_load_wav_rejects_8bit(tmp_path):
@@ -100,7 +108,7 @@ def test_load_wav_rejects_8bit(tmp_path):
         wf.setframerate(16000)
         wf.writeframes(b"\x00\x01\x02")
     with pytest.raises(UnsupportedWavError, match="16-bit"):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_load_wav_rejects_float_format(tmp_path):
@@ -113,7 +121,7 @@ def test_load_wav_rejects_float_format(tmp_path):
     path = tmp_path / "f32.wav"
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     with pytest.raises((UnsupportedWavError, MalformedWavError)):
-        load_wav(path)
+        read_wav(path)
 
 
 def test_wav_round_trip_via_synth(tmp_path):
@@ -121,7 +129,7 @@ def test_wav_round_trip_via_synth(tmp_path):
     assert utt.samples.size > 1000
     path = tmp_path / "rt.wav"
     write_wav(path, utt.samples, utt.sample_rate)
-    back = load_wav(path)
+    back = read_wav(path)
     assert back.sample_rate == utt.sample_rate
     assert np.array_equal(back.samples, utt.samples)
 
@@ -339,19 +347,19 @@ def test_speaker_named_like_a_timit_part_loads_as_plain_corpus(tmp_path, name):
 
 def test_load_timit_utterances_draws_each_gender(timit_tree):
     root, _ = timit_tree
-    utts = load_timit_utterances(root, seed=3)
+    utts = read_timit(root, seed=3)
     speakers = sorted({u.speaker_id for u in utts})
     assert [s[0] for s in speakers].count("M") == TIMIT_MALE
     assert [s[0] for s in speakers].count("F") == TIMIT_FEMALE
     assert len(utts) == (TIMIT_MALE + TIMIT_FEMALE) * len(TIMIT_IDS)
-    again = load_timit_utterances(root, seed=3)
+    again = read_timit(root, seed=3)
     assert [(u.speaker_id, u.utterance_id) for u in again] == [(u.speaker_id, u.utterance_id) for u in utts]
-    assert {u.speaker_id for u in load_timit_utterances(root, seed=4)} != set(speakers)
+    assert {u.speaker_id for u in read_timit(root, seed=4)} != set(speakers)
 
 
 def test_load_timit_utterances_lowercases_ids_and_attaches_segments(timit_tree):
     root, segments = timit_tree
-    utts = load_timit_utterances(root, seed=0)
+    utts = read_timit(root, seed=0)
     assert len({u.speaker_id for u in utts}) == TIMIT_MALE + TIMIT_FEMALE
     for u in utts:
         assert u.utterance_id in {i.lower() for i in TIMIT_IDS}
@@ -361,12 +369,12 @@ def test_load_timit_utterances_lowercases_ids_and_attaches_segments(timit_tree):
 def test_load_timit_utterances_too_few_speakers(tmp_path):
     write_timit_tree(tmp_path, TIMIT_MALE - 1, TIMIT_FEMALE)
     with pytest.raises(CorpusError, match="found 15 male / 14 female speakers, need 16/14"):
-        load_timit_utterances(tmp_path)
+        read_timit(tmp_path)
 
 
 def test_timit_sa_sentences_go_to_test(timit_tree):
     root, _ = timit_tree
-    splits = split_speakers(load_timit_utterances(root, seed=3))
+    splits = split_speakers(read_timit(root, seed=3))
     assert len(splits) == TIMIT_MALE + TIMIT_FEMALE
     for split in splits:
         assert [u.utterance_id for u in split.test_utterances] == ["sa1", "sa2"]
@@ -404,7 +412,7 @@ def test_timit_listing_is_the_draw_load_timit_utterances_reads(timit_tree):
     root, _ = timit_tree
     files = list_timit_utterances(root, seed=3)
     assert list_corpus(root) == list_timit_utterances(root)  # the seed-42 draw
-    loaded = load_timit_utterances(root, seed=3)
+    loaded = read_timit(root, seed=3)
     assert len(loaded) == len(files) == (TIMIT_MALE + TIMIT_FEMALE) * len(TIMIT_IDS)
     for utt, f in zip(loaded, files):
         _same_utterance(utt, f.read())

@@ -19,7 +19,7 @@ from spkid.evaluate import (
     train_codebooks,
     write_sweep_csv,
 )
-from spkid.psdct import KIND_PSDCT, FeatureMatrix, FeatureVector
+from spkid.psdct import KIND_PSDCT, FeatureMatrix
 from spkid.synth import synth_corpus
 from spkid.vq import save_codebook, train_codebook
 
@@ -136,6 +136,10 @@ def test_sweep_mec_monotone_and_accuracy_plateau(corpus6):
     assert len(buf.getvalue().strip().splitlines()) == 5
 
 
+def psdct_matrix(cycles, k):
+    return FeatureMatrix.stack(psdct_features(cycles, k))
+
+
 def reference_sweep(config, utterances):
     """(K, mec_total, mec_ac, accuracy) with features, codebooks and scores recomputed for each K."""
     voiced = config.effective_voiced_set()
@@ -151,10 +155,10 @@ def reference_sweep(config, utterances):
     rows = []
     for k in sorted(config.coeff_counts):
         codebooks = [
-            train_codebook(psdct_features(cycles, k), config.sweep_codebook_size, seed=config.seed, speaker_id=spk)
+            train_codebook(psdct_matrix(cycles, k), config.sweep_codebook_size, seed=config.seed, speaker_id=spk)
             for spk, cycles in train.items()
         ]
-        correct = sum(identify(psdct_features(cycles, k), codebooks)[1] == spk for spk, cycles in test.items())
+        correct = sum(identify(psdct_matrix(cycles, k), codebooks)[1] == spk for spk, cycles in test.items())
         mec_total = np.mean([c2[1 : k + 1].sum() / c2.sum() for c2 in energies])
         mec_ac = np.mean([c2[1 : k + 1].sum() / c2[1:].sum() for c2 in energies])
         rows.append((k, mec_total, mec_ac, correct / len(splits)))
@@ -196,7 +200,7 @@ def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, mo
     rng = np.random.default_rng(17)
     speakers = ["a", "b", "c"]
     train = {
-        (spk, KIND_PSDCT): [FeatureVector(row, KIND_PSDCT) for row in rng.normal(size=(300, 15)) + 4.0 * i]
+        (spk, KIND_PSDCT): FeatureMatrix(rng.normal(size=(300, 15)) + 4.0 * i, KIND_PSDCT)
         for i, spk in enumerate(speakers)
     }
     draws = []
@@ -301,8 +305,7 @@ def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus
     plain = FeatureMatrix.stack.__func__
 
     def counting(cls, vectors):
-        if not isinstance(vectors, FeatureMatrix):
-            stacked.append(vectors[0].kind)
+        stacked.append(vectors[0].kind)
         return plain(cls, vectors)
 
     monkeypatch.setattr(FeatureMatrix, "stack", classmethod(counting))

@@ -32,20 +32,24 @@ def fv(values, kind=KIND_PSDCT):
     return FeatureVector(np.asarray(values, dtype=np.float64), kind)
 
 
-def vectors_from(data, kind=KIND_PSDCT):
-    return [fv(row, kind) for row in data]
+def matrix(data, kind=KIND_PSDCT):
+    return FeatureMatrix(np.asarray(data, dtype=np.float64), kind)
+
+
+def kmeanspp(data, k, seed=42):
+    return kmeanspp_seeds(matrix(data), k, seed)
 
 
 def test_k1_centroid_is_mean():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(37, 5))
-    cb = train_codebook(vectors_from(data), 1, seed=42, speaker_id="s")
+    cb = train_codebook(matrix(data), 1, seed=42, speaker_id="s")
     assert np.allclose(cb.centroids[0], data.mean(axis=0))
 
 
 def test_k_equals_distinct_gives_zero_distortion():
     data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    vecs = vectors_from(np.repeat(data, 3, axis=0))
+    vecs = matrix(np.repeat(data, 3, axis=0))
     cb = train_codebook(vecs, 4, seed=42, speaker_id="s")
     assert cmd(vecs, cb).cmd == 0
     assert {tuple(c) for c in cb.centroids} == {tuple(r) for r in data}
@@ -53,7 +57,7 @@ def test_k_equals_distinct_gives_zero_distortion():
 
 def test_blob_recovery_within_5pct_of_restart_oracle():
     data = make_blobs()
-    centroids, _ = lloyd_kmeans(data, 4, seed=42)
+    centroids, _ = lloyd_kmeans(data, kmeanspp(data, 4))
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     assert d2.min(axis=1).mean() <= 1.05 * BLOB_ORACLE_DISTORTION
 
@@ -62,14 +66,14 @@ def test_distortion_history_non_increasing():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(300, 8))
     for seed in (0, 1, 2, 3):
-        _, history = lloyd_kmeans(data, 10, seed=seed)
+        _, history = lloyd_kmeans(data, kmeanspp(data, 10, seed))
         assert len(history) >= 1
         assert all(b <= a + 1e-12 * (1.0 + a) for a, b in zip(history, history[1:]))
 
 
 def test_converged_centroids_are_cluster_means():
     data = make_blobs()
-    centroids, _ = lloyd_kmeans(data, 4, seed=42)
+    centroids, _ = lloyd_kmeans(data, kmeanspp(data, 4))
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     for j in range(4):
@@ -79,7 +83,7 @@ def test_converged_centroids_are_cluster_means():
 
 def test_training_is_bit_reproducible(tmp_path):
     rng = np.random.default_rng(6)
-    vecs = vectors_from(rng.normal(size=(200, 15)))
+    vecs = matrix(rng.normal(size=(200, 15)))
     a = train_codebook(vecs, 16, seed=42, speaker_id="s")
     b = train_codebook(vecs, 16, seed=42, speaker_id="s")
     assert np.array_equal(a.centroids, b.centroids)
@@ -90,7 +94,7 @@ def test_training_is_bit_reproducible(tmp_path):
 
 def test_different_seeds_may_differ_but_stay_valid():
     rng = np.random.default_rng(7)
-    vecs = vectors_from(rng.normal(size=(100, 4)))
+    vecs = matrix(rng.normal(size=(100, 4)))
     a = train_codebook(vecs, 8, seed=1, speaker_id="s")
     b = train_codebook(vecs, 8, seed=2, speaker_id="s")
     assert a.k == b.k == 8
@@ -98,33 +102,26 @@ def test_different_seeds_may_differ_but_stay_valid():
 
 
 def test_k_exceeding_distinct_raises():
-    vecs = vectors_from(np.zeros((10, 3)))
+    vecs = matrix(np.zeros((10, 3)))
     with pytest.raises(ValueError, match="distinct"):
         train_codebook(vecs, 2, speaker_id="s")
     # k-means++ seeding stops once every distinct row is chosen, so the count is exact
     rows = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 5.0]]), [4, 1, 3], axis=0)
     with pytest.raises(ValueError, match=r"^k=4 exceeds the 3 distinct training vectors$"):
-        lloyd_kmeans(rows, 4)
+        train_codebook(matrix(rows), 4)
 
 
 def test_mixed_inputs_raise():
     with pytest.raises(ValueError, match="kind"):
-        train_codebook([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)], 1)
+        train_codebook(FeatureMatrix.stack([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)]), 1)
     with pytest.raises(ValueError, match="imension"):
-        train_codebook([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])], 1)
+        train_codebook(FeatureMatrix.stack([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])]), 1)
     with pytest.raises(ValueError):
-        train_codebook([], 1)
+        train_codebook(FeatureMatrix.stack([]), 1)
 
 
 def test_consumers_reject_bad_feature_rows():
-    # FeatureVector checks nothing; each consumer stacks a list into a FeatureMatrix, which checks it once
-    cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
-    consumers = (
-        FeatureMatrix.stack,
-        lambda v: train_codebook(v, 1),
-        lambda v: kmeanspp_seeds(v, 1),
-        lambda v: cmd(v, cb),
-    )
+    # FeatureVector checks nothing; rows reach the consumers only as a FeatureMatrix, which stack checks once
     bad_rows = [
         (np.array([1.0, np.nan]), "feature values must be finite"),
         (np.array([1.0, np.inf]), "feature values must be finite"),
@@ -133,28 +130,20 @@ def test_consumers_reject_bad_feature_rows():
     ]
     for row, message in bad_rows:
         for vecs in ([fv([0.0, 1.0]), fv([2.0, 3.0]), fv(row)], [fv(row), fv([0.0, 1.0])]):
-            for consume in consumers:
-                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    consume(vecs)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                FeatureMatrix.stack(vecs)
 
 
 def test_feature_checks_fire_from_a_list_and_from_a_matrix():
     cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
-    consumers = (
-        FeatureMatrix.stack,
-        lambda v: train_codebook(v, 1),
-        lambda v: kmeanspp_seeds(v, 1),
-        lambda v: cmd(v, cb),
-    )
     bad_lists = [
         ([], "empty vector list"),
         ([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)], "mixed feature kinds: psdct vs mfcc"),
         ([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])], "dimension mismatch: 2 vs 3"),
     ]  # bad values within a row: test_consumers_reject_bad_feature_rows
     for vecs, message in bad_lists:
-        for consume in consumers:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                consume(vecs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FeatureMatrix.stack(vecs)
     # a matrix holds one kind and one width, so only its shape and values can be wrong
     bad_matrices = [
         (np.zeros((0, 2)), "empty vector list"),
@@ -176,9 +165,7 @@ def test_feature_checks_fire_from_a_list_and_from_a_matrix():
 def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(40, 6))
-    vecs = vectors_from(data)
-    m = FeatureMatrix.stack(vecs)
-    assert FeatureMatrix.stack(m) is m
+    m = FeatureMatrix.stack([fv(row) for row in data])
     assert m.kind == KIND_PSDCT and len(m) == 40
     assert m.matrix.dtype == np.float64 and m.matrix.flags.c_contiguous
     assert np.array_equal(m.matrix, data)
@@ -194,22 +181,9 @@ def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
         assert np.array_equal(row.values, m.matrix[i])
 
 
-def test_consumers_give_identical_results_from_a_list_and_its_matrix():
-    rng = np.random.default_rng(6)
-    vecs = vectors_from(rng.normal(size=(120, 15)))
-    m = FeatureMatrix.stack(vecs)
-    assert kmeanspp_seeds(vecs, 16, seed=3).tobytes() == kmeanspp_seeds(m, 16, seed=3).tobytes()
-    from_list = train_codebook(vecs, 8, seed=3, speaker_id="s")
-    from_matrix = train_codebook(m, 8, seed=3, speaker_id="s")
-    assert from_list.centroids.tobytes() == from_matrix.centroids.tobytes()
-    assert (from_matrix.kind, from_matrix.dim, from_matrix.train_vector_count) == (KIND_PSDCT, 15, 120)
-    test = vectors_from(rng.normal(size=(30, 15)))
-    assert cmd(test, from_list) == cmd(FeatureMatrix.stack(test), from_list)
-
-
 def test_codebook_file_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    cb = train_codebook(vectors_from(rng.normal(size=(50, 6))), 4, seed=7, speaker_id="alice")
+    cb = train_codebook(matrix(rng.normal(size=(50, 6))), 4, seed=7, speaker_id="alice")
     path = tmp_path / "alice.cb"
     save_codebook(cb, path)
     back = load_codebook(path)
@@ -221,7 +195,7 @@ def test_codebook_file_round_trip(tmp_path):
 
 def test_codebook_file_rejects_garbage(tmp_path):
     good = tmp_path / "good.cb"
-    save_codebook(train_codebook(vectors_from(np.random.default_rng(3).normal(size=(30, 15))), 8, speaker_id="s"), good)
+    save_codebook(train_codebook(matrix(np.random.default_rng(3).normal(size=(30, 15))), 8, speaker_id="s"), good)
     valid = good.read_bytes()
     cases = [
         (b"NOPE" + b"\x00" * 64, "not a codebook"),
@@ -249,11 +223,11 @@ def test_codebook_file_rejects_garbage(tmp_path):
 def test_model_dir_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     books = [
-        train_codebook(vectors_from(rng.normal(size=(60, 5))), 4, speaker_id=f"spk{i}")
+        train_codebook(matrix(rng.normal(size=(60, 5))), 4, speaker_id=f"spk{i}")
         for i in range(3)
     ]
     books.append(
-        train_codebook(vectors_from(rng.normal(size=(60, 3)), KIND_MFCC), 4, speaker_id="spk0")
+        train_codebook(matrix(rng.normal(size=(60, 3)), KIND_MFCC), 4, speaker_id="spk0")
     )
     save_model_dir(books, tmp_path / "model")
     everything = load_model_dir(tmp_path / "model")
@@ -265,7 +239,7 @@ def test_model_dir_round_trip(tmp_path):
 
 
 def reference_kmeanspp(data, k, seed):
-    """k-means++ seeding with one rng.choice draw per step, which _kmeanspp_init must match row for row."""
+    """k-means++ seeding with one rng.choice draw per step, which kmeanspp_seeds must match row for row."""
     rng = np.random.default_rng(seed)
     n = data.shape[0]
     chosen = [int(rng.integers(n))]
@@ -288,10 +262,10 @@ def test_kmeanspp_draw_matches_rng_choice_reference(seed, dim):
     distinct = rng.normal(size=(60, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(60, 1))
     data = rng.permutation(np.repeat(distinct, rng.integers(1, 5, size=60), axis=0))
     for k in (1, 2, 16, 59, 60):
-        seeds = vq._kmeanspp_init(data, k, np.random.default_rng(seed))
+        seeds = kmeanspp(data, k, seed)
         assert np.array_equal(seeds, reference_kmeanspp(data, k, seed))
     # past the 60 distinct rows the draw stops and returns them all; the reference raises
-    seeds = vq._kmeanspp_init(data, 61, np.random.default_rng(seed))
+    seeds = kmeanspp(data, 61, seed)
     assert np.array_equal(seeds, reference_kmeanspp(data, 60, seed))
     with pytest.raises(ValueError, match=r"^k=61 exceeds the 60 distinct training vectors$"):
         reference_kmeanspp(data, 61, seed)
@@ -322,10 +296,10 @@ def test_sq_dists_is_the_textbook_formula_bit_for_bit(dim, k):
     assert np.array_equal(vq._sq_dists(data, moved, norms, out=buffer), textbook_sq_dists(data, moved))
 
 
-def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300):
+def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300, init=None):
     """The per-cell Lloyd loop that lloyd_kmeans must reproduce bit for bit."""
     n = data.shape[0]
-    centroids = vq._kmeanspp_init(data, k, np.random.default_rng(seed))
+    centroids = kmeanspp(data, k, seed) if init is None else init
     scale = float(np.sqrt(np.mean(np.sum(data**2, axis=1)))) or 1.0
     history = []
     for _ in range(max_iter):
@@ -357,25 +331,19 @@ def test_lloyd_update_matches_per_cell_reference(dim, k):
     # a few well-separated blobs plus scale offsets, so sums are not all near zero
     rng = np.random.default_rng(1000 * dim + k)
     data = rng.normal(size=(400, dim)) + 5.0 * rng.integers(0, 6, size=(400, 1))
-    centroids, history = lloyd_kmeans(data, k, seed=42)
+    centroids, history = lloyd_kmeans(data, kmeanspp(data, k))
     ref_centroids, ref_history = reference_lloyd(data, k, seed=42)
     assert np.array_equal(centroids, ref_centroids)
     assert history == ref_history
 
 
-def test_lloyd_update_matches_reference_with_empty_cell(monkeypatch):
+def test_lloyd_update_matches_reference_with_empty_cell():
     rng = np.random.default_rng(11)
     data = rng.normal(size=(300, 3))
-    plain_init = vq._kmeanspp_init
-
-    def init_with_far_centroid(data, k, rng):
-        centroids = plain_init(data, k, rng)
-        centroids[-1] = 1e3  # nearest to no point: its cell is empty after the first assignment
-        return centroids
-
-    monkeypatch.setattr(vq, "_kmeanspp_init", init_with_far_centroid)
-    centroids, history = lloyd_kmeans(data, 6, seed=42)
-    ref_centroids, ref_history = reference_lloyd(data, 6, seed=42)
+    init = kmeanspp(data, 6)
+    init[-1] = 1e3  # nearest to no point: its cell is empty after the first assignment
+    centroids, history = lloyd_kmeans(data, init)
+    ref_centroids, ref_history = reference_lloyd(data, 6, init=init)
     assert np.array_equal(centroids, ref_centroids)
     assert history == ref_history
     assert np.all(np.abs(centroids) < 1e3)  # the far centroid was re-seeded onto the data

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psdct import FeatureMatrix
-from .vq import Codebook, _sq_dists
+from .vq import Codebook
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,13 @@ def cmd(test: FeatureMatrix, codebook: Codebook) -> CmdScore:
         raise ValueError(f"feature kind {kind} does not match codebook kind {codebook.kind}")
     if data.shape[1] != codebook.dim:
         raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.dim}")
-    min_d = np.sqrt(np.min(_sq_dists(data, codebook.centroids, norms=test.sq_norms), axis=1))
+    # (centroids, vectors) layout: the minimum runs down the centroid axis, and |x|^2 goes on the n minima only
+    centroids = codebook.centroids
+    shifted = np.matmul(-2.0 * centroids, data.T)
+    shifted += np.sum(centroids**2, axis=1)[:, None]
+    nearest = np.min(shifted, axis=0)
+    nearest += test.sq_norms
+    min_d = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
     return CmdScore(codebook.speaker_id, kind, float(np.sum(min_d)), data.shape[0])
 
 

@@ -55,27 +55,6 @@ class Codebook:
             raise ValueError("centroids must be finite")
 
 
-def _sq_dists(
-    data: np.ndarray, centroids: np.ndarray, norms: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distances of every row to every centroid, (n, k), clipped at 0.
-
-    ``norms`` is ``np.sum(data**2, axis=1)`` if the caller has it already, and
-    ``out`` an (n, k) buffer to write into. The result is bit-identical to
-    ``np.maximum(norms[:, None] - 2.0 * data @ centroids.T + np.sum(centroids**2, axis=1), 0.0)``:
-    scaling by -2 is exact, and ``a - b`` equals ``-b + a`` in IEEE arithmetic,
-    so the product and both sums can be taken in place, with no (n, k) temporaries.
-    Centroids are C-contiguous, as every caller passes them, so both products
-    take the same BLAS path.
-    """
-    if norms is None:
-        norms = np.sum(data**2, axis=1)
-    d2 = np.matmul(data, (-2.0 * centroids).T, out=out)
-    d2 += norms[:, None]
-    d2 += np.sum(centroids**2, axis=1)
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def lloyd_kmeans(data: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """k-means centroids from the k = ``len(init)`` seeds ``init``, plus the per-iteration distortion history.
 
@@ -93,13 +72,18 @@ def lloyd_kmeans(data: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, list[f
     norms = np.sum(data**2, axis=1)
     scale = float(np.sqrt(np.mean(norms))) or 1.0
     rows = np.arange(n)
-    d2 = np.empty((n, k))  # one distance buffer for every iteration
+    # |x - c|^2 - |x|^2 = [x | 1] . [-2c | |c|^2]: one product per assignment, into one buffer
+    augmented = np.hstack([data, np.ones((n, 1))])
+    weights = np.empty((k, dim + 1))
+    shifted = np.empty((n, k))
 
     history: list[float] = []
     for _ in range(DEFAULT_MAX_ITER):
-        _sq_dists(data, centroids, norms, out=d2)
-        labels = np.argmin(d2, axis=1)
-        distortion = float(np.mean(d2[rows, labels]))
+        np.multiply(centroids, -2.0, out=weights[:, :dim])
+        np.sum(centroids**2, axis=1, out=weights[:, dim])
+        labels = np.argmin(np.matmul(augmented, weights.T, out=shifted), axis=1)
+        # the row norms and the clip at 0 go on the n minima only
+        distortion = float(np.mean(np.maximum(shifted[rows, labels] + norms, 0.0)))
         if history and distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise RuntimeError(
                 f"distortion increased ({history[-1]} -> {distortion}); Lloyd update bug"
@@ -140,10 +124,12 @@ def kmeanspp_seeds(features: FeatureMatrix, k: int, seed: int = DEFAULT_SEED) ->
     data = features.matrix
     n = data.shape[0]
     rng = np.random.default_rng(seed)
-    # np.sum((data - data[i]) ** 2, axis=1), step for step, in one (n, dim) buffer
-    diff = np.empty_like(data)
+    # the squared distances to data[i] are summed down the rows of a (dim, n) copy, in one buffer;
+    # a row equal to data[i] sums exact zeros, so a chosen row's duplicates are never drawn
+    columns = np.ascontiguousarray(data.T)
+    diff = np.empty_like(columns)
     chosen = [int(rng.integers(n))]
-    d2 = np.square(np.subtract(data, data[chosen[0]], out=diff), out=diff).sum(axis=1)
+    d2 = np.square(np.subtract(columns, data[chosen[0], :, None], out=diff), out=diff).sum(axis=0)
     scratch = np.empty(n)
     for _ in range(1, k):
         total = float(d2.sum())
@@ -154,7 +140,7 @@ def kmeanspp_seeds(features: FeatureMatrix, k: int, seed: int = DEFAULT_SEED) ->
         cdf /= cdf[-1]
         idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
-        np.square(np.subtract(data, data[idx], out=diff), out=diff).sum(axis=1, out=scratch)
+        np.square(np.subtract(columns, data[idx, :, None], out=diff), out=diff).sum(axis=0, out=scratch)
         np.minimum(d2, scratch, out=d2)
     return data[chosen]
 

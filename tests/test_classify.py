@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ def test_cmd_matches_brute_force():
         min(float(np.sqrt(np.sum((v.values - c) ** 2))) for c in cb.centroids) for v in vecs
     )
     assert cmd(vecs, cb).cmd == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 15])
+@pytest.mark.parametrize("k", [1, 128])
+def test_cmd_matches_brute_force_on_mixed_scales_with_vectors_on_centroids(dim, k):
+    # rows at scales 1e-3, 1 and 1e3, a third of them repeated; half the centroids are rows, so
+    # some nearest distances are a rounding residue, which the tolerance of tests/test_golden.py
+    # (1e-9 relative, plus 1e-7 per unit of test-vector norm) covers
+    rng = np.random.default_rng(10 * dim + k)
+    rows = rng.normal(size=(150, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(150, 1))
+    data = rng.permutation(np.concatenate([rows, rows[:50]]))
+    centroids = data[rng.choice(data.shape[0], size=k, replace=False)]
+    centroids[1::2] += rng.normal(size=centroids[1::2].shape)
+    expected = np.sum(np.min(np.sqrt(np.sum((data[:, None, :] - centroids[None]) ** 2, axis=2)), axis=1))
+    norm_sum = np.sum(np.sqrt(np.sum(data**2, axis=1)))
+    assert math.isclose(cmd(fm(data), book(centroids)).cmd, expected, rel_tol=1e-9, abs_tol=1e-7 * norm_sum)
 
 
 def test_cmd_validates_inputs():

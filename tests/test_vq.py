@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-import spkid.vq as vq
 from spkid.classify import cmd
 from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector
 from spkid.vq import (
@@ -271,41 +270,55 @@ def test_kmeanspp_draw_matches_rng_choice_reference(seed, dim):
         reference_kmeanspp(data, 61, seed)
 
 
-def textbook_sq_dists(x, c):
-    return np.maximum(np.sum(x**2, 1)[:, None] - 2.0 * x @ c.T + np.sum(c**2, 1)[None, :], 0.0)
+def mixed_scale_rows(seed, n, dim):
+    """n rows at scales 1e-3, 1 and 1e3, a third of them repeated, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    return rng.permutation(np.concatenate([rows, rows[: n // 3]]))
 
 
 @pytest.mark.parametrize("dim", [1, 15])
 @pytest.mark.parametrize("k", [1, 128])
-def test_sq_dists_is_the_textbook_formula_bit_for_bit(dim, k):
-    # mixed scales and repeated rows; some centroids are data rows, so some distances clip to 0
+def test_lloyd_labels_are_the_brute_force_argmin_away_from_ties(monkeypatch, dim, k):
+    # some centroids are data rows (two may be equal rows: an exact tie), the rest moved off them
     rng = np.random.default_rng(10 * dim + k)
-    rows = rng.normal(size=(150, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(150, 1))
-    data = rng.permutation(np.concatenate([rows, rows[:50]]))
-    centroids = data[rng.choice(data.shape[0], size=k, replace=False)]
-    centroids[1::2] += rng.normal(size=centroids[1::2].shape)
-    expected = textbook_sq_dists(data, centroids)
-    norms = np.sum(data**2, axis=1)
-    buffer = np.full((data.shape[0], k), np.nan)
-    for given in (None, norms):
-        assert np.array_equal(vq._sq_dists(data, centroids, given), expected)
-        assert vq._sq_dists(data, centroids, given, out=buffer) is buffer
-        assert np.array_equal(buffer, expected)
-    # the same buffer again, as each Lloyd iteration reuses it, with other centroids
-    moved = centroids + 0.5
-    assert np.array_equal(vq._sq_dists(data, moved, norms, out=buffer), textbook_sq_dists(data, moved))
+    data = mixed_scale_rows(10 * dim + k, 150, dim)
+    init = data[rng.choice(data.shape[0], size=k, replace=False)]
+    init[1::2] += rng.normal(size=init[1::2].shape)
+    labels = []
+    argmin = np.argmin
+
+    def spy(a, *args, **kwargs):
+        out = argmin(a, *args, **kwargs)
+        labels.append(out)
+        return out
+
+    monkeypatch.setattr(np, "argmin", spy)
+    lloyd_kmeans(data, init)
+    monkeypatch.undo()
+    d2 = np.sum((data[:, None, :] - init[None, :, :]) ** 2, axis=2)
+    if k == 1:
+        assert np.array_equal(labels[0], np.zeros(data.shape[0], dtype=np.intp))
+        return
+    first, second = np.sort(d2, axis=1)[:, :2].T
+    clear = second - first > 1e-9 * (np.sum(data**2, axis=1) + second)
+    assert np.mean(clear) > 0.9
+    assert np.array_equal(labels[0][clear], argmin(d2, axis=1)[clear])
 
 
 def reference_lloyd(data, k, seed=42, tol=1e-6, max_iter=300, init=None):
     """The per-cell Lloyd loop that lloyd_kmeans must reproduce bit for bit."""
     n = data.shape[0]
     centroids = kmeanspp(data, k, seed) if init is None else init
-    scale = float(np.sqrt(np.mean(np.sum(data**2, axis=1)))) or 1.0
+    norms = np.sum(data**2, axis=1)
+    scale = float(np.sqrt(np.mean(norms))) or 1.0
     history = []
     for _ in range(max_iter):
-        d2 = vq._sq_dists(data, centroids)
-        labels = np.argmin(d2, axis=1)
-        history.append(float(np.mean(d2[np.arange(n), labels])))
+        # |x - c|^2 - |x|^2 as one product of [x | 1] with [-2c | |c|^2], then |x|^2 on the minima
+        weights = np.hstack([-2.0 * centroids, np.sum(centroids**2, axis=1)[:, None]])
+        shifted = np.hstack([data, np.ones((n, 1))]) @ weights.T
+        labels = np.argmin(shifted, axis=1)
+        history.append(float(np.mean(np.maximum(shifted[np.arange(n), labels] + norms, 0.0))))
         new_centroids = centroids.copy()
         for j in range(k):
             mask = labels == j

@@ -1,13 +1,14 @@
 """Reference outputs of spkid on one small synthetic corpus: ``tests/golden.json``.
 
-    python3 tools/golden.py [--out tests/golden.json]
+    PYTHONPATH=src python3 tools/golden.py [--out tests/golden.json]
 
 Runs ``run_experiment`` (codebook sizes 4, 8 and 16) and ``sweep_coefficients``
 (K = 10..30, size 16) on ``synth_corpus(4, 8, seed=5, sample_rate=8000)`` and
 writes, as one JSON object:
 
 - ``trials``: each (kind, size, test speaker) ranking, as [candidate, score]
-  pairs in rank order, with the scores as exact floats (``.17g``);
+  pairs in rank order, with the scores as exact floats (up to 17
+  significant digits);
 - ``accuracies`` and ``alphas`` per kind and size;
 - ``sweep``: each K's sweep row, [mec_total, mec_ac, accuracy];
 - ``features``: the shape and the sum of squares of each (role, kind, speaker)
@@ -34,6 +35,17 @@ from pathlib import Path
 
 import numpy as np
 
+from spkid.corpus import extract_voiced_regions, split_speakers
+from spkid.evaluate import (
+    ExperimentConfig,
+    run_experiment,
+    split_features,
+    sweep_coefficients,
+    train_codebooks,
+)
+from spkid.gci import detect_gci
+from spkid.synth import synth_corpus
+
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden.json"
 CORPUS = {"n_speakers": 4, "n_utterances": 8, "seed": 5, "sample_rate": 8000}
 SIZES = (4, 8, 16)
@@ -42,15 +54,11 @@ SWEEP_SIZE = 16
 
 
 def corpus():
-    from spkid.synth import synth_corpus
-
     return synth_corpus(CORPUS["n_speakers"], CORPUS["n_utterances"], seed=CORPUS["seed"],
                         sample_rate=CORPUS["sample_rate"])
 
 
 def config():
-    from spkid.evaluate import ExperimentConfig
-
     return ExperimentConfig(codebook_sizes=SIZES, coeff_counts=COEFF_COUNTS, sweep_codebook_size=SWEEP_SIZE)
 
 
@@ -60,12 +68,10 @@ def _sha(data: bytes) -> str:
 
 def report_outputs(utterances) -> dict:
     """Rankings, accuracies and fusion weights of ``run_experiment``."""
-    from spkid.evaluate import run_experiment
-
     report = run_experiment(config(), utterances)
     return {
         "trials": {
-            f"{t.kind}/{t.codebook_size}/{t.speaker_id}": [[c, float(f"{s:.17g}")] for c, s in t.scores]
+            f"{t.kind}/{t.codebook_size}/{t.speaker_id}": [[c, s] for c, s in t.scores]
             for t in report.trials
         },
         "accuracies": {f"{kind}/{size}": acc for kind, by_size in report.accuracies.items()
@@ -75,18 +81,12 @@ def report_outputs(utterances) -> dict:
 
 
 def sweep_outputs(utterances) -> dict:
-    from spkid.evaluate import sweep_coefficients
-
     rows = sweep_coefficients(config(), utterances)
     return {"sweep": {str(r.n_coeffs): [r.mec_total, r.mec_ac, r.accuracy] for r in rows}}
 
 
 def stage_outputs(utterances) -> dict:
     """Feature statistics and the byte digests of the features, codebooks and epochs."""
-    from spkid.corpus import extract_voiced_regions, split_speakers
-    from spkid.evaluate import split_features, train_codebooks
-    from spkid.gci import detect_gci
-
     cfg = config()
     splits = split_speakers(utterances, cfg.n_train, cfg.n_test)
     speakers = [s.speaker_id for s in splits]

@@ -35,18 +35,20 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 300
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     speaker_id: str
     kind: str
     k: int
     dim: int
-    centroids: np.ndarray  # (k, dim) float64
+    centroids: np.ndarray  # (k, dim) float64, a read-only C-contiguous view, as FeatureMatrix.matrix
     seed: int
     train_vector_count: int
 
     def __post_init__(self):
-        self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
+        centroids = np.ascontiguousarray(self.centroids, dtype=np.float64).view()
+        centroids.flags.writeable = False
+        object.__setattr__(self, "centroids", centroids)
         if self.k < 1:
             raise ValueError("codebook size must be >= 1")
         if self.centroids.shape != (self.k, self.dim):
@@ -211,7 +213,7 @@ def load_codebook(path) -> Codebook:
     if len(block) != k * dim * 8:
         raise ValueError(f"{path}: centroid block has {len(block)} bytes, expected {k * dim * 8} (k={k}, dim={dim})")
     centroids = np.frombuffer(block, dtype="<f8").reshape(k, dim)
-    return Codebook(speaker_id, kind, k, dim, centroids.copy(), seed, count)
+    return Codebook(speaker_id, kind, k, dim, centroids, seed, count)
 
 
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:

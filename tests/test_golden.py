@@ -8,11 +8,12 @@ centroid leaves a rounding residue of up to a few ``eps * |x|^2`` under the
 square root, so its distance is ``sqrt(eps) * |x|`` rather than 0, and which
 residue depends on how the distance kernel orders its sums. The sum of the
 norms is bounded by ``sqrt(n * sum |x|^2)`` from the test matrix's stored
-shape and sum of squares. The byte digests of codebooks, feature matrices and
-epoch lists have a test of their own, so that a platform whose BLAS rounds
-differently fails that test alone.
+shape and sum of squares. The byte digests of codebooks, feature matrices,
+epoch lists and the files the CLI writes have a test of their own, so that a
+platform whose BLAS rounds differently fails that test alone.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spkid.cli
 import spkid.evaluate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,8 +84,12 @@ def tolerance_mismatches(expected: dict, actual: dict) -> list[str]:
 
 
 def byte_mismatches(expected: dict, actual: dict) -> list[str]:
-    want, got = expected["digests"], actual["digests"]
-    return sorted(key for key in set(want) | set(got) if want.get(key) != got.get(key))
+    """The name of every stage output, then of every CLI file, whose digest differs from ``expected``."""
+    out = []
+    for section in ("digests", "files"):
+        want, got = expected[section], actual[section]
+        out += sorted(key for key in set(want) | set(got) if want.get(key) != got.get(key))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +116,29 @@ def test_golden_bytes_fail_on_a_one_ulp_centroid_change(monkeypatch, utterances)
     def nudged(features, k, *args, **kwargs):
         cb = train_codebook(features, k, *args, **kwargs)
         if (cb.kind, k, cb.speaker_id) == ("psdct", 8, "spk01"):
-            cb.centroids[3, 7] = np.nextafter(cb.centroids[3, 7], np.inf)
+            centroids = cb.centroids.copy()
+            centroids[3, 7] = np.nextafter(centroids[3, 7], np.inf)
+            cb = dataclasses.replace(cb, centroids=centroids)
         return cb
 
     monkeypatch.setattr(spkid.evaluate, "train_codebook", nudged)
-    stages = golden.stage_outputs(utterances)
+    stages = {**EXPECTED, **golden.stage_outputs(utterances)}
     assert byte_mismatches(EXPECTED, stages) == ["codebooks/psdct/8/spk01"]
+
+
+def test_golden_bytes_fail_on_a_one_sample_shift_in_the_epoch_dump(monkeypatch, utterances):
+    dump_epochs_csv = spkid.cli.dump_epochs_csv
+    calls = []
+
+    def shifted(fh, region, epochs, peaks):
+        calls.append(region.region_id)
+        if len(calls) == 1:  # the first region's mapped peaks, in the dump only
+            peaks = np.asarray(peaks) + 1
+        dump_epochs_csv(fh, region, epochs, peaks)
+
+    monkeypatch.setattr(spkid.cli, "dump_epochs_csv", shifted)
+    files = {**EXPECTED, **golden.file_outputs(utterances)}
+    assert byte_mismatches(EXPECTED, files) == ["epochs.csv"]
 
 
 def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances):

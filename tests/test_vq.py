@@ -86,6 +86,8 @@ def test_training_is_bit_reproducible(tmp_path):
     a = train_codebook(vecs, 16, seed=42, speaker_id="s")
     b = train_codebook(vecs, 16, seed=42, speaker_id="s")
     assert np.array_equal(a.centroids, b.centroids)
+    with pytest.raises(ValueError, match="read-only"):
+        a.centroids[0, 0] = 0.0
     save_codebook(a, tmp_path / "a.cb")
     save_codebook(b, tmp_path / "b.cb")
     assert (tmp_path / "a.cb").read_bytes() == (tmp_path / "b.cb").read_bytes()

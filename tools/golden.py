@@ -16,26 +16,38 @@ writes, as one JSON object:
 - ``digests``: one SHA-256 per codebook (its float64 centroid bytes), per
   feature matrix and per speaker's epoch lists (the ``detect_gci`` positions
   of every region of every utterance, as int64, each list preceded by its
-  length).
+  length);
+- ``files``: one SHA-256 per file that the CLI writes from the corpus saved
+  with ``save_corpus``: ``spkid evaluate`` (the same sizes), ``sweep`` (the
+  same K and size), ``train --kind fused`` (the largest size), ``identify``
+  for each kind, and ``extract`` for each kind with the psdct run's
+  ``--epoch-dump``; plus one over the ``load_corpus`` round trip (ids, rates,
+  samples, labels and epochs of every utterance).
 
 ``tests/test_golden.py`` checks a fresh run against the file: rankings,
 predictions, accuracies and shapes exactly, scores and float statistics within
 a stated tolerance, and the digests byte for byte in a test of their own. A
 change that moves an output regenerates the file with this command, and the
-file's diff is the re-baseline.
+file's diff is the re-baseline. To compare two checkouts, run this command in
+each with ``PYTHONPATH=<checkout>/src`` and ``--out`` pointing at two files,
+then diff them: the diff names each output that moved.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from spkid.corpus import extract_voiced_regions, split_speakers
+from spkid import cli
+from spkid.corpus import extract_voiced_regions, load_corpus, save_corpus, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     run_experiment,
@@ -112,9 +124,48 @@ def stage_outputs(utterances) -> dict:
     return {"features": features, "digests": digests}
 
 
+def file_outputs(utterances) -> dict:
+    """The digests of the ``load_corpus`` round trip and of every file the CLI writes, run in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        corpus_dir, model = work / "corpus", work / "model"
+        save_corpus(utterances, corpus_dir)
+        round_trip = hashlib.sha256()
+        for utt in load_corpus(corpus_dir):
+            round_trip.update(f"{utt.speaker_id}/{utt.utterance_id} {utt.sample_rate}\n".encode())
+            round_trip.update(utt.samples.astype("<f8").tobytes())
+            for seg in utt.segments or ():
+                round_trip.update(f"{seg.begin} {seg.end} {seg.phone}\n".encode())
+            if utt.impulses is not None:
+                round_trip.update(utt.impulses.astype("<i8").tobytes())
+        files = {"load_corpus": round_trip.hexdigest()}
+        runs = [
+            ["evaluate", "--codebook-size", ",".join(map(str, SIZES)), "--report-out", str(work / "evaluate")],
+            ["sweep", "--coeffs", ",".join(map(str, COEFF_COUNTS)), "--codebook-size", str(SWEEP_SIZE),
+             "--report-out", str(work / "sweep")],
+            ["train", "--model-dir", str(model), "--kind", "fused", "--codebook-size", str(SIZES[-1])],
+            *(["identify", "--model-dir", str(model), "--kind", kind, *extra,
+               "--report-out", str(work / f"identify-{kind}.csv")]
+              for kind, extra in (("psdct", []), ("mfcc", []), ("fused", ["--acc-dct", "0.9", "--acc-mfcc", "0.8"]))),
+            ["extract", "--kind", "psdct", "--report-out", str(work / "extract-psdct.csv"),
+             "--epoch-dump", str(work / "epochs.csv")],
+            ["extract", "--kind", "mfcc", "--report-out", str(work / "extract-mfcc.csv")],
+        ]
+        for command, *args in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main([command, "--corpus", str(corpus_dir), *args])
+            if code != 0:
+                raise RuntimeError(f"spkid {command} exited {code}: {err.getvalue().strip()}")
+        for path in sorted(work.rglob("*")):
+            if path.is_file() and corpus_dir not in path.parents:
+                files[path.relative_to(work).as_posix()] = _sha(path.read_bytes())
+    return {"files": files}
+
+
 def build() -> dict:
     utterances = corpus()
-    return {"corpus": CORPUS, **report_outputs(utterances), **sweep_outputs(utterances), **stage_outputs(utterances)}
+    return {"corpus": CORPUS, **report_outputs(utterances), **sweep_outputs(utterances), **stage_outputs(utterances),
+            **file_outputs(utterances)}
 
 
 def dumps(outputs: dict) -> str:

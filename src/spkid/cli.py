@@ -103,17 +103,16 @@ def cmd_extract(args) -> int:
 
 
 def _kinds(args) -> tuple[str, ...]:
-    return (KIND_PSDCT, KIND_MFCC) if args.kind == "fused" else (args.kind,)
+    return (KIND_PSDCT, KIND_MFCC) if args.kind == ev.KIND_FUSED else (args.kind,)
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,), seed=args.seed)
+    config = _config_from_args(
+        args, n_coeffs=args.coeffs, codebook_sizes=(args.codebook_size,), kinds=_kinds(args), seed=args.seed
+    )
     # split_features reads the training files alone, one speaker at a time
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
-    kinds = _kinds(args)
-    feats = ev.split_features(splits, config, kinds, "training")
-    speakers = [s.speaker_id for s in splits]
-    books = ev.train_codebooks(feats, speakers, kinds, config.codebook_sizes, config.seed)
+    books = ev.train_codebooks(ev.split_features(splits, config, "training"), config)
     codebooks = [cb for by_size in books.values() for cb in by_size[args.codebook_size]]
     save_model_dir(codebooks, args.model_dir)
     print(f"wrote {len(codebooks)} codebooks (k={args.codebook_size}) to {args.model_dir}")
@@ -121,7 +120,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    fused_mode = args.kind == "fused"
+    fused_mode = args.kind == ev.KIND_FUSED
     if fused_mode and (args.acc_dct is None or args.acc_mfcc is None):
         raise ValueError("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])")
     weights = FusionWeights(args.acc_dct, args.acc_mfcc) if fused_mode else None
@@ -132,10 +131,10 @@ def cmd_identify(args) -> int:
             raise ValueError(f"model dir {args.model_dir} has no {kind} codebooks")
     # the PS-DCT width is the one the model was trained with
     n_coeffs = books[KIND_PSDCT][0].dim if KIND_PSDCT in books else DEFAULT_NUM_COEFFS
-    config = _config_from_args(args, n_coeffs=n_coeffs)
+    config = _config_from_args(args, n_coeffs=n_coeffs, kinds=kinds)
     # split_features reads the test files alone, one speaker at a time
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
-    test_feats = ev.split_features(splits, config, kinds, "test")
+    test_feats = ev.split_features(splits, config, "test")
 
     rankings, predicted = {}, {}
     for spk in (s.speaker_id for s in splits):
@@ -198,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train per-speaker codebooks")
     _add_common(p, model_dir=True, seed=True)
-    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default="fused",
+    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, ev.KIND_FUSED], default=ev.KIND_FUSED,
                    help="fused trains both systems")
     p.add_argument("--codebook-size", type=int, default=32)
     p.add_argument("--coeffs", type=int, default=DEFAULT_NUM_COEFFS, help=COEFFS_HELP)
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="identify test utterances against a model directory")
     _add_common(p, model_dir=True)
-    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default=KIND_PSDCT)
+    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, ev.KIND_FUSED], default=KIND_PSDCT)
     p.add_argument("--acc-dct", type=float, help="measured PS-DCT accuracy in [0,1] (fused mode)")
     p.add_argument("--acc-mfcc", type=float, help="measured MFCC accuracy in [0,1] (fused mode)")
     p.add_argument("--report-out", help="output CSV path (default stdout)")
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="full train/test report over codebook sizes")
     _add_common(p, seed=True)
-    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, "fused"], default="fused",
+    p.add_argument("--kind", choices=[KIND_PSDCT, KIND_MFCC, ev.KIND_FUSED], default=ev.KIND_FUSED,
                    help="fused evaluates both systems plus their combination")
     p.add_argument("--codebook-size", type=_int_list, default=defaults.codebook_sizes, help="comma-separated sizes")
     p.add_argument("--coeffs", type=int, default=DEFAULT_NUM_COEFFS, help=COEFFS_HELP)

@@ -80,6 +80,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must list each value once, got {','.join(map(str, values))}")
+        if not set(self.kinds) <= {KIND_PSDCT, KIND_MFCC}:
+            raise ValueError(f"kinds must each be {KIND_PSDCT} or {KIND_MFCC}, got {','.join(self.kinds)}")
 
     def effective_voiced_set(self) -> frozenset[str]:
         return DEFAULT_VOICED_SET if self.voiced_set is None else self.voiced_set
@@ -186,17 +188,15 @@ def psdct_features(cycles: list[PitchCycle], n_coeffs: int) -> list[FeatureVecto
     return [psdct_feature(c, n_coeffs) for c in cycles if len(c) > n_coeffs]
 
 
-def collect_features(
-    utterances: list[Utterance], config: ExperimentConfig, kinds: tuple[str, ...]
-) -> dict[str, list[FeatureVector]]:
-    """Feature vectors of each requested kind, reading every voiced region once.
+def collect_features(utterances: list[Utterance], config: ExperimentConfig) -> dict[str, list[FeatureVector]]:
+    """Feature vectors of each kind in ``config.kinds``, reading every voiced region once.
 
     Each kind runs over all the regions in turn: alternating the two kinds
     region by region was about 8% slower on a 16 kHz corpus.
     """
     voiced_set = config.effective_voiced_set()
     regions = [region for utt in utterances for region in extract_voiced_regions(utt, voiced_set)]
-    feats: dict[str, list[FeatureVector]] = {kind: [] for kind in kinds}
+    feats: dict[str, list[FeatureVector]] = {kind: [] for kind in config.kinds}
     if KIND_PSDCT in feats:
         for region in regions:
             feats[KIND_PSDCT].extend(psdct_features(cycles_from_region(region), config.n_coeffs))
@@ -209,14 +209,14 @@ def collect_features(
 def collect_mfcc_features(
     utterances: list[Utterance], voiced_set: frozenset[str], config: MfccConfig
 ) -> list[FeatureVector]:
-    experiment = ExperimentConfig(voiced_set=voiced_set, mfcc=config)
-    return collect_features(utterances, experiment, (KIND_MFCC,))[KIND_MFCC]
+    experiment = ExperimentConfig(voiced_set=voiced_set, kinds=(KIND_MFCC,), mfcc=config)
+    return collect_features(utterances, experiment)[KIND_MFCC]
 
 
 def split_features(
-    splits: list[SpeakerSplit], config: ExperimentConfig, kinds: tuple[str, ...], role: str
+    splits: list[SpeakerSplit], config: ExperimentConfig, role: str
 ) -> dict[tuple[str, str], FeatureMatrix]:
-    """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors.
+    """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors, per kind in ``config.kinds``.
 
     Each matrix is stacked and checked here, once, for every codebook and
     score that uses it. Raises if a speaker has no vectors of a kind. The
@@ -227,8 +227,8 @@ def split_features(
     out: dict[tuple[str, str], FeatureMatrix] = {}
     for split in splits:
         utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
-        feats = collect_features([u.read() for u in utts], config, kinds)
-        for kind in kinds:
+        feats = collect_features([u.read() for u in utts], config)
+        for kind in config.kinds:
             if not feats[kind]:
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")
             out[split.speaker_id, kind] = FeatureMatrix.stack(feats[kind])
@@ -236,23 +236,23 @@ def split_features(
 
 
 def train_codebooks(
-    train: dict[tuple[str, str], FeatureMatrix],
-    speakers: list[str],
-    kinds: tuple[str, ...],
-    sizes: tuple[int, ...],
-    seed: int,
+    train: dict[tuple[str, str], FeatureMatrix], config: ExperimentConfig
 ) -> dict[str, dict[int, list[Codebook]]]:
-    """kind -> size -> one codebook per speaker, in ``speakers`` order, from ``train[speaker, kind]``.
+    """kind -> size -> one codebook per speaker from ``train[speaker, kind]``, at each of ``config.codebook_sizes``.
 
-    Each (speaker, kind)'s k-means++ seeds are drawn first, once, at the
-    largest size; each size's Lloyd run starts from their prefix, so the
-    codebooks are those of separate ``train_codebook`` calls with the same
-    seed. A draw never repeats a row, so one short of the largest size has
-    found every distinct vector. Before any Lloyd run, one error then lists
-    every speaker, kind and size that does not fit.
+    Speakers and kinds are those of the keys of ``train``, in order. Each
+    (speaker, kind)'s k-means++ seeds are drawn first, once, at the largest
+    size; each size's Lloyd run starts from their prefix, so the codebooks are
+    those of separate ``train_codebook`` calls with ``config.seed``. A draw
+    never repeats a row, so one short of the largest size has found every
+    distinct vector. Before any Lloyd run, one error then lists every speaker,
+    kind and size that does not fit.
     """
+    speakers = list(dict.fromkeys(spk for spk, _ in train))
+    kinds = list(dict.fromkeys(kind for _, kind in train))
+    sizes, seed = config.codebook_sizes, config.seed
     largest = max(sizes)
-    seeds = {(spk, kind): kmeanspp_seeds(train[spk, kind], largest, seed) for spk in speakers for kind in kinds}
+    seeds = {key: kmeanspp_seeds(rows, largest, seed) for key, rows in train.items()}
     misfits = [
         f"{spk} {kind} k={','.join(str(k) for k in sizes if k > len(rows))} ({len(rows)} distinct)"
         for (spk, kind), rows in seeds.items() if len(rows) < largest
@@ -276,9 +276,9 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | list[
     """
     splits = split_speakers(utterances, config.n_train, config.n_test)
     speakers = [s.speaker_id for s in splits]
-    train_feats = split_features(splits, config, config.kinds, "training")
-    test_feats = split_features(splits, config, config.kinds, "test")
-    books = train_codebooks(train_feats, speakers, config.kinds, config.codebook_sizes, config.seed)
+    train_feats = split_features(splits, config, "training")
+    test_feats = split_features(splits, config, "test")
+    books = train_codebooks(train_feats, config)
 
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
     # scores[(kind, size, test speaker)] -> ranked CmdScore list
@@ -358,17 +358,17 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
             raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
     pooled_train = [c for spk in speakers for c in train_cycles[spk]]
     train_rows = {spk: FeatureMatrix.stack(psdct_features(train_cycles[spk], max_k)) for spk in speakers}
-    test_feats = split_features(splits, replace(config, n_coeffs=max_k), (KIND_PSDCT,), "test")
+    sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
+    test_feats = split_features(splits, sweep, "test")
 
     def first(rows: FeatureMatrix, k: int) -> FeatureMatrix:
         # a contiguous copy: a strided slice can take another BLAS path and change the bytes
         return FeatureMatrix(np.ascontiguousarray(rows.matrix[:, :k]), KIND_PSDCT)
 
-    size = config.sweep_codebook_size
     rows = []
     for k in sorted(config.coeff_counts):
         train_k = {(spk, KIND_PSDCT): first(train_rows[spk], k) for spk in speakers}
-        codebooks = train_codebooks(train_k, speakers, (KIND_PSDCT,), (size,), config.seed)[KIND_PSDCT][size]
+        codebooks = train_codebooks(train_k, sweep)[KIND_PSDCT][config.sweep_codebook_size]
         correct = 0
         for spk in speakers:
             _, predicted = identify(first(test_feats[spk, KIND_PSDCT], k), codebooks)

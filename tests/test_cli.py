@@ -410,9 +410,9 @@ def test_extract_features_same_with_and_without_epoch_dump(corpus_dir, tmp_path,
     ]) == 0
     assert dumped.read_bytes() == plain.read_bytes()
     # and both are the features evaluate collects
-    config = ExperimentConfig()
+    config = ExperimentConfig(kinds=(kind,))
     rows = plain.read_text().splitlines()[1:]
-    feats = [f for utt in load_corpus(corpus_dir) for f in ev.collect_features([utt], config, (kind,))[kind]]
+    feats = [f for utt in load_corpus(corpus_dir) for f in ev.collect_features([utt], config)[kind]]
     assert len(rows) == len(feats) > 100
     assert all(r.split(",", 3)[3] == ",".join(f"{v:.9g}" for v in f.values) for r, f in zip(rows, feats))
 
@@ -455,6 +455,30 @@ def test_train_and_identify_read_their_split_one_speaker_at_a_time(argv, corpus_
     # before each read, only Utterances of the speaker being read are alive
     for spk, utt, alive in reads:
         assert set(alive) <= {spk}, (spk, utt, alive)
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (["train", "--kind", "psdct"], [("psdct",)]),
+    (["train"], [("psdct", "mfcc")]),
+    (["identify", "--kind", "mfcc"], [("mfcc",)]),
+    (["identify", "--kind", "fused", "--acc-dct", "0.9", "--acc-mfcc", "0.8"], [("psdct", "mfcc")]),
+    (["evaluate", "--kind", "mfcc", "--codebook-size", "8"], [("mfcc",), ("mfcc",)]),
+    (["sweep", "--coeffs", "10,15", "--codebook-size", "8"], [("psdct",)]),
+])
+def test_config_kinds_are_the_kinds_each_command_collects(argv, kinds, corpus_dir, fused_model, tmp_path, monkeypatch):
+    seen = []
+    real_split = ev.split_features
+
+    def recording_split(splits, config, role):
+        feats = real_split(splits, config, role)
+        seen.append(config.kinds)
+        assert sorted({kind for _, kind in feats}) == sorted(config.kinds)
+        return feats
+
+    monkeypatch.setattr(ev, "split_features", recording_split)
+    model = {"train": ["--model-dir", str(tmp_path / "model")], "identify": ["--model-dir", str(fused_model)]}
+    assert main([argv[0], "--corpus", str(corpus_dir), *model.get(argv[0], []), *argv[1:]]) == 0
+    assert seen == kinds
 
 
 def test_extract_reads_one_utterance_at_a_time(corpus_dir, tmp_path, reads):

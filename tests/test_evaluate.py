@@ -58,6 +58,10 @@ def test_config_validation():
         ExperimentConfig(coeff_counts=(10, 10))
     with pytest.raises(ValueError, match="^kinds must list each value once, got psdct,mfcc,psdct$"):
         ExperimentConfig(kinds=("psdct", "mfcc", "psdct"))
+    with pytest.raises(ValueError, match="^kinds must each be psdct or mfcc, got fused$"):
+        ExperimentConfig(kinds=("fused",))
+    with pytest.raises(ValueError, match="^kinds must each be psdct or mfcc, got psdct,mfc$"):
+        ExperimentConfig(kinds=("psdct", "mfc"))
 
 
 def test_default_voiced_set_stops_at_the_timit_v_fricative():
@@ -212,7 +216,7 @@ def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, mo
 
     monkeypatch.setattr(evaluate, "kmeanspp_seeds", counted_seeds)
     sizes = (32, 16, 128, 64)
-    books = train_codebooks(train, speakers, (KIND_PSDCT,), sizes, 9)[KIND_PSDCT]
+    books = train_codebooks(train, ExperimentConfig(codebook_sizes=sizes, seed=9, kinds=(KIND_PSDCT,)))[KIND_PSDCT]
     assert draws == [128] * len(speakers)
     assert list(books) == list(sizes)
     for size in sizes:
@@ -326,8 +330,8 @@ def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, capl
     owner = {}  # id of a speaker's vector list -> that speaker
     real_split, real_identify = evaluate.split_features, evaluate.identify
 
-    def recording_split(splits, config, kinds, role):
-        feats = real_split(splits, config, kinds, role)
+    def recording_split(splits, config, role):
+        feats = real_split(splits, config, role)
         owner.update({id(vectors): spk for (spk, _), vectors in feats.items()})
         return feats
 

@@ -24,6 +24,7 @@ import pytest
 
 import spkid.cli
 import spkid.evaluate
+from spkid.corpus import split_speakers
 
 ROOT = Path(__file__).resolve().parents[1]
 REL_TOL = 1e-9
@@ -169,3 +170,22 @@ def test_golden_scores_fail_beyond_the_tolerance():
         assert tolerance_mismatches(EXPECTED, moved) == [
             f"score {trial} {candidate}: {score + step * tolerance!r} != {score!r}"
         ][:mismatches]
+
+
+def test_benchmark_reference_rows_are_split_features_bytes(utterances):
+    """The per-row paths the benchmark's enroll check takes its reference rows from give the report's matrices."""
+    cfg = golden.config()
+    voiced = cfg.effective_voiced_set()
+    splits = split_speakers(utterances, cfg.n_train, cfg.n_test)
+    for role in ("training", "test"):
+        matrices = spkid.evaluate.split_features(splits, cfg, role)
+        for split in splits:
+            utts = split.train_utterances if role == "training" else split.test_utterances
+            reference = {
+                "psdct": spkid.evaluate.psdct_features(spkid.evaluate.collect_cycles(utts, voiced), cfg.n_coeffs),
+                "mfcc": spkid.evaluate.collect_mfcc_features(utts, voiced, cfg.mfcc),
+            }
+            for kind, rows in reference.items():
+                stacked, want = np.stack([v.values for v in rows]), matrices[split.speaker_id, kind].matrix
+                assert (stacked.dtype, stacked.shape) == (want.dtype, want.shape), (role, split.speaker_id, kind)
+                assert stacked.tobytes() == want.tobytes(), (role, split.speaker_id, kind)

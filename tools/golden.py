@@ -101,14 +101,13 @@ def stage_outputs(utterances) -> dict:
     """Feature statistics and the byte digests of the features, codebooks and epochs."""
     cfg = config()
     splits = split_speakers(utterances, cfg.n_train, cfg.n_test)
-    speakers = [s.speaker_id for s in splits]
     features, digests = {}, {}
-    matrices = {role: split_features(splits, cfg, cfg.kinds, role) for role in ("training", "test")}
+    matrices = {role: split_features(splits, cfg, role) for role in ("training", "test")}
     for role, by_key in matrices.items():
         for (spk, kind), m in by_key.items():
             features[f"{role}/{kind}/{spk}"] = {"shape": list(m.matrix.shape), "sq_sum": float(np.sum(m.matrix**2))}
             digests[f"features/{role}/{kind}/{spk}"] = _sha(m.matrix.astype("<f8").tobytes())
-    books = train_codebooks(matrices["training"], speakers, cfg.kinds, cfg.codebook_sizes, cfg.seed)
+    books = train_codebooks(matrices["training"], cfg)
     for kind, by_size in books.items():
         for size, codebooks in by_size.items():
             for cb in codebooks:

@@ -63,9 +63,8 @@ def cmd(test: FeatureMatrix, codebook: Codebook) -> CmdScore:
     if data.shape[1] != codebook.dim:
         raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.dim}")
     # (centroids, vectors) layout: the minimum runs down the centroid axis, and |x|^2 goes on the n minima only
-    centroids = codebook.centroids
-    shifted = np.matmul(-2.0 * centroids, data.T)
-    shifted += np.sum(centroids**2, axis=1)[:, None]
+    shifted = np.matmul(codebook.neg2_centroids, data.T)
+    shifted += codebook.sq_norms[:, None]
     nearest = np.min(shifted, axis=0)
     nearest += test.sq_norms
     min_d = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)

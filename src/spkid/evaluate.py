@@ -52,8 +52,10 @@ TIMIT30_REFERENCE_SWEEP = {
 KIND_FUSED = "fused"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked once at construction; frozen, so the checks hold for every use."""
+
     n_train: int = 6
     n_test: int = 2
     codebook_sizes: tuple[int, ...] = (16, 32, 64, 128)

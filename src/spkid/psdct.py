@@ -153,21 +153,22 @@ def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> flo
     The denominator is the full unit-energy frame's coefficient energy, which
     by Parseval is its sample energy; with include_dc=False the mean
     coefficient is excluded from the denominator as well. Cycles are grouped
-    by length and each group is transformed in one product with the truncated
-    basis, so each cycle is transformed once and only coefficients 0..K are
-    computed.
+    by length (one stable sort, so each group keeps list order) and each group
+    is transformed in one product with the truncated basis, so each cycle is
+    transformed once and only coefficients 0..K are computed.
     """
     if not cycles:
         raise ValueError("empty cycle list")
-    by_length: dict[int, list[int]] = {}
-    for i, cycle in enumerate(cycles):
-        m = len(cycle)
-        if m <= n_coeffs:
-            raise ValueError(f"cycle of {m} samples too short for {n_coeffs} coefficients")
-        by_length.setdefault(m, []).append(i)
+    samples = [c.samples for c in cycles]
+    lengths = np.fromiter(map(len, samples), dtype=np.intp, count=len(samples))
+    short = np.flatnonzero(lengths <= n_coeffs)
+    if short.size:
+        raise ValueError(f"cycle of {lengths[short[0]]} samples too short for {n_coeffs} coefficients")
+    order = np.argsort(lengths, kind="stable")
     ratios = np.empty(len(cycles))
-    for m, idx in by_length.items():
-        x = np.stack([cycles[i].samples for i in idx]).astype(np.float64, copy=False)
+    for idx in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        m = int(lengths[idx[0]])
+        x = np.concatenate([samples[i] for i in idx]).reshape(idx.size, m).astype(np.float64, copy=False)
         energy = np.einsum("ij,ij->i", x, x)
         if np.any(energy <= 0.0):
             raise ValueError("zero-energy frame; caller must filter these out")

@@ -18,6 +18,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,20 @@ class Codebook:
             raise ValueError(f"centroid shape {self.centroids.shape} != ({self.k}, {self.dim})")
         if not np.all(np.isfinite(self.centroids)):
             raise ValueError("centroids must be finite")
+
+    @cached_property
+    def neg2_centroids(self) -> np.ndarray:
+        """``-2.0 * centroids``, read-only: taken once for every ``cmd`` against this codebook."""
+        terms = -2.0 * self.centroids
+        terms.flags.writeable = False
+        return terms
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """``np.sum(centroids**2, axis=1)``, read-only: taken once for every ``cmd`` against this codebook."""
+        norms = np.sum(self.centroids**2, axis=1)
+        norms.flags.writeable = False
+        return norms
 
 
 def lloyd_kmeans(data: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, list[float]]:

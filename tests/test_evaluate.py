@@ -62,6 +62,14 @@ def test_config_validation():
         ExperimentConfig(kinds=("fused",))
     with pytest.raises(ValueError, match="^kinds must each be psdct or mfcc, got psdct,mfc$"):
         ExperimentConfig(kinds=("psdct", "mfc"))
+    # frozen, so no field escapes the checks by assignment after construction
+    c = ExperimentConfig(codebook_sizes=(4,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.codebook_sizes = (4, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.kinds = ("psdct", "mfc")
+    with pytest.raises(ValueError, match="^codebook_sizes must list each value once, got 4,4$"):
+        dataclasses.replace(c, codebook_sizes=(4, 4))
 
 
 def test_default_voiced_set_stops_at_the_timit_v_fricative():

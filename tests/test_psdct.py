@@ -142,6 +142,10 @@ def test_mec_errors():
         mec([], 15)
     with pytest.raises(ValueError):
         mec([cycle_of(np.ones(10))], 15)
+    # the first short cycle in list order is named, not the shortest
+    ok_60, short_12, short_10 = (cycle_of(np.ones(m)) for m in (60, 12, 10))
+    with pytest.raises(ValueError, match="^cycle of 12 samples too short for 15 coefficients$"):
+        mec([ok_60, short_12, short_10], 15)
 
 
 def test_mec_zero_energy_cycle_raises():
@@ -202,3 +206,29 @@ def test_mec_mixed_lengths_matches_per_cycle_reference(include_dc):
     cycles = [cycle_of(rng.normal(size=int(m)) + rng.normal()) for m in lengths]
     for k in (10, 25, 40):
         assert abs(mec(cycles, k, include_dc) - mec_reference(cycles, k, include_dc)) < 1e-12
+
+
+def mec_grouped_reference(cycles, n_coeffs, include_dc):
+    """``mec`` grouped as it was before its sort: a dict of index lists in first-appearance order, then ``np.stack``."""
+    by_length = {}
+    for i, cycle in enumerate(cycles):
+        by_length.setdefault(len(cycle), []).append(i)
+    ratios = np.empty(len(cycles))
+    for m, idx in by_length.items():
+        x = np.stack([cycles[i].samples for i in idx]).astype(np.float64, copy=False)
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        c2 = (x @ psdct._dct_basis(m, n_coeffs + 1).T) ** 2
+        full = np.einsum("ij,ij->i", x, x)
+        denom = full if include_dc else full - c2[:, 0]
+        ratios[idx] = c2[:, 1:].sum(axis=1) / denom
+    return float(np.mean(ratios))
+
+
+@pytest.mark.parametrize("include_dc", [True, False])
+def test_mec_bits_equal_the_first_appearance_grouping(include_dc):
+    # interleaved lengths, each repeated far apart, so sorting reorders the groups but not their rows
+    rng = np.random.default_rng(12)
+    lengths = [613, 45, 200, 81, 80, 97] * 9 + [300, 41, 613, 45]
+    cycles = [cycle_of(rng.normal(size=m) + rng.normal()) for m in lengths]
+    for k in (10, 25, 40):
+        assert mec(cycles, k, include_dc) == mec_grouped_reference(cycles, k, include_dc)

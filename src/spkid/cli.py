@@ -54,11 +54,11 @@ def _print_report(markdown: str, report_out, write_csv) -> None:
     """Print the markdown report; with a prefix, also write ``<prefix>.md`` and ``<prefix>.csv``."""
     print(markdown)
     if report_out:
-        out = Path(report_out)
-        out.with_suffix(".md").write_text(markdown, encoding="utf-8")
-        with open(out.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
+        md, csv_path = Path(f"{report_out}.md"), Path(f"{report_out}.csv")
+        md.write_text(markdown, encoding="utf-8")
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh)
-        print(f"wrote {out.with_suffix('.md')} and {out.with_suffix('.csv')}", file=sys.stderr)
+        print(f"wrote {md} and {csv_path}", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:

@@ -268,41 +268,30 @@ def train_codebooks(
     return {kind: {size: [book(spk, kind, size) for spk in speakers] for size in sizes} for kind in kinds}
 
 
-def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | list[UtteranceFile]) -> EvalReport:
-    """Train, identify, and fuse over every configured codebook size.
+def score_report(
+    test: dict[tuple[str, str], FeatureMatrix], books: dict[str, dict[int, list[Codebook]]], config: ExperimentConfig
+) -> EvalReport:
+    """Rank each ``test[speaker, kind]`` against every codebook of ``books[kind][size]``, then fuse.
 
-    ``utterances`` may be a listing (``list_corpus``): only the files of the
-    split are read, one speaker at a time. The fusion weight per size is
-    derived from the two systems' accuracies measured in this same report
-    (the closed-loop protocol the reference results use).
+    Kinds and sizes come in the order of ``books``, and speakers in the order
+    of the keys of ``test``. When ``books`` holds both kinds, each size's
+    fusion weight is derived from the two systems' accuracies measured in
+    this same report (the closed-loop protocol the reference results use).
     """
-    splits = split_speakers(utterances, config.n_train, config.n_test)
-    speakers = [s.speaker_id for s in splits]
-    train_feats = split_features(splits, config, "training")
-    test_feats = split_features(splits, config, "test")
-    books = train_codebooks(train_feats, config)
-
+    speakers = list(dict.fromkeys(spk for spk, _ in test))
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
-    # scores[(kind, size, test speaker)] -> ranked CmdScore list
-    scores: dict[tuple[str, int, str], list[CmdScore]] = {}
-    for kind in config.kinds:
-        for size in config.codebook_sizes:
+    # ranked[(kind, size, test speaker)] -> ranked CmdScore list, which fuse takes
+    ranked: dict[tuple[str, int, str], list[CmdScore]] = {}
+    for kind, by_size in books.items():
+        for size, codebooks in by_size.items():
             for spk in speakers:
-                ranked, _ = identify(test_feats[spk, kind], books[kind][size])
-                scores[(kind, size, spk)] = ranked
-                report.trials.append(
-                    TrialResult(
-                        speaker_id=spk,
-                        kind=kind,
-                        codebook_size=size,
-                        scores=tuple((s.speaker_id, s.cmd) for s in ranked),
-                        n_vectors=len(test_feats[spk, kind]),
-                    )
-                )
+                scores = ranked[kind, size, spk] = identify(test[spk, kind], codebooks)[0]
+                pairs = tuple((s.speaker_id, s.cmd) for s in scores)
+                report.trials.append(TrialResult(spk, kind, size, pairs, n_vectors=len(test[spk, kind])))
 
-    if KIND_PSDCT in config.kinds and KIND_MFCC in config.kinds:
+    if KIND_PSDCT in books and KIND_MFCC in books:
         accuracies = report.accuracies
-        for size in config.codebook_sizes:
+        for size in books[KIND_PSDCT]:
             a_dct = accuracies[KIND_PSDCT][size]
             a_mfcc = accuracies[KIND_MFCC][size]
             if a_dct + a_mfcc <= 0.0:
@@ -310,19 +299,22 @@ def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | list[
                 continue
             weights = FusionWeights(a_dct, a_mfcc)
             for spk in speakers:
-                fused, _ = fuse(
-                    scores[(KIND_PSDCT, size, spk)], scores[(KIND_MFCC, size, spk)], weights
-                )
-                report.trials.append(
-                    TrialResult(
-                        speaker_id=spk,
-                        kind=KIND_FUSED,
-                        codebook_size=size,
-                        scores=tuple((s.speaker_id, s.d_com) for s in fused),
-                        alpha=weights.alpha,
-                    )
-                )
+                fused, _ = fuse(ranked[KIND_PSDCT, size, spk], ranked[KIND_MFCC, size, spk], weights)
+                pairs = tuple((s.speaker_id, s.d_com) for s in fused)
+                report.trials.append(TrialResult(spk, KIND_FUSED, size, pairs, alpha=weights.alpha))
     return report
+
+
+def run_experiment(config: ExperimentConfig, utterances: list[Utterance] | list[UtteranceFile]) -> EvalReport:
+    """Train, identify, and fuse over every configured codebook size.
+
+    ``utterances`` may be a listing (``list_corpus``): only the files of the
+    split are read, one speaker at a time.
+    """
+    splits = split_speakers(utterances, config.n_train, config.n_test)
+    train = split_features(splits, config, "training")
+    test = split_features(splits, config, "test")
+    return score_report(test, train_codebooks(train, config), config)
 
 
 @dataclass
@@ -347,7 +339,6 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)
-    speakers = [s.speaker_id for s in splits]
     max_k = max(config.coeff_counts)
 
     # mec needs the pooled training cycles, so the training side keeps them
@@ -355,32 +346,27 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
         s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced_set) if len(c) > max_k]
         for s in splits
     }
-    for spk in speakers:  # the report's check, made by split_features there
-        if not train_cycles[spk]:
+    for spk, cycles in train_cycles.items():  # the report's check, made by split_features there
+        if not cycles:
             raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
-    pooled_train = [c for spk in speakers for c in train_cycles[spk]]
-    train_rows = {spk: FeatureMatrix.stack(psdct_features(train_cycles[spk], max_k)) for spk in speakers}
+    pooled_train = [c for cycles in train_cycles.values() for c in cycles]
+    train_rows = {(spk, KIND_PSDCT): FeatureMatrix.stack(psdct_features(c, max_k)) for spk, c in train_cycles.items()}
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
-    test_feats = split_features(splits, sweep, "test")
+    test_rows = split_features(splits, sweep, "test")
 
-    def first(rows: FeatureMatrix, k: int) -> FeatureMatrix:
-        # a contiguous copy: a strided slice can take another BLAS path and change the bytes
-        return FeatureMatrix(np.ascontiguousarray(rows.matrix[:, :k]), KIND_PSDCT)
+    def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
+        # contiguous copies: a strided slice can take another BLAS path and change the bytes
+        return {key: FeatureMatrix(np.ascontiguousarray(m.matrix[:, :k]), KIND_PSDCT) for key, m in rows.items()}
 
     rows = []
     for k in sorted(config.coeff_counts):
-        train_k = {(spk, KIND_PSDCT): first(train_rows[spk], k) for spk in speakers}
-        codebooks = train_codebooks(train_k, sweep)[KIND_PSDCT][config.sweep_codebook_size]
-        correct = 0
-        for spk in speakers:
-            _, predicted = identify(first(test_feats[spk, KIND_PSDCT], k), codebooks)
-            correct += predicted == spk
+        report = score_report(first(test_rows, k), train_codebooks(first(train_rows, k), sweep), sweep)
         rows.append(
             SweepRow(
                 n_coeffs=k,
                 mec_total=mec(pooled_train, k, include_dc=True),
                 mec_ac=mec(pooled_train, k, include_dc=False),
-                accuracy=correct / len(speakers),
+                accuracy=report.accuracies[KIND_PSDCT][config.sweep_codebook_size],
             )
         )
     return rows

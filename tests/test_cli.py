@@ -180,6 +180,18 @@ def test_sweep_writes_reports(corpus_dir, tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("command, args", [
+    ("evaluate", ["--codebook-size", "8"]),
+    ("sweep", ["--coeffs", "10", "--codebook-size", "8"]),
+])
+def test_report_out_appends_to_a_dotted_prefix(command, args, corpus_dir, tmp_path, capsys):
+    # .md and .csv are appended, so neither prefix loses its ".x"/".y" or overwrites the other's files
+    for prefix in ("run.x", "run.y"):
+        assert main([command, "--corpus", str(corpus_dir), *args, "--report-out", str(tmp_path / prefix)]) == 0
+        assert capsys.readouterr().err == f"wrote {tmp_path / prefix}.md and {tmp_path / prefix}.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.x.csv", "run.x.md", "run.y.csv", "run.y.md"]
+
+
 def test_voiced_set_flag(corpus_dir, tmp_path):
     vset = tmp_path / "voiced.txt"
     vset.write_text(f"{VOICED_PHONE}\n")

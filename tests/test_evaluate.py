@@ -14,6 +14,8 @@ from spkid.evaluate import (
     collect_cycles,
     psdct_features,
     run_experiment,
+    score_report,
+    split_features,
     sweep_coefficients,
     sweep_to_markdown,
     train_codebooks,
@@ -37,6 +39,15 @@ def corpus8k():
 @pytest.fixture(scope="module")
 def report6(corpus6):
     return run_experiment(ExperimentConfig(codebook_sizes=(8, 16), seed=42), utterances=corpus6)
+
+
+@pytest.fixture(scope="module")
+def steps8k(corpus8k):
+    """The report's steps on corpus8k up to scoring: (config, test matrices, codebooks)."""
+    config = ExperimentConfig(codebook_sizes=(4, 8), n_train=3, n_test=2)
+    splits = split_speakers(corpus8k, config.n_train, config.n_test)
+    test = split_features(splits, config, "test")
+    return config, test, train_codebooks(split_features(splits, config, "training"), config)
 
 
 def test_config_validation():
@@ -362,3 +373,40 @@ def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, capl
     assert report.accuracies == {"psdct": {8: 0.0}, "mfcc": {8: 0.0}}
     assert "| 8 | 0.0 | 0.0 | - | - |" in report.to_markdown().splitlines()
     assert "size 8: both systems at zero accuracy; skipping fusion" in caplog.messages
+
+
+def test_score_report_follows_the_order_of_books_and_test(steps8k, monkeypatch):
+    config, test, books = steps8k
+    calls = []
+    for name in ("identify", "fuse"):
+        def counted(*args, real=getattr(evaluate, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(evaluate, name, counted)
+    reordered = {kind: {size: books[kind][size] for size in (8, 4)} for kind in ("mfcc", "psdct")}
+    report = score_report(dict(reversed(test.items())), reordered, config)
+
+    speakers = ["spk03", "spk02", "spk01", "spk00"]
+    assert report.speakers == speakers
+    scored = [(kind, size, spk) for kind in ("mfcc", "psdct") for size in (8, 4) for spk in speakers]
+    fused = [("fused", size, spk) for size in (8, 4) for spk in speakers]
+    assert [(t.kind, t.codebook_size, t.speaker_id) for t in report.trials] == scored + fused
+    assert calls == ["identify"] * len(scored) + ["fuse"] * len(fused)
+    # the same trials as in the order of train_codebooks and split_features
+    by_key = {(t.kind, t.codebook_size, t.speaker_id): t for t in score_report(test, books, config).trials}
+    assert {(t.kind, t.codebook_size, t.speaker_id): t for t in report.trials} == by_key
+
+
+def test_score_report_fuses_only_when_books_hold_both_kinds(steps8k):
+    config, test, books = steps8k
+    assert config.kinds == ("psdct", "mfcc")
+    report = score_report(test, {"psdct": books["psdct"]}, config)
+    assert [t.kind for t in report.trials] == ["psdct"] * 2 * 4
+    assert report.alphas == {}
+    assert list(report.accuracies) == ["psdct"]
+
+
+def test_score_report_on_the_steps_output_is_run_experiment(corpus8k, steps8k):
+    config, test, books = steps8k
+    assert score_report(test, books, config) == run_experiment(config, utterances=corpus8k)

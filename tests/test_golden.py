@@ -17,6 +17,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -154,9 +155,29 @@ def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances)
         return ranked, predicted
 
     monkeypatch.setattr(spkid.evaluate, "identify", swapped)
-    report = {**EXPECTED, **golden.report_outputs(utterances)}
+    report = {**EXPECTED, **golden.stage_outputs(utterances)}
     mismatches = tolerance_mismatches(EXPECTED, report)
     assert len(mismatches) == 1 and mismatches[0].startswith("ranking psdct/4/spk02: ")
+
+
+def test_golden_tool_trains_each_codebook_once_in_process(monkeypatch):
+    """One run of the report's steps and one sweep; only the CLI's own ``evaluate`` (stubbed here) trains again."""
+    train_codebook = spkid.evaluate.train_codebook
+    calls = Counter()
+
+    def counting(features, k, *args, **kwargs):
+        calls[features.kind, k, features.matrix.shape[1]] += 1
+        return train_codebook(features, k, *args, **kwargs)
+
+    monkeypatch.setattr(spkid.evaluate, "train_codebook", counting)
+    monkeypatch.setattr(golden, "file_outputs", lambda utterances: {})
+    golden.build()
+    cfg, n_speakers = golden.config(), golden.CORPUS["n_speakers"]
+    dims = {"psdct": cfg.n_coeffs, "mfcc": cfg.mfcc.n_coeffs}
+    report = Counter({(kind, size, dim): n_speakers for kind, dim in dims.items() for size in golden.SIZES})
+    sweep = Counter({("psdct", golden.SWEEP_SIZE, k): n_speakers for k in golden.COEFF_COUNTS})
+    assert calls == report + sweep
+    assert sum(calls.values()) == 2 * 3 * 4 + 5 * 4
 
 
 def test_golden_scores_fail_beyond_the_tolerance():

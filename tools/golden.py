@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python3 tools/golden.py [--out tests/golden.json]
 
-Runs ``run_experiment`` (codebook sizes 4, 8 and 16) and ``sweep_coefficients``
-(K = 10..30, size 16) on ``synth_corpus(4, 8, seed=5, sample_rate=8000)`` and
-writes, as one JSON object:
+Runs the report's steps once, ``split_features``, ``train_codebooks`` and
+``score_report`` (codebook sizes 4, 8 and 16), and ``sweep_coefficients``
+(K = 10..30, size 16) on ``synth_corpus(4, 8, seed=5, sample_rate=8000)``,
+and writes, as one JSON object:
 
 - ``trials``: each (kind, size, test speaker) ranking, as [candidate, score]
   pairs in rank order, with the scores as exact floats (up to 17
@@ -50,7 +51,7 @@ from spkid import cli
 from spkid.corpus import extract_voiced_regions, load_corpus, save_corpus, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
-    run_experiment,
+    score_report,
     split_features,
     sweep_coefficients,
     train_codebooks,
@@ -78,9 +79,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def report_outputs(utterances) -> dict:
-    """Rankings, accuracies and fusion weights of ``run_experiment``."""
-    report = run_experiment(config(), utterances)
+def report_outputs(report) -> dict:
+    """Rankings, accuracies and fusion weights of one report."""
     return {
         "trials": {
             f"{t.kind}/{t.codebook_size}/{t.speaker_id}": [[c, s] for c, s in t.scores]
@@ -98,7 +98,7 @@ def sweep_outputs(utterances) -> dict:
 
 
 def stage_outputs(utterances) -> dict:
-    """Feature statistics and the byte digests of the features, codebooks and epochs."""
+    """From one run of the report's steps: its outputs, and the statistics and byte digests of its stages."""
     cfg = config()
     splits = split_speakers(utterances, cfg.n_train, cfg.n_test)
     features, digests = {}, {}
@@ -120,7 +120,7 @@ def stage_outputs(utterances) -> dict:
             epochs.setdefault(utt.speaker_id, []).append(length.tobytes() + positions.tobytes())
     for spk, lists in epochs.items():
         digests[f"epochs/{spk}"] = _sha(b"".join(lists))
-    return {"features": features, "digests": digests}
+    return {**report_outputs(score_report(matrices["test"], books, cfg)), "features": features, "digests": digests}
 
 
 def file_outputs(utterances) -> dict:
@@ -163,8 +163,7 @@ def file_outputs(utterances) -> dict:
 
 def build() -> dict:
     utterances = corpus()
-    return {"corpus": CORPUS, **report_outputs(utterances), **sweep_outputs(utterances), **stage_outputs(utterances),
-            **file_outputs(utterances)}
+    return {"corpus": CORPUS, **stage_outputs(utterances), **sweep_outputs(utterances), **file_outputs(utterances)}
 
 
 def dumps(outputs: dict) -> str:

@@ -17,12 +17,12 @@ from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
 from .corpus import extract_voiced_regions, list_corpus, load_voiced_set, save_corpus, split_speakers
 from .gci import detect_gci, dump_epochs_csv, map_to_peaks, segment_cycles
-from .mfcc import MfccConfig, mfcc_features_for_region
+from .mfcc import N_MFCC, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
 from .vq import DEFAULT_SEED, load_model_dir, save_model_dir
 
-COEFFS_HELP = f"PS-DCT coefficients per vector; MFCC always gives {MfccConfig.n_coeffs}"
+COEFFS_HELP = f"PS-DCT coefficients per vector; MFCC always gives {N_MFCC}"
 
 
 def _add_common(p, model_dir=False, seed=False):
@@ -77,7 +77,7 @@ def cmd_extract(args) -> int:
     if psdct:
         index, width = "cycle_index", config.n_coeffs
     else:
-        index, width = "frame_index", config.mfcc.n_coeffs
+        index, width = "frame_index", N_MFCC
     dump_out = open(args.epoch_dump, "w", encoding="utf-8", newline="") if args.epoch_dump else nullcontext()
     with dump_out as dump, _out_stream(args.report_out) as fh:
         if dump is not None:

@@ -18,15 +18,16 @@ from .corpus import VoicedRegion
 from .dsp import dft, hanning
 from .psdct import KIND_MFCC, FeatureVector, dct2
 
+MIN_FFT = 512  # a longer frame gets the next power of two
+N_FILTERS = 26
+LOG_FLOOR = 1e-10
+N_MFCC = 13
+
 
 @dataclass(frozen=True)
 class MfccConfig:
     frame_ms: float = 20.0
     shift_ms: float = 10.0
-    n_fft: int = 512  # at least; a longer frame gets the next power of two
-    n_filters: int = 26
-    log_floor: float = 1e-10
-    n_coeffs: int = 13
 
 
 def hz_to_mel(f):
@@ -38,22 +39,17 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(sample_rate: int, n_fft: int, n_filters: int) -> np.ndarray:
-    """Triangular filters on the mel scale, (n_filters, n_fft//2 + 1), read-only.
+def mel_filterbank(sample_rate: int, n_fft: int) -> np.ndarray:
+    """N_FILTERS triangular filters on the mel scale, (N_FILTERS, n_fft//2 + 1), read-only.
 
     Continuous triangles evaluated at the bin frequencies: overlapping
     neighbors sum to exactly 1 between the first and last centers. One bank
-    is built per (rate, FFT size, filter count) and shared by every caller.
+    is built per (rate, FFT size) and shared by every caller.
     """
-    n_bins = n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * (sample_rate / n_fft)
-    edges_hz = mel_to_hz(np.linspace(0.0, float(hz_to_mel(sample_rate / 2.0)), n_filters + 2))
-    fb = np.zeros((n_filters, n_bins))
-    for i in range(n_filters):
-        left, center, right = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
-        rising = (bin_hz - left) / (center - left)
-        falling = (right - bin_hz) / (right - center)
-        fb[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    edges_hz = mel_to_hz(np.linspace(0.0, float(hz_to_mel(sample_rate / 2.0)), N_FILTERS + 2))
+    left, center, right = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    fb = np.clip(np.minimum((bin_hz - left) / (center - left), (right - bin_hz) / (right - center)), 0.0, None)
     fb.flags.writeable = False
     return fb
 
@@ -77,13 +73,13 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
     expected = frame_length(sample_rate, config)
     if x.size != expected:
         raise ValueError(f"frame of {x.size} samples, expected {expected}")
-    n_fft = max(config.n_fft, 1 << (x.size - 1).bit_length())
+    n_fft = max(MIN_FFT, 1 << (x.size - 1).bit_length())
     spectrum = dft(x * hanning(x.size), n=n_fft)
     power = np.abs(spectrum[: n_fft // 2 + 1]) ** 2
-    energies = mel_filterbank(sample_rate, n_fft, config.n_filters) @ power
-    log_energies = np.log(np.maximum(energies, config.log_floor))
+    energies = mel_filterbank(sample_rate, n_fft) @ power
+    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = dct2(log_energies)
-    return FeatureVector(coeffs[: config.n_coeffs].copy(), KIND_MFCC)
+    return FeatureVector(coeffs[:N_MFCC].copy(), KIND_MFCC)
 
 
 def mfcc_features_for_region(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> list[FeatureVector]:

@@ -9,8 +9,11 @@ square root, so its distance is ``sqrt(eps) * |x|`` rather than 0, and which
 residue depends on how the distance kernel orders its sums. The sum of the
 norms is bounded by ``sqrt(n * sum |x|^2)`` from the test matrix's stored
 shape and sum of squares. The byte digests of codebooks, feature matrices,
-epoch lists and the files the CLI writes have a test of their own, so that a
-platform whose BLAS rounds differently fails that test alone.
+epoch lists and the files the CLI writes have a test of their own, which names
+the BLAS core that wrote the file and the one running: on another OpenBLAS
+kernel the matrix products round differently, and that test alone fails. The
+mutation tests diff a mutated run against an unmutated run in the same
+process, so they hold on every kernel.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ import pytest
 import spkid.cli
 import spkid.evaluate
 from spkid.corpus import split_speakers
+from spkid.mfcc import N_MFCC
 
 ROOT = Path(__file__).resolve().parents[1]
 REL_TOL = 1e-9
@@ -109,10 +113,11 @@ def test_golden_rankings_predictions_and_scores(actual):
 
 
 def test_golden_codebook_feature_and_epoch_bytes(actual):
-    assert byte_mismatches(EXPECTED, actual) == []
+    cores = f"tests/golden.json written on BLAS core {EXPECTED['blas_core']}, running on {actual['blas_core']}"
+    assert byte_mismatches(EXPECTED, actual) == [], cores
 
 
-def test_golden_bytes_fail_on_a_one_ulp_centroid_change(monkeypatch, utterances):
+def test_golden_bytes_fail_on_a_one_ulp_centroid_change(monkeypatch, utterances, actual):
     train_codebook = spkid.evaluate.train_codebook
 
     def nudged(features, k, *args, **kwargs):
@@ -124,11 +129,11 @@ def test_golden_bytes_fail_on_a_one_ulp_centroid_change(monkeypatch, utterances)
         return cb
 
     monkeypatch.setattr(spkid.evaluate, "train_codebook", nudged)
-    stages = {**EXPECTED, **golden.stage_outputs(utterances)}
-    assert byte_mismatches(EXPECTED, stages) == ["codebooks/psdct/8/spk01"]
+    stages = {**actual, **golden.stage_outputs(utterances)}
+    assert byte_mismatches(actual, stages) == ["codebooks/psdct/8/spk01"]
 
 
-def test_golden_bytes_fail_on_a_one_sample_shift_in_the_epoch_dump(monkeypatch, utterances):
+def test_golden_bytes_fail_on_a_one_sample_shift_in_the_epoch_dump(monkeypatch, utterances, actual):
     dump_epochs_csv = spkid.cli.dump_epochs_csv
     calls = []
 
@@ -139,8 +144,8 @@ def test_golden_bytes_fail_on_a_one_sample_shift_in_the_epoch_dump(monkeypatch, 
         dump_epochs_csv(fh, region, epochs, peaks)
 
     monkeypatch.setattr(spkid.cli, "dump_epochs_csv", shifted)
-    files = {**EXPECTED, **golden.file_outputs(utterances)}
-    assert byte_mismatches(EXPECTED, files) == ["epochs.csv"]
+    files = {**actual, **golden.file_outputs(utterances)}
+    assert byte_mismatches(actual, files) == ["epochs.csv"]
 
 
 def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances):
@@ -173,7 +178,7 @@ def test_golden_tool_trains_each_codebook_once_in_process(monkeypatch):
     monkeypatch.setattr(golden, "file_outputs", lambda utterances: {})
     golden.build()
     cfg, n_speakers = golden.config(), golden.CORPUS["n_speakers"]
-    dims = {"psdct": cfg.n_coeffs, "mfcc": cfg.mfcc.n_coeffs}
+    dims = {"psdct": cfg.n_coeffs, "mfcc": N_MFCC}
     report = Counter({(kind, size, dim): n_speakers for kind, dim in dims.items() for size in golden.SIZES})
     sweep = Counter({("psdct", golden.SWEEP_SIZE, k): n_speakers for k in golden.COEFF_COUNTS})
     assert calls == report + sweep

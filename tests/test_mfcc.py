@@ -46,7 +46,7 @@ def test_mel_scale_round_trip():
 
 
 def test_mel_filterbank_shape_and_weights():
-    fb = mel_filterbank(SR, 512, 26)
+    fb = mel_filterbank(SR, 512)
     assert fb.shape == (26, 257)
     assert np.all(fb >= 0.0)
     assert np.all(fb <= 1.0)
@@ -65,7 +65,7 @@ def test_cached_filterbank_is_read_only():
     frame = np.random.default_rng(3).normal(size=320)
     before = mfcc_feature(frame, SR).values
     with pytest.raises(ValueError):
-        mel_filterbank(SR, 512, 26)[:] = 0.0
+        mel_filterbank(SR, 512)[:] = 0.0
     assert np.array_equal(mfcc_feature(frame, SR).values, before)
 
 
@@ -88,7 +88,7 @@ def test_mfcc_1khz_sine_peaks_in_the_right_band():
     from spkid.dsp import dft, hanning
 
     power = np.abs(dft(frame * hanning(320), n=512)[:257]) ** 2
-    fb = mel_filterbank(SR, 512, 26)
+    fb = mel_filterbank(SR, 512)
     energies = fb @ power
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(SR / 2)), 28))
     best = int(np.argmax(energies))
@@ -133,5 +133,5 @@ def test_mfcc_short_frames_keep_the_512_point_spectrum(sample_rate):
     rng = np.random.default_rng(5)
     frame = rng.normal(size=sample_rate // 50)
     power = np.abs(dft(frame * hanning(frame.size), n=512)[:257]) ** 2
-    log_energies = np.log(np.maximum(mel_filterbank(sample_rate, 512, 26) @ power, 1e-10))
+    log_energies = np.log(np.maximum(mel_filterbank(sample_rate, 512) @ power, 1e-10))
     assert np.array_equal(mfcc_feature(frame, sample_rate).values, dct2(log_energies)[:13])

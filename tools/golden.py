@@ -23,7 +23,11 @@ and writes, as one JSON object:
   same K and size), ``train --kind fused`` (the largest size), ``identify``
   for each kind, and ``extract`` for each kind with the psdct run's
   ``--epoch-dump``; plus one over the ``load_corpus`` round trip (ids, rates,
-  samples, labels and epochs of every utterance).
+  samples, labels and epochs of every utterance);
+- ``blas_core``: the OpenBLAS kernel family that numpy's BLAS ran on (its
+  ``scipy_openblas_get_corename64_``; ``unknown`` where numpy's library has
+  no such symbol). Matrix products round differently on other kernels, so a
+  digest mismatch under another core may be the platform, not a regression.
 
 ``tests/test_golden.py`` checks a fresh run against the file: rankings,
 predictions, accuracies and shapes exactly, scores and float statistics within
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -73,6 +78,15 @@ def corpus():
 
 def config():
     return ExperimentConfig(codebook_sizes=SIZES, coeff_counts=COEFF_COUNTS, sweep_codebook_size=SWEEP_SIZE)
+
+
+def blas_core() -> str:
+    """The OpenBLAS core numpy's linear algebra runs on, or ``unknown``."""
+    corename = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _sha(data: bytes) -> str:
@@ -163,7 +177,8 @@ def file_outputs(utterances) -> dict:
 
 def build() -> dict:
     utterances = corpus()
-    return {"corpus": CORPUS, **stage_outputs(utterances), **sweep_outputs(utterances), **file_outputs(utterances)}
+    return {"corpus": CORPUS, "blas_core": blas_core(), **stage_outputs(utterances), **sweep_outputs(utterances),
+            **file_outputs(utterances)}
 
 
 def dumps(outputs: dict) -> str:

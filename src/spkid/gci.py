@@ -167,17 +167,9 @@ def cycles_from_region(region: VoicedRegion) -> list[PitchCycle]:
 
 
 def dump_epochs_csv(fh, region: VoicedRegion, epochs: EpochList, peaks) -> None:
-    """Debug dump of (region_id, epoch, mapped_peak) rows.
-
-    ``mapped_peak`` is the peak nearest the epoch, the earlier one on a tie,
-    or -1 where the region has no peaks. ``peaks`` must be increasing.
-    """
+    """Debug dump of (region_id, epoch, mapped_peak) rows."""
     peaks = np.asarray(peaks, dtype=np.int64)
-    pos = np.asarray(epochs.positions, dtype=np.int64)
-    if peaks.size:
-        right = np.minimum(np.searchsorted(peaks, pos), peaks.size - 1)
-        left = np.maximum(right - 1, 0)
-        nearest = np.where(np.abs(pos - peaks[left]) <= np.abs(peaks[right] - pos), peaks[left], peaks[right])
-    else:
-        nearest = np.full(pos.size, -1)
-    csv.writer(fh).writerows([region.region_id, e, p] for e, p in zip(pos.tolist(), nearest.tolist()))
+    writer = csv.writer(fh)
+    for e in epochs.positions:
+        nearest = int(peaks[np.argmin(np.abs(peaks - e))]) if peaks.size else -1
+        writer.writerow([region.region_id, int(e), nearest])

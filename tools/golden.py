@@ -26,8 +26,9 @@ and writes, as one JSON object:
   samples, labels and epochs of every utterance);
 - ``blas_core``: the OpenBLAS kernel family that numpy's BLAS ran on (its
   ``scipy_openblas_get_corename64_``; ``unknown`` where numpy's library has
-  no such symbol). Matrix products round differently on other kernels, so a
-  digest mismatch under another core may be the platform, not a regression.
+  no such symbol or cannot be loaded). Matrix products round differently on
+  other kernels, so a digest mismatch under another core may be the
+  platform, not a regression.
 
 ``tests/test_golden.py`` checks a fresh run against the file: rankings,
 predictions, accuracies and shapes exactly, scores and float statistics within
@@ -82,7 +83,11 @@ def config():
 
 def blas_core() -> str:
     """The OpenBLAS core numpy's linear algebra runs on, or ``unknown``."""
-    corename = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_openblas_get_corename64_", None)
+    try:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return "unknown"
+    corename = getattr(library, "scipy_openblas_get_corename64_", None)
     if corename is None:
         return "unknown"
     corename.restype = ctypes.c_char_p

@@ -16,8 +16,8 @@ from pathlib import Path
 from . import evaluate as ev
 from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
 from .corpus import extract_voiced_regions, list_corpus, load_voiced_set, save_corpus, split_speakers
-from .gci import detect_gci, dump_epochs_csv, map_to_peaks, segment_cycles
-from .mfcc import N_MFCC, mfcc_features_for_region
+from .gci import detect_gci, dump_epochs_csv, map_to_peaks
+from .mfcc import N_MFCC
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT
 from .synth import synth_corpus
 from .vq import DEFAULT_SEED, load_model_dir, save_model_dir
@@ -70,11 +70,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config = _config_from_args(args, n_coeffs=args.coeffs)
+    config = _config_from_args(args, n_coeffs=args.coeffs, kinds=(args.kind,))
     files = list_corpus(args.corpus)
     voiced = config.effective_voiced_set()
-    psdct = args.kind == KIND_PSDCT
-    if psdct:
+    if args.kind == KIND_PSDCT:
         index, width = "cycle_index", config.n_coeffs
     else:
         index, width = "frame_index", N_MFCC
@@ -85,19 +84,11 @@ def cmd_extract(args) -> int:
         fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
         for entry in files:  # read one utterance at a time
             utt = entry.read()
-            feats = []
-            for region in extract_voiced_regions(utt, voiced):
-                # one epoch detection per region serves both the dump and the cycles
-                if psdct or dump is not None:
+            if dump is not None:  # a pass of its own; under psdct, collect_features detects the epochs again
+                for region in extract_voiced_regions(utt, voiced):
                     epochs = detect_gci(region)
-                    peaks = map_to_peaks(region, epochs)
-                    if dump is not None:
-                        dump_epochs_csv(dump, region, epochs, peaks)
-                if psdct:
-                    feats.extend(ev.psdct_features(segment_cycles(region, peaks), config.n_coeffs))
-                else:
-                    feats.extend(mfcc_features_for_region(region, config.mfcc))
-            for i, f in enumerate(feats):
+                    dump_epochs_csv(dump, region, epochs, map_to_peaks(region, epochs))
+            for i, f in enumerate(ev.collect_features([utt], config)[args.kind]):
                 fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
     return 0
 

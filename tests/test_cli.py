@@ -37,12 +37,14 @@ def fused_model(corpus_dir, tmp_path_factory):
 
 @pytest.fixture
 def no_extraction(monkeypatch):
-    """Fail the test if any voiced region is read through spkid.evaluate."""
+    """Fail the test if any voiced region is read through spkid.evaluate or spkid.cli."""
 
     def tripwire(*args, **kwargs):
         raise AssertionError("features were extracted before the arguments were checked")
 
     monkeypatch.setattr(ev, "extract_voiced_regions", tripwire)
+    # extract's --epoch-dump pass reads regions through cli's own binding
+    monkeypatch.setattr("spkid.cli.extract_voiced_regions", tripwire)
 
 
 @pytest.fixture
@@ -341,7 +343,7 @@ def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, tmp_path, n
     if command == "train":
         argv += ["--model-dir", str(tmp_path / "m")]
     if command == "extract":
-        argv += ["--report-out", str(tmp_path / "out.csv")]
+        argv += ["--report-out", str(tmp_path / "out.csv"), "--epoch-dump", str(tmp_path / "epochs.csv")]
     assert_input_error(capsys, argv, "n_coeffs must be >= 1")
 
 
@@ -429,26 +431,6 @@ def test_extract_features_same_with_and_without_epoch_dump(corpus_dir, tmp_path,
     assert all(r.split(",", 3)[3] == ",".join(f"{v:.9g}" for v in f.values) for r, f in zip(rows, feats))
 
 
-def test_extract_epoch_dump_detects_epochs_once_per_region(corpus_dir, tmp_path, monkeypatch):
-    calls = []
-
-    def counting(region):
-        calls.append(region.region_id)
-        return detect_gci(region)
-
-    # both bindings: the dump's in spkid.cli and the cycle cutter's in spkid.gci
-    monkeypatch.setattr("spkid.cli.detect_gci", counting)
-    monkeypatch.setattr("spkid.gci.detect_gci", counting)
-    assert main([
-        "extract", "--corpus", str(corpus_dir), "--kind", "psdct",
-        "--report-out", str(tmp_path / "feats.csv"), "--epoch-dump", str(tmp_path / "epochs.csv"),
-    ]) == 0
-    voiced = ExperimentConfig().effective_voiced_set()
-    regions = [r.region_id for utt in load_corpus(corpus_dir) for r in extract_voiced_regions(utt, voiced)]
-    assert len(regions) > 100
-    assert calls == regions
-
-
 TRAIN_IDS = [f"u{i:02d}" for i in range(6)]
 TEST_IDS = ["u06", "u07"]
 SPEAKERS = ["spk00", "spk01", "spk02", "spk03"]
@@ -498,6 +480,28 @@ def test_extract_reads_one_utterance_at_a_time(corpus_dir, tmp_path, reads):
     assert [(spk, utt) for spk, utt, _ in reads] == [(spk, utt) for spk in SPEAKERS for utt in TRAIN_IDS + TEST_IDS]
     # the utterance just written out, at most, is alive while the next is read
     assert max(len(alive) for _, _, alive in reads) <= 1
+
+
+@pytest.mark.parametrize("kind", ["psdct", "mfcc"])
+def test_extract_rows_come_from_collect_features(kind, corpus_dir, tmp_path, monkeypatch):
+    calls = []
+    real_collect = ev.collect_features
+
+    def recording_collect(utterances, config):
+        calls.append(([(u.speaker_id, u.utterance_id) for u in utterances], config.kinds))
+        return real_collect(utterances, config)
+
+    monkeypatch.setattr(ev, "collect_features", recording_collect)
+    assert main(["extract", "--corpus", str(corpus_dir), "--kind", kind, "--report-out", str(tmp_path / "f.csv")]) == 0
+    listed = [(spk, utt) for spk in SPEAKERS for utt in TRAIN_IDS + TEST_IDS]
+    assert calls == [([utt], (kind,)) for utt in listed]
+
+
+def test_extract_bad_corpus_root_writes_no_file(tmp_path, capsys):
+    missing, feats, dump = tmp_path / "no-such-corpus", tmp_path / "feats.csv", tmp_path / "epochs.csv"
+    assert_input_error(capsys, ["extract", "--corpus", str(missing), "--report-out", str(feats),
+                                "--epoch-dump", str(dump)], f"corpus root {missing} is not a directory")
+    assert not feats.exists() and not dump.exists()
 
 
 @pytest.mark.parametrize("bad, fails, passes", [("u03", "train", "identify"), ("u07", "identify", "train")])

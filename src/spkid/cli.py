@@ -88,8 +88,8 @@ def cmd_extract(args) -> int:
                 for region in extract_voiced_regions(utt, voiced):
                     epochs = detect_gci(region)
                     dump_epochs_csv(dump, region, epochs, map_to_peaks(region, epochs))
-            for i, f in enumerate(ev.collect_features([utt], config)[args.kind]):
-                fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in f.values) + "\n")
+            for i, row in enumerate(ev.collect_features([utt], config)[args.kind]):
+                fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
     return 0
 
 

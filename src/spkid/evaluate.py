@@ -24,7 +24,7 @@ from .corpus import (
     split_speakers,
 )
 from .gci import PitchCycle, cycles_from_region
-from .mfcc import MfccConfig, mfcc_features_for_region
+from .mfcc import N_MFCC, MfccConfig, mfcc_features_for_region
 from .psdct import DEFAULT_NUM_COEFFS, KIND_MFCC, KIND_PSDCT, FeatureMatrix, FeatureVector, mec, psdct_feature
 from .vq import DEFAULT_SEED, Codebook, kmeanspp_seeds, train_codebook
 
@@ -130,12 +130,13 @@ class EvalReport:
     def to_markdown(self) -> str:
         accuracies, alphas = self.accuracies, self.alphas
         kinds = [k for k in (KIND_PSDCT, KIND_MFCC) if k in accuracies]
+        dims = {KIND_PSDCT: self.n_coeffs, KIND_MFCC: N_MFCC}
         sizes = sorted({s for by_size in accuracies.values() for s in by_size})
         lines = [
             "# Speaker identification report",
             "",
             f"- speakers: {len(self.speakers)}",
-            f"- feature dim: {self.n_coeffs} (psdct)",
+            "- feature dim: " + ", ".join(f"{dims[k]} ({k})" for k in kinds),
             f"- seed: {self.seed}",
             "",
             "## Accuracy by codebook size",
@@ -190,29 +191,36 @@ def psdct_features(cycles: list[PitchCycle], n_coeffs: int) -> list[FeatureVecto
     return [psdct_feature(c, n_coeffs) for c in cycles if len(c) > n_coeffs]
 
 
-def collect_features(utterances: list[Utterance], config: ExperimentConfig) -> dict[str, list[FeatureVector]]:
-    """Feature vectors of each kind in ``config.kinds``, reading every voiced region once.
+def _stack(rows: list[FeatureVector], dim: int) -> np.ndarray:
+    """The rows as one C-contiguous (N, dim) float64 matrix, with one concatenate; N may be 0."""
+    return np.concatenate([r.values for r in rows]).reshape(len(rows), dim) if rows else np.empty((0, dim))
 
-    Each kind runs over all the regions in turn: alternating the two kinds
-    region by region was about 8% slower on a 16 kHz corpus.
+
+def collect_features(utterances: list[Utterance], config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """One (N, dim) float64 matrix of each kind in ``config.kinds``, reading every voiced region once.
+
+    ``dim`` is ``config.n_coeffs`` for PS-DCT and ``N_MFCC`` for MFCC; ``N``
+    may be 0. Each kind runs over all the regions in turn: alternating the
+    two kinds region by region was about 8% slower on a 16 kHz corpus.
     """
     voiced_set = config.effective_voiced_set()
     regions = [region for utt in utterances for region in extract_voiced_regions(utt, voiced_set)]
-    feats: dict[str, list[FeatureVector]] = {kind: [] for kind in config.kinds}
-    if KIND_PSDCT in feats:
-        for region in regions:
-            feats[KIND_PSDCT].extend(psdct_features(cycles_from_region(region), config.n_coeffs))
-    if KIND_MFCC in feats:
-        for region in regions:
-            feats[KIND_MFCC].extend(mfcc_features_for_region(region, config.mfcc))
+    feats: dict[str, np.ndarray] = {}
+    for kind in config.kinds:
+        if kind == KIND_PSDCT:
+            rows = [f for region in regions for f in psdct_features(cycles_from_region(region), config.n_coeffs)]
+            feats[kind] = _stack(rows, config.n_coeffs)
+        else:
+            rows = [f for region in regions for f in mfcc_features_for_region(region, config.mfcc)]
+            feats[kind] = _stack(rows, N_MFCC)
     return feats
 
 
 def collect_mfcc_features(
     utterances: list[Utterance], voiced_set: frozenset[str], config: MfccConfig
-) -> list[FeatureVector]:
+) -> FeatureMatrix:
     experiment = ExperimentConfig(voiced_set=voiced_set, kinds=(KIND_MFCC,), mfcc=config)
-    return collect_features(utterances, experiment)[KIND_MFCC]
+    return FeatureMatrix(collect_features(utterances, experiment)[KIND_MFCC], KIND_MFCC)
 
 
 def split_features(
@@ -220,8 +228,8 @@ def split_features(
 ) -> dict[tuple[str, str], FeatureMatrix]:
     """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors, per kind in ``config.kinds``.
 
-    Each matrix is stacked and checked here, once, for every codebook and
-    score that uses it. Raises if a speaker has no vectors of a kind. The
+    Each matrix is checked here, once, for every codebook and score that
+    uses it. Raises if a speaker has no vectors of a kind. The
     splits may list files (``UtteranceFile``): those of one role are read a
     speaker at a time, and a speaker's audio is released before the next
     speaker's files are opened.
@@ -231,9 +239,9 @@ def split_features(
         utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
         feats = collect_features([u.read() for u in utts], config)
         for kind in config.kinds:
-            if not feats[kind]:
+            if not len(feats[kind]):
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")
-            out[split.speaker_id, kind] = FeatureMatrix.stack(feats[kind])
+            out[split.speaker_id, kind] = FeatureMatrix(feats[kind], kind)
     return out
 
 
@@ -350,13 +358,15 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
         if not cycles:
             raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
     pooled_train = [c for cycles in train_cycles.values() for c in cycles]
-    train_rows = {(spk, KIND_PSDCT): FeatureMatrix.stack(psdct_features(c, max_k)) for spk, c in train_cycles.items()}
+    train_rows = {
+        (spk, KIND_PSDCT): FeatureMatrix(_stack(psdct_features(c, max_k), max_k), KIND_PSDCT)
+        for spk, c in train_cycles.items()
+    }
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
     test_rows = split_features(splits, sweep, "test")
 
     def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
-        # contiguous copies: a strided slice can take another BLAS path and change the bytes
-        return {key: FeatureMatrix(np.ascontiguousarray(m.matrix[:, :k]), KIND_PSDCT) for key, m in rows.items()}
+        return {key: FeatureMatrix(m.matrix[:, :k], KIND_PSDCT) for key, m in rows.items()}
 
     rows = []
     for k in sorted(config.coeff_counts):

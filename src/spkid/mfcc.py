@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import VoicedRegion
 from .dsp import dft, hanning
-from .psdct import KIND_MFCC, FeatureVector, dct2
+from .psdct import FeatureVector, dct2
 
 MIN_FFT = 512  # a longer frame gets the next power of two
 N_FILTERS = 26
@@ -79,7 +79,7 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
     energies = mel_filterbank(sample_rate, n_fft) @ power
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = dct2(log_energies)
-    return FeatureVector(coeffs[:N_MFCC].copy(), KIND_MFCC)
+    return FeatureVector(coeffs[:N_MFCC].copy())
 
 
 def mfcc_features_for_region(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> list[FeatureVector]:

@@ -23,14 +23,9 @@ DEFAULT_NUM_COEFFS = 15
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """A 1-D float64 feature row and its kind; unchecked, as ``FeatureMatrix`` checks each matrix."""
+    """A 1-D float64 feature row; unchecked, as ``FeatureMatrix`` checks each matrix."""
 
     values: np.ndarray
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,25 +55,6 @@ class FeatureMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def stack(cls, vectors: list[FeatureVector]) -> FeatureMatrix:
-        """The rows as one matrix, after the per-row kind and width checks."""
-        if not vectors:
-            raise ValueError("empty vector list")
-        kind = vectors[0].kind
-        dim = vectors[0].values.size
-        rows = []
-        for v in vectors:
-            row = v.values
-            if v.kind != kind:
-                raise ValueError(f"mixed feature kinds: {kind} vs {v.kind}")
-            if row.size != dim or row.ndim != 1 or not dim:  # a bad row: find which message
-                if row.ndim != 1 or not row.size:
-                    raise ValueError("feature values must be a non-empty 1-D vector")
-                raise ValueError(f"dimension mismatch: {dim} vs {row.size}")
-            rows.append(row)
-        return cls(np.concatenate(rows).reshape(len(rows), dim), kind)
-
     @cached_property
     def sq_norms(self) -> np.ndarray:
         """``np.sum(matrix**2, axis=1)``, read-only: taken once for every ``cmd`` against this matrix."""
@@ -90,7 +66,7 @@ class FeatureMatrix:
         return self.matrix.shape[0]
 
     def __iter__(self):
-        return (FeatureVector(row, self.kind) for row in self.matrix)
+        return (FeatureVector(row) for row in self.matrix)
 
 
 # length M -> the first rows of its DCT-II basis, as many as any caller has asked for
@@ -144,7 +120,7 @@ def psdct_feature(cycle: PitchCycle, n_coeffs: int = DEFAULT_NUM_COEFFS) -> Feat
     if m <= n_coeffs:
         raise ValueError(f"cycle of {m} samples too short for {n_coeffs} coefficients")
     coeffs = dct2(normalize_energy(cycle.samples), n_coeffs + 1)
-    return FeatureVector(coeffs[1:], KIND_PSDCT)
+    return FeatureVector(coeffs[1:])
 
 
 def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> float:

@@ -205,6 +205,18 @@ def test_voiced_set_flag(corpus_dir, tmp_path):
     assert len(out.read_text().strip().splitlines()) > 500
 
 
+@pytest.mark.parametrize("kind, index, width", [("psdct", "cycle_index", 15), ("mfcc", "frame_index", 13)])
+def test_extract_with_no_voiced_region_writes_only_the_header(corpus_dir, tmp_path, kind, index, width):
+    vset = tmp_path / "voiced.txt"
+    vset.write_text("no-such-phone\n")
+    out = tmp_path / "f.csv"
+    assert main([
+        "extract", "--corpus", str(corpus_dir), "--kind", kind,
+        "--voiced-set", str(vset), "--report-out", str(out),
+    ]) == 0
+    assert out.read_text() == f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n"
+
+
 def test_train_rejects_oversized_codebooks_before_training(corpus_dir, tmp_path, monkeypatch, capsys):
     def no_training(*args, **kwargs):
         raise AssertionError("a codebook was trained before the size check")
@@ -428,7 +440,7 @@ def test_extract_features_same_with_and_without_epoch_dump(corpus_dir, tmp_path,
     rows = plain.read_text().splitlines()[1:]
     feats = [f for utt in load_corpus(corpus_dir) for f in ev.collect_features([utt], config)[kind]]
     assert len(rows) == len(feats) > 100
-    assert all(r.split(",", 3)[3] == ",".join(f"{v:.9g}" for v in f.values) for r, f in zip(rows, feats))
+    assert all(r.split(",", 3)[3] == ",".join(f"{v:.9g}" for v in f) for r, f in zip(rows, feats))
 
 
 TRAIN_IDS = [f"u{i:02d}" for i in range(6)]

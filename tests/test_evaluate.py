@@ -132,6 +132,24 @@ def test_markdown_and_csv_outputs(report6):
     assert len(lines) - 1 == 6 * 6 * 6
 
 
+@pytest.mark.parametrize("kinds, header", [
+    (("psdct",), "- feature dim: 12 (psdct)"),
+    (("mfcc",), "- feature dim: 13 (mfcc)"),
+    (("psdct", "mfcc"), "- feature dim: 12 (psdct), 13 (mfcc)"),
+], ids=["psdct", "mfcc", "fused"])
+def test_report_header_names_the_dim_of_each_kind_it_scored(corpus8k, kinds, header):
+    config = ExperimentConfig(codebook_sizes=(4,), n_train=3, n_test=2, n_coeffs=12, kinds=kinds)
+    lines = run_experiment(config, utterances=corpus8k).to_markdown().splitlines()
+    assert [line for line in lines if line.startswith("- feature dim:")] == [header]
+
+
+def test_collect_features_without_voiced_regions_gives_empty_matrices(corpus8k):
+    config = ExperimentConfig(n_coeffs=12, voiced_set=frozenset({"no-such-phone"}))
+    feats = evaluate.collect_features(corpus8k[:2], config)
+    assert list(feats) == ["psdct", "mfcc"]
+    assert [(m.dtype, m.shape) for m in feats.values()] == [(np.float64, (0, 12)), (np.float64, (0, 13))]
+
+
 def test_speaker_with_too_few_utterances_is_named():
     utts = synth_corpus(2, 8, seed=3)
     short = [u for u in utts if not (u.speaker_id == "spk01" and u.utterance_id == "u07")]
@@ -160,7 +178,7 @@ def test_sweep_mec_monotone_and_accuracy_plateau(corpus6):
 
 
 def psdct_matrix(cycles, k):
-    return FeatureMatrix.stack(psdct_features(cycles, k))
+    return FeatureMatrix(np.stack([f.values for f in psdct_features(cycles, k)]), KIND_PSDCT)
 
 
 def reference_sweep(config, utterances):
@@ -324,24 +342,27 @@ def test_each_utterance_read_once(corpus8k, monkeypatch):
 
 def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus8k, monkeypatch):
     # every codebook and score of a (speaker, kind, split) reuses its one checked matrix
-    stacked = []
-    plain = FeatureMatrix.stack.__func__
+    made = []  # (kind, fresh) per FeatureMatrix constructed
+    plain = FeatureMatrix.__post_init__
 
-    def counting(cls, vectors):
-        stacked.append(vectors[0].kind)
-        return plain(cls, vectors)
+    def counting(self):
+        # collected rows arrive as a fresh, writeable matrix; a K-prefix of a checked matrix is read-only
+        made.append((self.kind, self.matrix.flags.writeable))
+        plain(self)
 
-    monkeypatch.setattr(FeatureMatrix, "stack", classmethod(counting))
+    monkeypatch.setattr(FeatureMatrix, "__post_init__", counting)
     n_speakers = len({u.speaker_id for u in corpus8k})
     run_experiment(ExperimentConfig(codebook_sizes=(4, 8), n_train=3, n_test=2), utterances=corpus8k)
     # two kinds, two splits
-    assert sorted(stacked) == ["mfcc"] * 2 * n_speakers + ["psdct"] * 2 * n_speakers
+    assert sorted(made) == [("mfcc", True)] * 2 * n_speakers + [("psdct", True)] * 2 * n_speakers
 
-    stacked.clear()
+    made.clear()
     sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15, 20), sweep_codebook_size=8, n_train=3, n_test=2),
                        utterances=corpus8k)
     # one training and one test matrix per speaker, whatever the number of K
-    assert stacked == ["psdct"] * 2 * n_speakers
+    assert [kind for kind, fresh in made if fresh] == ["psdct"] * 2 * n_speakers
+    # and each K takes its columns from those two
+    assert [kind for kind, fresh in made if not fresh] == ["psdct"] * 3 * 2 * n_speakers
 
 
 def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):

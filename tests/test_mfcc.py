@@ -11,7 +11,7 @@ from spkid.mfcc import (
     mfcc_feature,
     mfcc_features_for_region,
 )
-from spkid.psdct import KIND_MFCC, dct2
+from spkid.psdct import dct2
 
 SR = 16000
 
@@ -71,7 +71,6 @@ def test_cached_filterbank_is_read_only():
 
 def test_mfcc_zero_frame_is_flat_floor():
     f = mfcc_feature(np.zeros(320), SR)
-    assert f.kind == KIND_MFCC
     # constant log-floor vector: only the first DCT coefficient survives
     assert f.values[0] != 0.0
     assert np.max(np.abs(f.values[1:])) < 1e-9
@@ -79,7 +78,7 @@ def test_mfcc_zero_frame_is_flat_floor():
 
 def test_mfcc_dimension_is_13():
     rng = np.random.default_rng(0)
-    assert mfcc_feature(rng.normal(size=320), SR).dim == 13
+    assert mfcc_feature(rng.normal(size=320), SR).values.size == 13
 
 
 def test_mfcc_1khz_sine_peaks_in_the_right_band():
@@ -113,7 +112,7 @@ def test_mfcc_features_for_region():
     rng = np.random.default_rng(3)
     feats = mfcc_features_for_region(region_of(rng.normal(size=1000) * 0.1))
     assert len(feats) == 5
-    assert all(f.dim == 13 for f in feats)
+    assert all(f.values.size == 13 for f in feats)
 
 
 @pytest.mark.parametrize("sample_rate", [32000, 48000])

@@ -27,10 +27,6 @@ def make_blobs():
     return np.concatenate([c + rng.normal(scale=0.6, size=(50, 2)) for c in centers])
 
 
-def fv(values, kind=KIND_PSDCT):
-    return FeatureVector(np.asarray(values, dtype=np.float64), kind)
-
-
 def matrix(data, kind=KIND_PSDCT):
     return FeatureMatrix(np.asarray(data, dtype=np.float64), kind)
 
@@ -112,39 +108,8 @@ def test_k_exceeding_distinct_raises():
         train_codebook(matrix(rows), 4)
 
 
-def test_mixed_inputs_raise():
-    with pytest.raises(ValueError, match="kind"):
-        train_codebook(FeatureMatrix.stack([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)]), 1)
-    with pytest.raises(ValueError, match="imension"):
-        train_codebook(FeatureMatrix.stack([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])]), 1)
-    with pytest.raises(ValueError):
-        train_codebook(FeatureMatrix.stack([]), 1)
-
-
-def test_consumers_reject_bad_feature_rows():
-    # FeatureVector checks nothing; rows reach the consumers only as a FeatureMatrix, which stack checks once
-    bad_rows = [
-        (np.array([1.0, np.nan]), "feature values must be finite"),
-        (np.array([1.0, np.inf]), "feature values must be finite"),
-        (np.array([]), "feature values must be a non-empty 1-D vector"),
-        (np.zeros((1, 2)), "feature values must be a non-empty 1-D vector"),
-    ]
-    for row, message in bad_rows:
-        for vecs in ([fv([0.0, 1.0]), fv([2.0, 3.0]), fv(row)], [fv(row), fv([0.0, 1.0])]):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                FeatureMatrix.stack(vecs)
-
-
-def test_feature_checks_fire_from_a_list_and_from_a_matrix():
+def test_feature_matrix_checks_its_shape_and_values():
     cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
-    bad_lists = [
-        ([], "empty vector list"),
-        ([fv([1.0, 2.0]), fv([1.0, 3.0], KIND_MFCC)], "mixed feature kinds: psdct vs mfcc"),
-        ([fv([1.0, 2.0]), fv([1.0, 2.0, 3.0])], "dimension mismatch: 2 vs 3"),
-    ]  # bad values within a row: test_consumers_reject_bad_feature_rows
-    for vecs, message in bad_lists:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            FeatureMatrix.stack(vecs)
     # a matrix holds one kind and one width, so only its shape and values can be wrong
     bad_matrices = [
         (np.zeros((0, 2)), "empty vector list"),
@@ -152,6 +117,7 @@ def test_feature_checks_fire_from_a_list_and_from_a_matrix():
         (np.zeros(4), "feature matrix must be 2-D, got shape (4,)"),
         (np.zeros((2, 2, 2)), "feature matrix must be 2-D, got shape (2, 2, 2)"),
         (np.array([[1.0, 2.0], [np.inf, 0.0]]), "feature values must be finite"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "feature values must be finite"),
     ]
     for matrix, message in bad_matrices:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -166,7 +132,7 @@ def test_feature_checks_fire_from_a_list_and_from_a_matrix():
 def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(40, 6))
-    m = FeatureMatrix.stack([fv(row) for row in data])
+    m = FeatureMatrix(data.copy(), KIND_PSDCT)
     assert m.kind == KIND_PSDCT and len(m) == 40
     assert m.matrix.dtype == np.float64 and m.matrix.flags.c_contiguous
     assert np.array_equal(m.matrix, data)
@@ -174,10 +140,14 @@ def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
     assert not m.matrix.flags.writeable
     owned = FeatureMatrix(data, KIND_PSDCT)
     assert np.shares_memory(owned.matrix, data) and data.flags.writeable
+    # a strided slice is copied to a contiguous matrix
+    prefix = FeatureMatrix(m.matrix[:, :3], KIND_PSDCT)
+    assert prefix.matrix.flags.c_contiguous and not np.shares_memory(prefix.matrix, m.matrix)
+    assert np.array_equal(prefix.matrix, data[:, :3])
     rows = list(m)
     assert len(rows) == 40
     for i, row in enumerate(rows):
-        assert isinstance(row, FeatureVector) and row.kind == KIND_PSDCT
+        assert isinstance(row, FeatureVector)
         assert np.shares_memory(row.values, m.matrix)
         assert np.array_equal(row.values, m.matrix[i])
 

@@ -60,8 +60,8 @@ def cmd(test: FeatureMatrix, codebook: Codebook) -> CmdScore:
     data, kind = test.matrix, test.kind
     if kind != codebook.kind:
         raise ValueError(f"feature kind {kind} does not match codebook kind {codebook.kind}")
-    if data.shape[1] != codebook.dim:
-        raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.dim}")
+    if data.shape[1] != codebook.centroids.shape[1]:
+        raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.centroids.shape[1]}")
     # (centroids, vectors) layout: the minimum runs down the centroid axis, and |x|^2 goes on the n minima only
     shifted = np.matmul(codebook.neg2_centroids, data.T)
     shifted += codebook.sq_norms[:, None]

@@ -121,7 +121,7 @@ def cmd_identify(args) -> int:
         if not books[kind]:
             raise ValueError(f"model dir {args.model_dir} has no {kind} codebooks")
     # the PS-DCT width is the one the model was trained with
-    n_coeffs = books[KIND_PSDCT][0].dim if KIND_PSDCT in books else DEFAULT_NUM_COEFFS
+    n_coeffs = books[KIND_PSDCT][0].centroids.shape[1] if KIND_PSDCT in books else DEFAULT_NUM_COEFFS
     config = _config_from_args(args, n_coeffs=n_coeffs, kinds=kinds)
     # split_features reads the test files alone, one speaker at a time
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)

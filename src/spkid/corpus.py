@@ -197,6 +197,8 @@ def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise MalformedWavError(f"{path}: {exc}") from exc
+    except EOFError:  # wave's bare error for a file that ends inside a chunk header
+        raise MalformedWavError(f"{path}: file ends inside its header") from None
     return np.frombuffer(raw, "<i2") / PCM_SCALE, rate
 
 
@@ -252,8 +254,8 @@ def _parse_gci(path: Path) -> np.ndarray:
     epochs: list[int] = []
     for lineno, line in enumerate(io.StringIO(text), start=1):
         try:
-            epochs.append(int(line))
-        except ValueError:  # blank lines are skipped
+            epochs.append(np.int64(int(line)))  # an index beyond int64 overflows here, on its line
+        except (ValueError, OverflowError):  # blank lines are skipped
             if line.strip():
                 raise CorpusError(f"{path}:{lineno}: expected one sample index, got {line!r}") from None
     return np.array(epochs, dtype=np.int64)

@@ -40,22 +40,18 @@ DEFAULT_MAX_ITER = 300
 class Codebook:
     speaker_id: str
     kind: str
-    k: int
-    dim: int
     centroids: np.ndarray  # (k, dim) float64, a read-only C-contiguous view, as FeatureMatrix.matrix
     seed: int
     train_vector_count: int
 
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float64).view()
+        if centroids.ndim != 2 or 0 in centroids.shape:
+            raise ValueError(f"centroids must be a non-empty 2-D matrix, got shape {centroids.shape}")
+        if not np.isfinite(centroids).all():
+            raise ValueError("centroids must be finite")
         centroids.flags.writeable = False
         object.__setattr__(self, "centroids", centroids)
-        if self.k < 1:
-            raise ValueError("codebook size must be >= 1")
-        if self.centroids.shape != (self.k, self.dim):
-            raise ValueError(f"centroid shape {self.centroids.shape} != ({self.k}, {self.dim})")
-        if not np.all(np.isfinite(self.centroids)):
-            raise ValueError("centroids must be finite")
 
     @cached_property
     def neg2_centroids(self) -> np.ndarray:
@@ -72,21 +68,17 @@ class Codebook:
         return norms
 
 
-def lloyd_kmeans(data: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def lloyd_kmeans(features: FeatureMatrix, init: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """k-means centroids from the k = ``len(init)`` seeds ``init``, plus the per-iteration distortion history.
 
     The distortion is the mean squared distance to the nearest centroid. Stops
     when the largest centroid displacement falls below DEFAULT_TOL relative to
     the RMS vector norm of the data, or after DEFAULT_MAX_ITER iterations.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
+    data, norms = features.matrix, features.sq_norms
     n, dim = data.shape
-    if n == 0:
-        raise ValueError("no training vectors")
-
     centroids = init
     k = len(init)
-    norms = np.sum(data**2, axis=1)
     scale = float(np.sqrt(np.mean(norms))) or 1.0
     rows = np.arange(n)
     # |x - c|^2 - |x|^2 = [x | 1] . [-2c | |c|^2]: one product per assignment, into one buffer
@@ -183,12 +175,10 @@ def train_codebook(
             raise ValueError(f"k={k} exceeds the {len(init)} distinct training vectors")
     elif init.shape != (k, data.shape[1]):
         raise ValueError(f"init has shape {init.shape}, expected ({k}, {data.shape[1]})")
-    centroids, _ = lloyd_kmeans(data, init)
+    centroids, _ = lloyd_kmeans(features, init)
     return Codebook(
         speaker_id=speaker_id,
         kind=features.kind,
-        k=k,
-        dim=data.shape[1],
         centroids=centroids,
         seed=seed,
         train_vector_count=data.shape[0],
@@ -201,7 +191,7 @@ def save_codebook(codebook: Codebook, path) -> None:
     spk_b = codebook.speaker_id.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<IIIqQ", CODEBOOK_VERSION, codebook.k, codebook.dim,
+        fh.write(struct.pack("<IIIqQ", CODEBOOK_VERSION, *codebook.centroids.shape,
                              codebook.seed, codebook.train_vector_count))
         fh.write(struct.pack("<I", len(kind_b)) + kind_b)
         fh.write(struct.pack("<I", len(spk_b)) + spk_b)
@@ -228,7 +218,10 @@ def load_codebook(path) -> Codebook:
     if len(block) != k * dim * 8:
         raise ValueError(f"{path}: centroid block has {len(block)} bytes, expected {k * dim * 8} (k={k}, dim={dim})")
     centroids = np.frombuffer(block, dtype="<f8").reshape(k, dim)
-    return Codebook(speaker_id, kind, k, dim, centroids, seed, count)
+    try:  # a header with k=0 or dim=0, or a non-finite centroid
+        return Codebook(speaker_id, kind, centroids, seed, count)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
@@ -239,9 +232,8 @@ def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
     for cb in sorted(codebooks, key=lambda c: (c.kind, c.speaker_id)):
         fname = f"{cb.speaker_id}.{cb.kind}.cb"
         save_codebook(cb, model_dir / fname)
-        entries.append(
-            {"file": fname, "speaker_id": cb.speaker_id, "kind": cb.kind, "k": cb.k, "dim": cb.dim}
-        )
+        k, dim = cb.centroids.shape
+        entries.append({"file": fname, "speaker_id": cb.speaker_id, "kind": cb.kind, "k": k, "dim": dim})
     manifest = {"version": CODEBOOK_VERSION, "codebooks": entries}
     with open(model_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -260,8 +252,10 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
         raise ValueError(f"{manifest_path}: no codebook list")
     codebooks = []
     for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and "file" in entry and "kind" in entry):
-            raise ValueError(f"{manifest_path}: codebook entry {i} is not an object with 'file' and 'kind' keys")
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str) and "kind" in entry):
+            raise ValueError(
+                f"{manifest_path}: codebook entry {i} is not an object with 'file' and 'kind' keys, 'file' a string"
+            )
         if kind is not None and entry["kind"] != kind:
             continue
         codebooks.append(load_codebook(model_dir / entry["file"]))

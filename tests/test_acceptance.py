@@ -25,7 +25,7 @@ def report(n, text):
 
 def seeded_lloyd(data, k, seed):
     """Lloyd's k-means from the k-means++ seeds that ``train_codebook`` draws."""
-    return lloyd_kmeans(data, kmeanspp_seeds(FeatureMatrix(data, KIND_PSDCT), k, seed))
+    return lloyd_kmeans(features := FeatureMatrix(data, KIND_PSDCT), kmeanspp_seeds(features, k, seed))
 
 
 def dct_via_dft(x):
@@ -187,7 +187,7 @@ def test_criterion_7_fusion_properties():
     for _ in range(20):
         vecs = FeatureMatrix(rng.normal(size=(50, 15)), KIND_PSDCT)
         cents = rng.normal(size=(8, 15))
-        cb = Codebook("s", KIND_PSDCT, 8, 15, cents, 42, 50)
+        cb = Codebook("s", KIND_PSDCT, cents, 42, 50)
         brute = sum(
             min(float(np.sqrt(np.sum((v.values - c) ** 2))) for c in cents) for v in vecs
         )

@@ -25,7 +25,7 @@ def fm(rows, kind=KIND_PSDCT):
 
 def book(centroids, speaker="s", kind=KIND_PSDCT):
     centroids = np.asarray(centroids, dtype=np.float64)
-    return Codebook(speaker, kind, centroids.shape[0], centroids.shape[1], centroids, 42, 10)
+    return Codebook(speaker, kind, centroids, 42, 10)
 
 
 def test_cmd_zero_when_vectors_hit_centroids():

@@ -93,6 +93,20 @@ def test_load_wav_rejects_truncated_riff(tmp_path):
         read_wav(path)
 
 
+def test_load_wav_rejects_every_cut_inside_the_header(tmp_path):
+    whole = tmp_path / "whole.wav"
+    write_raw_wav(whole, [0, 16384, -16384])
+    valid = whole.read_bytes()
+    assert len(valid) == 44 + 6
+    # wave raises EOFError for a file that ends inside a chunk header (cuts of 4-7 and 20-35 bytes)
+    for n in range(44):
+        path = tmp_path / f"cut{n}.wav"
+        path.write_bytes(valid[:n])
+        with pytest.raises(MalformedWavError) as err:
+            read_wav(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
 def test_load_wav_rejects_stereo(tmp_path):
     path = tmp_path / "st.wav"
     write_raw_wav(path, [0, 0, 0, 0], channels=2)
@@ -459,6 +473,21 @@ def test_gci_parse_matches_the_line_by_line_parser(tmp_path):
         fast, ref = _parse_gci(path), _parse_gci_line_by_line(path)
         assert fast.dtype == ref.dtype == np.int64
         assert np.array_equal(fast, ref), path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, bad", [("99999999999999999999\n", 1), ("1\n-9223372036854775809\n", 2), ("1\n\n9223372036854775808", 3)]
+)
+def test_gci_index_beyond_int64_names_its_line(tmp_path, text, bad):
+    path = tmp_path / "u.gci"
+    path.write_bytes(text.encode())
+    line = text.splitlines(keepends=True)[bad - 1]
+    with pytest.raises(CorpusError) as err:
+        _parse_gci(path)
+    assert str(err.value) == f"{path}:{bad}: expected one sample index, got {line!r}"
+    # the largest int64 index still parses
+    path.write_bytes(b"9223372036854775807\n")
+    assert _parse_gci(path).tolist() == [2**63 - 1]
 
 
 @pytest.mark.parametrize("text", ["1\n12x\n3\n", "1\n12 13\n", "1\n\n2\n3x", "1.5\n", "4\n5\t6\n"])

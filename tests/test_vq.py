@@ -1,4 +1,6 @@
 import re
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ def test_k_equals_distinct_gives_zero_distortion():
 
 def test_blob_recovery_within_5pct_of_restart_oracle():
     data = make_blobs()
-    centroids, _ = lloyd_kmeans(data, kmeanspp(data, 4))
+    centroids, _ = lloyd_kmeans(matrix(data), kmeanspp(data, 4))
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     assert d2.min(axis=1).mean() <= 1.05 * BLOB_ORACLE_DISTORTION
 
@@ -61,14 +63,14 @@ def test_distortion_history_non_increasing():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(300, 8))
     for seed in (0, 1, 2, 3):
-        _, history = lloyd_kmeans(data, kmeanspp(data, 10, seed))
+        _, history = lloyd_kmeans(matrix(data), kmeanspp(data, 10, seed))
         assert len(history) >= 1
         assert all(b <= a + 1e-12 * (1.0 + a) for a, b in zip(history, history[1:]))
 
 
 def test_converged_centroids_are_cluster_means():
     data = make_blobs()
-    centroids, _ = lloyd_kmeans(data, kmeanspp(data, 4))
+    centroids, _ = lloyd_kmeans(matrix(data), kmeanspp(data, 4))
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     for j in range(4):
@@ -94,7 +96,7 @@ def test_different_seeds_may_differ_but_stay_valid():
     vecs = matrix(rng.normal(size=(100, 4)))
     a = train_codebook(vecs, 8, seed=1, speaker_id="s")
     b = train_codebook(vecs, 8, seed=2, speaker_id="s")
-    assert a.k == b.k == 8
+    assert a.centroids.shape == b.centroids.shape == (8, 4)
     assert np.all(np.isfinite(a.centroids)) and np.all(np.isfinite(b.centroids))
 
 
@@ -109,7 +111,7 @@ def test_k_exceeding_distinct_raises():
 
 
 def test_feature_matrix_checks_its_shape_and_values():
-    cb = Codebook("s", KIND_PSDCT, 1, 2, np.zeros((1, 2)), 42, 1)
+    cb = Codebook("s", KIND_PSDCT, np.zeros((1, 2)), 42, 1)
     # a matrix holds one kind and one width, so only its shape and values can be wrong
     bad_matrices = [
         (np.zeros((0, 2)), "empty vector list"),
@@ -127,6 +129,23 @@ def test_feature_matrix_checks_its_shape_and_values():
         cmd(FeatureMatrix(np.zeros((2, 2)), KIND_MFCC), cb)
     with pytest.raises(ValueError, match="^dimension 3 does not match codebook dim 2$"):
         cmd(FeatureMatrix(np.zeros((2, 3)), KIND_PSDCT), cb)
+
+
+def test_codebook_checks_its_centroids():
+    # the size and width are the centroids' shape, so only the matrix can be wrong
+    assert [f.name for f in fields(Codebook)] == ["speaker_id", "kind", "centroids", "seed", "train_vector_count"]
+    bad_centroids = [
+        (np.zeros(15), "centroids must be a non-empty 2-D matrix, got shape (15,)"),
+        (np.zeros((0, 15)), "centroids must be a non-empty 2-D matrix, got shape (0, 15)"),
+        (np.zeros((4, 0)), "centroids must be a non-empty 2-D matrix, got shape (4, 0)"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "centroids must be finite"),
+    ]
+    for centroids, message in bad_centroids:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Codebook("s", KIND_PSDCT, centroids, 42, 1)
+    cb = Codebook("s", KIND_PSDCT, [[1, 2], [3, 4]], 42, 1)
+    assert cb.centroids.dtype == np.float64 and cb.centroids.shape == (2, 2)
+    assert not cb.centroids.flags.writeable
 
 
 def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
@@ -159,7 +178,7 @@ def test_codebook_file_round_trip(tmp_path):
     save_codebook(cb, path)
     back = load_codebook(path)
     assert back.speaker_id == "alice"
-    assert back.kind == cb.kind and back.k == cb.k and back.dim == cb.dim
+    assert back.kind == cb.kind and back.centroids.shape == cb.centroids.shape == (4, 6)
     assert back.seed == 7 and back.train_vector_count == 50
     assert np.array_equal(back.centroids, cb.centroids)
 
@@ -168,11 +187,15 @@ def test_codebook_file_rejects_garbage(tmp_path):
     good = tmp_path / "good.cb"
     save_codebook(train_codebook(matrix(np.random.default_rng(3).normal(size=(30, 15))), 8, speaker_id="s"), good)
     valid = good.read_bytes()
+    header = valid[:-960]  # magic, then version, k and dim as <III
     cases = [
         (b"NOPE" + b"\x00" * 64, "not a codebook"),
         (valid[:20], "codebook header is truncated"),
         (valid[:-8], "centroid block has 952 bytes, expected 960 \\(k=8, dim=15\\)"),
         (valid + b"\x00", "centroid block has 961 bytes, expected 960"),
+        (header[:8] + struct.pack("<I", 0) + header[12:], "centroids must be a non-empty 2-D matrix, got shape \\(0, 15\\)"),
+        (header[:12] + struct.pack("<I", 0) + header[16:], "centroids must be a non-empty 2-D matrix, got shape \\(8, 0\\)"),
+        (valid[:-8] + struct.pack("<d", np.nan), "centroids must be finite"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.cb"
@@ -185,7 +208,7 @@ def test_codebook_file_rejects_garbage(tmp_path):
     (model / "manifest.json").write_text('{"version": 1}')
     with pytest.raises(ValueError, match="manifest.json: no codebook list"):
         load_model_dir(model)
-    for entry in ('{"kind": "psdct"}', '{"file": "good.cb"}', '"good.cb"'):
+    for entry in ('{"kind": "psdct"}', '{"file": "good.cb"}', '"good.cb"', '{"file": 5, "kind": "mfcc"}'):
         (model / "manifest.json").write_text(f'{{"version": 1, "codebooks": [{entry}]}}')
         with pytest.raises(ValueError, match="manifest.json: codebook entry 0 is not an object with 'file' and 'kind'"):
             load_model_dir(model)
@@ -266,7 +289,7 @@ def test_lloyd_labels_are_the_brute_force_argmin_away_from_ties(monkeypatch, dim
         return out
 
     monkeypatch.setattr(np, "argmin", spy)
-    lloyd_kmeans(data, init)
+    lloyd_kmeans(matrix(data), init)
     monkeypatch.undo()
     d2 = np.sum((data[:, None, :] - init[None, :, :]) ** 2, axis=2)
     if k == 1:
@@ -316,7 +339,7 @@ def test_lloyd_update_matches_per_cell_reference(dim, k):
     # a few well-separated blobs plus scale offsets, so sums are not all near zero
     rng = np.random.default_rng(1000 * dim + k)
     data = rng.normal(size=(400, dim)) + 5.0 * rng.integers(0, 6, size=(400, 1))
-    centroids, history = lloyd_kmeans(data, kmeanspp(data, k))
+    centroids, history = lloyd_kmeans(matrix(data), kmeanspp(data, k))
     ref_centroids, ref_history = reference_lloyd(data, k, seed=42)
     assert np.array_equal(centroids, ref_centroids)
     assert history == ref_history
@@ -327,7 +350,7 @@ def test_lloyd_update_matches_reference_with_empty_cell():
     data = rng.normal(size=(300, 3))
     init = kmeanspp(data, 6)
     init[-1] = 1e3  # nearest to no point: its cell is empty after the first assignment
-    centroids, history = lloyd_kmeans(data, init)
+    centroids, history = lloyd_kmeans(matrix(data), init)
     ref_centroids, ref_history = reference_lloyd(data, 6, init=init)
     assert np.array_equal(centroids, ref_centroids)
     assert history == ref_history

@@ -85,10 +85,13 @@ class Utterance:
     """A mono waveform with amplitudes in [-1, 1], plus optional phone labels.
 
     Checked once, at construction; labels must be sorted, non-overlapping and
-    end within the samples. Frozen: build a changed copy with
-    ``dataclasses.replace``. ``impulses`` carries ground-truth excitation
-    positions for synthetic utterances (absolute sample indices); None for
-    real recordings.
+    end within the samples. The samples are kept as float32: every stage that
+    computes on them widens to float64 first. That is exact for 16-bit PCM
+    (k/32768), as read from a wav or made by ``synth_corpus``, and halves the
+    memory per sample; other values are checked as given, then rounded to
+    float32. Frozen: build a changed copy with ``dataclasses.replace``.
+    ``impulses`` carries ground-truth excitation positions for synthetic
+    utterances (absolute sample indices); None for real recordings.
     """
 
     samples: np.ndarray
@@ -99,17 +102,19 @@ class Utterance:
     impulses: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
         where = f"speaker {self.speaker_id} utterance {self.utterance_id}"
         if self.sample_rate <= 0:
             raise ValueError(f"{where}: sample_rate must be positive")
-        if self.samples.size == 0:
+        if samples.size == 0:
             raise ValueError(f"{where}: no samples")
-        peak = float(np.max(np.abs(self.samples)))  # NaN if any sample is NaN
+        # checked before narrowing, which could round a value just past 1 to 1
+        peak = float(np.max(np.abs(samples)))  # NaN if any sample is NaN
         if not np.isfinite(peak):
             raise ValueError(f"{where}: samples must be finite")
         if peak > 1.0:
             raise ValueError(f"{where}: samples exceed [-1, 1] (peak {peak})")
+        object.__setattr__(self, "samples", samples.astype(np.float32, copy=False))
         prev_end = 0
         for seg in self.segments or ():
             if seg.begin < prev_end:
@@ -176,7 +181,7 @@ class SpeakerSplit:
 
 
 def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
-    """Samples (scaled by 1/32768) and sample rate of a RIFF/WAVE PCM 16-bit mono file."""
+    """float32 samples (scaled by 1/32768) and sample rate of a RIFF/WAVE PCM 16-bit mono file."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == b"NIST":
@@ -199,7 +204,7 @@ def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
         raise MalformedWavError(f"{path}: {exc}") from exc
     except EOFError:  # wave's bare error for a file that ends inside a chunk header
         raise MalformedWavError(f"{path}: file ends inside its header") from None
-    return np.frombuffer(raw, "<i2") / PCM_SCALE, rate
+    return np.frombuffer(raw, "<i2") / np.float32(PCM_SCALE), rate  # exact: k/32768 fits float32
 
 
 def write_wav(path, samples, sample_rate: int) -> None:
@@ -217,33 +222,40 @@ def parse_phn(path) -> list[PhoneSegment]:
     """Parse a TIMIT-style label file: one 'begin end phone' triple per line."""
     path = Path(path)
     segments: list[PhoneSegment] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise PhnParseError(f"{path}:{lineno}: expected 'begin end phone', got {line!r}")
-            try:
-                begin, end = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise PhnParseError(f"{path}:{lineno}: non-integer bounds in {line!r}") from exc
-            try:
-                seg = PhoneSegment(begin, end, parts[2])
-            except ValueError as exc:
-                raise PhnParseError(f"{path}:{lineno}: {exc}") from exc
-            if segments and seg.begin < segments[-1].end:
-                raise PhnParseError(
-                    f"{path}:{lineno}: segment {seg} overlaps or precedes previous {segments[-1]}"
-                )
-            segments.append(seg)
+    for lineno, line in enumerate(io.StringIO(_read_text(path, PhnParseError)), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise PhnParseError(f"{path}:{lineno}: expected 'begin end phone', got {line!r}")
+        try:
+            begin, end = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise PhnParseError(f"{path}:{lineno}: non-integer bounds in {line!r}") from exc
+        try:
+            seg = PhoneSegment(begin, end, parts[2])
+        except ValueError as exc:
+            raise PhnParseError(f"{path}:{lineno}: {exc}") from exc
+        if segments and seg.begin < segments[-1].end:
+            raise PhnParseError(
+                f"{path}:{lineno}: segment {seg} overlaps or precedes previous {segments[-1]}"
+            )
+        segments.append(seg)
     return segments
+
+
+def _read_text(path, error: type[CorpusError] = CorpusError) -> str:
+    """A text file's contents; one that is not UTF-8 raises ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
 
 
 def _parse_gci(path: Path) -> np.ndarray:
     """Read an epoch file: one sample index per line; blank lines are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     tokens = text.split()
     # one conversion when every line holds one index, as save_corpus writes them
     if "\n".join(tokens) == text.rstrip("\n"):
@@ -263,8 +275,7 @@ def _parse_gci(path: Path) -> np.ndarray:
 
 def load_voiced_set(path) -> frozenset[str]:
     """Read a voiced-set file: one phone label per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        labels = {line.strip() for line in fh if line.strip()}
+    labels = {line.strip() for line in io.StringIO(_read_text(path)) if line.strip()}
     if not labels:
         raise CorpusError(f"{path}: voiced-set file is empty")
     return frozenset(labels)

@@ -70,11 +70,11 @@ def detect_gci(region: VoicedRegion) -> EpochList:
     """
     sr = region.sample_rate
     lo, hi = min_period(sr), max_period(sr)
-    x = np.asarray(region.samples, dtype=np.float64)
+    x = np.array(region.samples, dtype=np.float64)  # a float64 copy, centred in place
     if x.size < hi:
         raise ValueError(f"region of {x.size} samples is shorter than one max pitch period ({hi})")
 
-    x = x - x.mean()
+    x -= x.mean()
     period = autocorr_pitch(x, lo, hi)
 
     y = resonate(resonate(x))
@@ -104,7 +104,7 @@ def map_to_peaks(region: VoicedRegion, epochs: EpochList) -> np.ndarray:
     maximum sample, then hill-climbs to the enclosing local maximum so cycle
     endpoints are true extrema. Duplicates collapse to one entry.
     """
-    x = np.asarray(region.samples, dtype=np.float64)
+    x = region.samples  # only compared, so its own dtype serves
     pos = epochs.positions
     if pos.size == 0:
         return np.empty(0, dtype=np.int64)

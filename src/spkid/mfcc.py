@@ -69,12 +69,12 @@ def frame_signal(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> np.
 
 def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> FeatureVector:
     """Cepstral coefficients of one frame of exactly frame_ms samples."""
-    x = np.asarray(frame, dtype=np.float64)
+    x = np.asarray(frame)
     expected = frame_length(sample_rate, config)
     if x.size != expected:
         raise ValueError(f"frame of {x.size} samples, expected {expected}")
     n_fft = max(MIN_FFT, 1 << (x.size - 1).bit_length())
-    spectrum = dft(x * hanning(x.size), n=n_fft)
+    spectrum = dft(x * hanning(x.size), n=n_fft)  # the float64 window widens a float32 frame
     power = np.abs(spectrum[: n_fft // 2 + 1]) ** 2
     energies = mel_filterbank(sample_rate, n_fft) @ power
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))

@@ -107,11 +107,12 @@ def dct2(frame, n: int | None = None) -> np.ndarray:
 
 def normalize_energy(frame) -> np.ndarray:
     """Scale a frame to unit energy. Zero-energy frames are a caller bug."""
-    x = np.asarray(frame, dtype=np.float64)
+    x = np.array(frame, dtype=np.float64)  # a float64 copy, scaled in place
     energy = float(np.dot(x, x))
     if energy <= 0.0:
         raise ValueError("zero-energy frame; caller must filter these out")
-    return x / np.sqrt(energy)
+    x /= np.sqrt(energy)
+    return x
 
 
 def psdct_feature(cycle: PitchCycle, n_coeffs: int = DEFAULT_NUM_COEFFS) -> FeatureVector:
@@ -144,7 +145,7 @@ def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> flo
     ratios = np.empty(len(cycles))
     for idx in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         m = int(lengths[idx[0]])
-        x = np.concatenate([samples[i] for i in idx]).reshape(idx.size, m).astype(np.float64, copy=False)
+        x = np.concatenate([samples[i] for i in idx], dtype=np.float64).reshape(idx.size, m)
         energy = np.einsum("ij,ij->i", x, x)
         if np.any(energy <= 0.0):
             raise ValueError("zero-energy frame; caller must filter these out")

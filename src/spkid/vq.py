@@ -245,8 +245,11 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
     manifest_path = model_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise ValueError(f"{model_dir}: no {MANIFEST_NAME}; not a model directory")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{manifest_path}: not a valid JSON manifest: {exc}") from None
     entries = manifest.get("codebooks") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: no codebook list")
@@ -258,5 +261,11 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
             )
         if kind is not None and entry["kind"] != kind:
             continue
-        codebooks.append(load_codebook(model_dir / entry["file"]))
+        codebook = load_codebook(model_dir / entry["file"])
+        if codebook.kind != entry["kind"]:
+            raise ValueError(
+                f"{manifest_path}: codebook entry {i} gives kind {entry['kind']!r}, "
+                f"but {model_dir / entry['file']} holds kind {codebook.kind!r}"
+            )
+        codebooks.append(codebook)
     return codebooks

@@ -72,6 +72,25 @@ def test_load_wav_pcm_scaling(tmp_path):
     assert utt.utterance_id == "t"
 
 
+def test_every_int16_value_loads_exactly_as_float32(tmp_path):
+    ints = np.arange(-32768, 32768)
+    path = tmp_path / "all.wav"
+    write_raw_wav(path, ints)
+    samples = read_wav(path).samples
+    assert samples.dtype == np.float32
+    assert np.array_equal(samples.astype(np.float64) * 32768, ints)
+
+
+def test_utterance_keeps_float32_and_checks_the_values_it_was_given():
+    x = np.linspace(-1.0, 1.0, 1001)
+    utt = Utterance(x, 16000, "s", "u")
+    assert utt.samples.dtype == np.float32 and utt.samples.nbytes == 4 * x.size
+    assert np.array_equal(utt.samples, x.astype(np.float32))  # off the 16-bit grid: rounded
+    # 1 + 1e-12 narrows to 1.0, so the range check must see the float64 value
+    with pytest.raises(ValueError, match="samples exceed"):
+        Utterance(np.array([0.5, 1.0 + 1e-12]), 16000, "s", "u")
+
+
 def test_load_wav_rejects_sphere(tmp_path):
     path = tmp_path / "sphere.wav"
     path.write_bytes(b"NIST_1A\n   1024\n" + b"\x00" * 64)
@@ -501,3 +520,15 @@ def test_gci_bad_line_message_is_unchanged(tmp_path, text):
     assert str(fast.value) == str(ref.value)
     bad = next(i for i, line in enumerate(io.StringIO(text), start=1) if line.strip() and not line.strip().isdigit())
     assert str(fast.value).startswith(f"{path}:{bad}: expected one sample index, got ")
+
+
+@pytest.mark.parametrize(
+    "read, name, error",
+    [(parse_phn, "u.phn", PhnParseError), (_parse_gci, "u.gci", CorpusError), (load_voiced_set, "v.txt", CorpusError)],
+)
+def test_text_file_that_is_not_utf8_names_the_file(tmp_path, read, name, error):
+    path = tmp_path / name
+    path.write_bytes(b"12\xff\n")
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: invalid start byte at byte offset 2"

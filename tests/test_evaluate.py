@@ -8,7 +8,7 @@ import scipy.fft
 
 import spkid.evaluate as evaluate
 from spkid.classify import identify
-from spkid.corpus import PhoneSegment, Utterance, extract_voiced_regions, split_speakers
+from spkid.corpus import PhoneSegment, Utterance, extract_voiced_regions, load_corpus, save_corpus, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     collect_cycles,
@@ -150,6 +150,18 @@ def test_collect_features_without_voiced_regions_gives_empty_matrices(corpus8k):
     assert [(m.dtype, m.shape) for m in feats.values()] == [(np.float64, (0, 12)), (np.float64, (0, 13))]
 
 
+def test_features_of_a_saved_and_loaded_corpus_equal_those_of_the_corpus_in_memory(tmp_path):
+    utterances = synth_corpus(4, 8, seed=5, sample_rate=8000)
+    save_corpus(utterances, tmp_path)
+    config = ExperimentConfig()
+    in_memory = evaluate.collect_features(utterances, config)
+    loaded = evaluate.collect_features(load_corpus(tmp_path), config)
+    assert list(loaded) == list(in_memory) == ["psdct", "mfcc"]
+    for kind, rows in in_memory.items():
+        assert rows.shape[0] > 0 and loaded[kind].shape == rows.shape
+        assert (loaded[kind] == rows).all(), kind
+
+
 def test_speaker_with_too_few_utterances_is_named():
     utts = synth_corpus(2, 8, seed=3)
     short = [u for u in utts if not (u.speaker_id == "spk01" and u.utterance_id == "u07")]
@@ -189,9 +201,9 @@ def reference_sweep(config, utterances):
     train = {s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced) if len(c) > max_k] for s in splits}
     test = {s.speaker_id: [c for c in collect_cycles(s.test_utterances, voiced) if len(c) > max_k] for s in splits}
     energies = [
-        scipy.fft.dct(c.samples / np.linalg.norm(c.samples), type=2, norm="ortho") ** 2
+        scipy.fft.dct(x / np.linalg.norm(x), type=2, norm="ortho") ** 2
         for cycles in train.values()
-        for c in cycles
+        for x in (c.samples.astype(np.float64) for c in cycles)
     ]
     rows = []
     for k in sorted(config.coeff_counts):

@@ -232,6 +232,30 @@ def test_model_dir_round_trip(tmp_path):
         load_model_dir(tmp_path / "nothing-here")
 
 
+def test_manifest_that_is_not_json_names_the_manifest(tmp_path):
+    model = tmp_path / "model"
+    save_model_dir([train_codebook(matrix(np.random.default_rng(4).normal(size=(20, 5))), 4, speaker_id="s")], model)
+    manifest = model / "manifest.json"
+    manifest.write_text('{"version": 1, "codebooks": [\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: not a valid JSON manifest: Expecting value"):
+        load_model_dir(model)
+
+
+def test_manifest_kind_must_match_the_kind_in_the_file(tmp_path):
+    model = tmp_path / "model"
+    mfcc = matrix(np.random.default_rng(5).normal(size=(20, 3)), KIND_MFCC)
+    save_model_dir([train_codebook(mfcc, 4, speaker_id="spk00")], model)
+    manifest = model / "manifest.json"
+    manifest.write_text('{"version": 1, "codebooks": [{"file": "spk00.mfcc.cb", "kind": "psdct"}]}')
+    for kind in (KIND_PSDCT, None):
+        with pytest.raises(ValueError) as err:
+            load_model_dir(model, kind=kind)
+        assert str(err.value) == (
+            f"{manifest}: codebook entry 0 gives kind 'psdct', but {model / 'spk00.mfcc.cb'} holds kind 'mfcc'"
+        )
+    assert load_model_dir(model, kind=KIND_MFCC) == []
+
+
 def reference_kmeanspp(data, k, seed):
     """k-means++ seeding with one rng.choice draw per step, which kmeanspp_seeds must match row for row."""
     rng = np.random.default_rng(seed)

@@ -116,7 +116,8 @@ def cmd_identify(args) -> int:
         raise ValueError("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])")
     weights = FusionWeights(args.acc_dct, args.acc_mfcc) if fused_mode else None
     kinds = _kinds(args)
-    books = {kind: load_model_dir(args.model_dir, kind=kind) for kind in kinds}
+    codebooks = load_model_dir(args.model_dir)
+    books = {kind: [cb for cb in codebooks if cb.kind == kind] for kind in kinds}
     for kind in kinds:
         if not books[kind]:
             raise ValueError(f"model dir {args.model_dir} has no {kind} codebooks")

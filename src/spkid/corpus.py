@@ -89,7 +89,9 @@ class Utterance:
     computes on them widens to float64 first. That is exact for 16-bit PCM
     (k/32768), as read from a wav or made by ``synth_corpus``, and halves the
     memory per sample; other values are checked as given, then rounded to
-    float32. Frozen: build a changed copy with ``dataclasses.replace``.
+    float32. The samples are a read-only copy of the caller's array, so the
+    checks hold for every later use. Frozen: build a changed copy with
+    ``dataclasses.replace``.
     ``impulses`` carries ground-truth excitation positions for synthetic
     utterances (absolute sample indices); None for real recordings.
     """
@@ -114,7 +116,9 @@ class Utterance:
             raise ValueError(f"{where}: samples must be finite")
         if peak > 1.0:
             raise ValueError(f"{where}: samples exceed [-1, 1] (peak {peak})")
-        object.__setattr__(self, "samples", samples.astype(np.float32, copy=False))
+        samples = np.array(samples, dtype=np.float32, order="C")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         prev_end = 0
         for seg in self.segments or ():
             if seg.begin < prev_end:

@@ -32,10 +32,11 @@ class FeatureVector:
 class FeatureMatrix:
     """One speaker's features of one kind: a checked, read-only, C-contiguous (N, dim) float64 matrix.
 
-    The constructor checks the matrix once (2-D, non-empty, finite), so its
-    consumers (``train_codebook``, ``kmeanspp_seeds``, ``cmd``) check nothing
-    per call; it is read-only so that the check, and the row norms
-    ``sq_norms`` that ``cmd`` takes from it, hold for every later use.
+    The constructor copies the matrix and checks the copy once (2-D,
+    non-empty, finite), so its consumers (``train_codebook``,
+    ``kmeanspp_seeds``, ``cmd``) check nothing per call. The copy is read-only
+    and no caller holds it, so the check, and the row norms ``sq_norms`` that
+    ``cmd`` takes from it, hold for every later use.
     Iterating yields each row as a ``FeatureVector`` view.
     """
 
@@ -43,7 +44,7 @@ class FeatureMatrix:
     kind: str
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
+        m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {m.shape}")
         if not m.shape[0]:

@@ -29,6 +29,7 @@ log = logging.getLogger(__name__)
 
 CODEBOOK_MAGIC = b"VQCB"
 CODEBOOK_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 DEFAULT_SEED = 42
@@ -40,12 +41,12 @@ DEFAULT_MAX_ITER = 300
 class Codebook:
     speaker_id: str
     kind: str
-    centroids: np.ndarray  # (k, dim) float64, a read-only C-contiguous view, as FeatureMatrix.matrix
+    centroids: np.ndarray  # (k, dim) float64, a read-only C-contiguous copy, as FeatureMatrix.matrix
     seed: int
     train_vector_count: int
 
     def __post_init__(self):
-        centroids = np.ascontiguousarray(self.centroids, dtype=np.float64).view()
+        centroids = np.array(self.centroids, dtype=np.float64, order="C")
         if centroids.ndim != 2 or 0 in centroids.shape:
             raise ValueError(f"centroids must be a non-empty 2-D matrix, got shape {centroids.shape}")
         if not np.isfinite(centroids).all():
@@ -212,35 +213,33 @@ def load_codebook(path) -> Codebook:
         version, k, dim, seed, count = struct.unpack("<IIIqQ", header(28))
         if version != CODEBOOK_VERSION:
             raise ValueError(f"{path}: unsupported codebook version {version}")
-        kind = header(*struct.unpack("<I", header(4))).decode("utf-8")
-        speaker_id = header(*struct.unpack("<I", header(4))).decode("utf-8")
+        kind = header(*struct.unpack("<I", header(4)))
+        speaker_id = header(*struct.unpack("<I", header(4)))
         block = fh.read()
     if len(block) != k * dim * 8:
         raise ValueError(f"{path}: centroid block has {len(block)} bytes, expected {k * dim * 8} (k={k}, dim={dim})")
     centroids = np.frombuffer(block, dtype="<f8").reshape(k, dim)
-    try:  # a header with k=0 or dim=0, or a non-finite centroid
-        return Codebook(speaker_id, kind, centroids, seed, count)
+    try:  # kind or speaker bytes that are not UTF-8, a header with k=0 or dim=0, or a non-finite centroid
+        return Codebook(speaker_id.decode("utf-8"), kind.decode("utf-8"), centroids, seed, count)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
-    """One file per speaker per kind plus a manifest listing them all."""
+    """One file per speaker per kind, plus a manifest listing the file names in (kind, speaker) order."""
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    files = []
     for cb in sorted(codebooks, key=lambda c: (c.kind, c.speaker_id)):
-        fname = f"{cb.speaker_id}.{cb.kind}.cb"
-        save_codebook(cb, model_dir / fname)
-        k, dim = cb.centroids.shape
-        entries.append({"file": fname, "speaker_id": cb.speaker_id, "kind": cb.kind, "k": k, "dim": dim})
-    manifest = {"version": CODEBOOK_VERSION, "codebooks": entries}
+        files.append(f"{cb.speaker_id}.{cb.kind}.cb")
+        save_codebook(cb, model_dir / files[-1])
     with open(model_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump({"version": MANIFEST_VERSION, "codebooks": files}, fh, indent=2)
         fh.write("\n")
 
 
-def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
+def load_model_dir(model_dir) -> list[Codebook]:
+    """Every codebook the manifest lists, in its order; each file's own header says whose it is and what kind."""
     model_dir = Path(model_dir)
     manifest_path = model_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -250,22 +249,17 @@ def load_model_dir(model_dir, kind: str | None = None) -> list[Codebook]:
             manifest = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{manifest_path}: not a valid JSON manifest: {exc}") from None
-    entries = manifest.get("codebooks") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ValueError(f"{manifest_path}: manifest version {version}, not {MANIFEST_VERSION}; train the model again")
+    if not isinstance(files := manifest.get("codebooks"), list):
         raise ValueError(f"{manifest_path}: no codebook list")
-    codebooks = []
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str) and "kind" in entry):
-            raise ValueError(
-                f"{manifest_path}: codebook entry {i} is not an object with 'file' and 'kind' keys, 'file' a string"
-            )
-        if kind is not None and entry["kind"] != kind:
-            continue
-        codebook = load_codebook(model_dir / entry["file"])
-        if codebook.kind != entry["kind"]:
-            raise ValueError(
-                f"{manifest_path}: codebook entry {i} gives kind {entry['kind']!r}, "
-                f"but {model_dir / entry['file']} holds kind {codebook.kind!r}"
-            )
-        codebooks.append(codebook)
+    codebooks, owner = [], {}
+    for i, name in enumerate(files):
+        if not isinstance(name, str):
+            raise ValueError(f"{manifest_path}: codebook entry {i} is not a file name")
+        cb = load_codebook(model_dir / name)
+        if (first := owner.setdefault((cb.speaker_id, cb.kind), i)) != i:
+            raise ValueError(f"{manifest_path}: two {cb.kind} codebooks of {cb.speaker_id}: {files[first]}, {name}")
+        codebooks.append(cb)
     return codebooks

@@ -297,9 +297,19 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
 def test_identify_rejects_manifest_entry_without_file(corpus_dir, tmp_path, no_extraction, capsys):
     model = tmp_path / "model"
     model.mkdir()
-    (model / "manifest.json").write_text('{"version": 1, "codebooks": [{"kind": "psdct"}]}')
+    (model / "manifest.json").write_text('{"version": 2, "codebooks": [{"kind": "psdct"}]}')
     assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)],
-                       "codebook entry 0 is not an object with 'file' and 'kind' keys")
+                       f"{model / 'manifest.json'}: codebook entry 0 is not a file name\n")
+
+
+def test_identify_rejects_a_version_1_manifest(corpus_dir, tmp_path, no_extraction, capsys):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "manifest.json").write_text(
+        '{"version": 1, "codebooks": [{"file": "spk00.psdct.cb", "speaker_id": "spk00", "kind": "psdct"}]}'
+    )
+    assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)],
+                       f"{model / 'manifest.json'}: manifest version 1, not 2; train the model again\n")
 
 
 def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):

@@ -91,6 +91,13 @@ def test_utterance_keeps_float32_and_checks_the_values_it_was_given():
         Utterance(np.array([0.5, 1.0 + 1e-12]), 16000, "s", "u")
 
 
+def test_utterance_keeps_its_check_when_the_caller_writes_its_array():
+    x = np.zeros(10, np.float32)
+    utt = Utterance(x, 16000, "s", "u")
+    x[0] = 5.0
+    assert utt.samples[0] == 0.0 and not utt.samples.flags.writeable
+
+
 def test_load_wav_rejects_sphere(tmp_path):
     path = tmp_path / "sphere.wav"
     path.write_bytes(b"NIST_1A\n   1024\n" + b"\x00" * 64)

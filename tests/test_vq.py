@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 from dataclasses import fields
@@ -148,6 +149,22 @@ def test_codebook_checks_its_centroids():
     assert not cb.centroids.flags.writeable
 
 
+def test_feature_matrix_keeps_its_check_when_the_caller_writes_its_array():
+    data = np.ones((3, 2))
+    features = FeatureMatrix(data, KIND_PSDCT)
+    data[0, 0] = np.nan
+    assert np.isfinite(features.matrix).all()
+
+
+def test_codebook_keeps_its_check_and_norms_when_the_caller_writes_its_array():
+    centroids = np.ones((2, 3))
+    cb = Codebook("s", KIND_PSDCT, centroids, 42, 1)
+    assert cb.sq_norms[0] == 3.0
+    centroids[0] = np.inf
+    assert np.isfinite(cb.centroids).all() and cb.sq_norms[0] == np.sum(cb.centroids[0] ** 2)
+    assert cmd(FeatureMatrix(np.ones((4, 3)), KIND_PSDCT), cb).cmd == 0.0
+
+
 def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(40, 6))
@@ -155,10 +172,10 @@ def test_feature_matrix_is_stacked_once_and_iterates_as_row_views():
     assert m.kind == KIND_PSDCT and len(m) == 40
     assert m.matrix.dtype == np.float64 and m.matrix.flags.c_contiguous
     assert np.array_equal(m.matrix, data)
-    # read-only through the record; an array handed to the constructor stays writeable for its owner
+    # read-only through the record; an array handed to the constructor is copied and stays writeable for its owner
     assert not m.matrix.flags.writeable
     owned = FeatureMatrix(data, KIND_PSDCT)
-    assert np.shares_memory(owned.matrix, data) and data.flags.writeable
+    assert not np.shares_memory(owned.matrix, data) and data.flags.writeable
     # a strided slice is copied to a contiguous matrix
     prefix = FeatureMatrix(m.matrix[:, :3], KIND_PSDCT)
     assert prefix.matrix.flags.c_contiguous and not np.shares_memory(prefix.matrix, m.matrix)
@@ -196,6 +213,8 @@ def test_codebook_file_rejects_garbage(tmp_path):
         (header[:8] + struct.pack("<I", 0) + header[12:], "centroids must be a non-empty 2-D matrix, got shape \\(0, 15\\)"),
         (header[:12] + struct.pack("<I", 0) + header[16:], "centroids must be a non-empty 2-D matrix, got shape \\(8, 0\\)"),
         (valid[:-8] + struct.pack("<d", np.nan), "centroids must be finite"),
+        # the kind's first byte, after magic, the <IIIqQ fields and the kind's length
+        (valid[:36] + b"\xff" + valid[37:], re.escape("'utf-8' codec can't decode byte 0xff in position 0")),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.cb"
@@ -205,13 +224,17 @@ def test_codebook_file_rejects_garbage(tmp_path):
 
     model = tmp_path / "model"
     model.mkdir()
-    (model / "manifest.json").write_text('{"version": 1}')
+    (model / "manifest.json").write_text('{"version": 2}')
     with pytest.raises(ValueError, match="manifest.json: no codebook list"):
         load_model_dir(model)
-    for entry in ('{"kind": "psdct"}', '{"file": "good.cb"}', '"good.cb"', '{"file": 5, "kind": "mfcc"}'):
-        (model / "manifest.json").write_text(f'{{"version": 1, "codebooks": [{entry}]}}')
-        with pytest.raises(ValueError, match="manifest.json: codebook entry 0 is not an object with 'file' and 'kind'"):
+    for entry in ('{"kind": "psdct"}', '{"file": "good.cb"}', '5', 'null'):
+        (model / "manifest.json").write_text(f'{{"version": 2, "codebooks": [{entry}]}}')
+        with pytest.raises(ValueError, match="manifest.json: codebook entry 0 is not a file name$"):
             load_model_dir(model)
+    # a version-1 manifest, as written before the manifest listed file names alone
+    (model / "manifest.json").write_text('{"version": 1, "codebooks": [{"file": "good.cb", "kind": "psdct"}]}')
+    with pytest.raises(ValueError, match="manifest.json: manifest version 1, not 2; train the model again$"):
+        load_model_dir(model)
 
 
 def test_model_dir_round_trip(tmp_path):
@@ -226,8 +249,16 @@ def test_model_dir_round_trip(tmp_path):
     save_model_dir(books, tmp_path / "model")
     everything = load_model_dir(tmp_path / "model")
     assert len(everything) == 4
-    only_mfcc = load_model_dir(tmp_path / "model", kind=KIND_MFCC)
-    assert len(only_mfcc) == 1 and only_mfcc[0].kind == KIND_MFCC
+    # in (kind, speaker) order, each codebook as it was saved
+    assert [(cb.kind, cb.speaker_id) for cb in everything] == [
+        (KIND_MFCC, "spk0"), (KIND_PSDCT, "spk0"), (KIND_PSDCT, "spk1"), (KIND_PSDCT, "spk2")
+    ]
+    saved = {(cb.kind, cb.speaker_id): cb for cb in books}
+    for cb in everything:
+        assert np.array_equal(cb.centroids, saved[cb.kind, cb.speaker_id].centroids)
+    assert json.loads((tmp_path / "model" / "manifest.json").read_text()) == {
+        "version": 2, "codebooks": ["spk0.mfcc.cb", "spk0.psdct.cb", "spk1.psdct.cb", "spk2.psdct.cb"]
+    }
     with pytest.raises(ValueError, match="manifest"):
         load_model_dir(tmp_path / "nothing-here")
 
@@ -241,19 +272,27 @@ def test_manifest_that_is_not_json_names_the_manifest(tmp_path):
         load_model_dir(model)
 
 
-def test_manifest_kind_must_match_the_kind_in_the_file(tmp_path):
+def test_codebook_header_decides_speaker_and_kind(tmp_path):
     model = tmp_path / "model"
     mfcc = matrix(np.random.default_rng(5).normal(size=(20, 3)), KIND_MFCC)
     save_model_dir([train_codebook(mfcc, 4, speaker_id="spk00")], model)
+    (model / "spk00.mfcc.cb").rename(model / "spk00.psdct.cb")
+    (model / "manifest.json").write_text('{"version": 2, "codebooks": ["spk00.psdct.cb"]}')
+    [cb] = load_model_dir(model)
+    assert (cb.speaker_id, cb.kind) == ("spk00", KIND_MFCC)
+
+
+def test_model_dir_rejects_two_codebooks_of_one_speaker_and_kind(tmp_path):
+    model = tmp_path / "model"
+    rng = np.random.default_rng(6)
+    save_model_dir([train_codebook(matrix(rng.normal(size=(20, 3))), 4, speaker_id=s) for s in ("a", "b")], model)
     manifest = model / "manifest.json"
-    manifest.write_text('{"version": 1, "codebooks": [{"file": "spk00.mfcc.cb", "kind": "psdct"}]}')
-    for kind in (KIND_PSDCT, None):
+    (model / "copy.cb").write_bytes((model / "a.psdct.cb").read_bytes())
+    for names in (["a.psdct.cb", "a.psdct.cb"], ["a.psdct.cb", "b.psdct.cb", "copy.cb"]):
+        manifest.write_text(json.dumps({"version": 2, "codebooks": names}))
         with pytest.raises(ValueError) as err:
-            load_model_dir(model, kind=kind)
-        assert str(err.value) == (
-            f"{manifest}: codebook entry 0 gives kind 'psdct', but {model / 'spk00.mfcc.cb'} holds kind 'mfcc'"
-        )
-    assert load_model_dir(model, kind=KIND_MFCC) == []
+            load_model_dir(model)
+        assert str(err.value) == f"{manifest}: two psdct codebooks of a: a.psdct.cb, {names[-1]}"
 
 
 def reference_kmeanspp(data, k, seed):

@@ -9,6 +9,7 @@ against a model directory), evaluate (full accuracy report), sweep
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -73,15 +74,13 @@ def cmd_extract(args) -> int:
     config = _config_from_args(args, n_coeffs=args.coeffs, kinds=(args.kind,))
     files = list_corpus(args.corpus)
     voiced = config.effective_voiced_set()
-    if args.kind == KIND_PSDCT:
-        index, width = "cycle_index", config.n_coeffs
-    else:
-        index, width = "frame_index", N_MFCC
+    index, width = ("cycle_index", config.n_coeffs) if args.kind == KIND_PSDCT else ("frame_index", N_MFCC)
     dump_out = open(args.epoch_dump, "w", encoding="utf-8", newline="") if args.epoch_dump else nullcontext()
     with dump_out as dump, _out_stream(args.report_out) as fh:
         if dump is not None:
-            dump.write("region_id,epoch,mapped_peak\n")
-        fh.write(f"speaker,utterance,{index}," + ",".join(f"k{i}" for i in range(1, width + 1)) + "\n")
+            csv.writer(dump, lineterminator="\n").writerow(["region_id", "epoch", "mapped_peak"])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["speaker", "utterance", index, *(f"k{i}" for i in range(1, width + 1))])
         for entry in files:  # read one utterance at a time
             utt = entry.read()
             if dump is not None:  # a pass of its own; under psdct, collect_features detects the epochs again
@@ -89,7 +88,7 @@ def cmd_extract(args) -> int:
                     epochs = detect_gci(region)
                     dump_epochs_csv(dump, region, epochs, map_to_peaks(region, epochs))
             for i, row in enumerate(ev.collect_features([utt], config)[args.kind]):
-                fh.write(f"{utt.speaker_id},{utt.utterance_id},{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+                writer.writerow([utt.speaker_id, utt.utterance_id, i, *(f"{v:.9g}" for v in row)])
     return 0
 
 

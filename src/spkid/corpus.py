@@ -89,8 +89,9 @@ class Utterance:
     computes on them widens to float64 first. That is exact for 16-bit PCM
     (k/32768), as read from a wav or made by ``synth_corpus``, and halves the
     memory per sample; other values are checked as given, then rounded to
-    float32. The samples are a read-only copy of the caller's array, so the
-    checks hold for every later use. Frozen: build a changed copy with
+    float32. The samples are a read-only copy of the caller's array, the
+    segments a tuple and the impulses a read-only int64 copy, so the checks
+    hold for every later use. Frozen: build a changed copy with
     ``dataclasses.replace``.
     ``impulses`` carries ground-truth excitation positions for synthetic
     utterances (absolute sample indices); None for real recordings.
@@ -100,7 +101,7 @@ class Utterance:
     sample_rate: int
     speaker_id: str
     utterance_id: str
-    segments: list[PhoneSegment] | None = None
+    segments: tuple[PhoneSegment, ...] | None = None
     impulses: np.ndarray | None = None
 
     def __post_init__(self):
@@ -116,9 +117,12 @@ class Utterance:
             raise ValueError(f"{where}: samples must be finite")
         if peak > 1.0:
             raise ValueError(f"{where}: samples exceed [-1, 1] (peak {peak})")
-        samples = np.array(samples, dtype=np.float32, order="C")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", np.array(samples, dtype=np.float32, order="C"))
+        self.samples.flags.writeable = False
+        if self.impulses is not None:
+            object.__setattr__(self, "impulses", np.array(self.impulses, dtype=np.int64))
+            self.impulses.flags.writeable = False
+        object.__setattr__(self, "segments", None if self.segments is None else tuple(self.segments))
         prev_end = 0
         for seg in self.segments or ():
             if seg.begin < prev_end:

@@ -52,9 +52,20 @@ TIMIT30_REFERENCE_SWEEP = {
 KIND_FUSED = "fused"
 
 
+def _markdown_table(header: list, rows: list[list]) -> list[str]:
+    """The lines of a markdown table: the header, the ``|---|`` rule and one line per row, each cell as ``str``."""
+    lines = ["| " + " | ".join(map(str, cells)) + " |" for cells in [header, *rows]]
+    return [lines[0], "|" + "---|" * len(header), *lines[1:]]
+
+
+def _cell(value: float | None, spec: str = ".1f", scale: float = 100.0) -> str:
+    """``value * scale`` in format ``spec`` (by default a fraction as a percentage), or "-" where it is missing."""
+    return "-" if value is None else format(value * scale, spec)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings, checked once at construction; frozen, so the checks hold for every use."""
+    """One experiment's settings, checked once; frozen, its lists held as tuples, so the checks hold for every use."""
 
     n_train: int = 6
     n_test: int = 2
@@ -68,6 +79,12 @@ class ExperimentConfig:
     sweep_codebook_size: int = 32
 
     def __post_init__(self):
+        for name in ("codebook_sizes", "coeff_counts", "kinds"):
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must list each value once, got {','.join(map(str, values))}")
+        object.__setattr__(self, "voiced_set", None if self.voiced_set is None else frozenset(self.voiced_set))
         if not self.codebook_sizes or any(k < 1 for k in self.codebook_sizes):
             raise ValueError("codebook_sizes must be a non-empty list of sizes >= 1")
         if not self.coeff_counts or any(k < 1 for k in self.coeff_counts):
@@ -78,10 +95,6 @@ class ExperimentConfig:
             raise ValueError("sweep_codebook_size must be >= 1")
         if not self.kinds:
             raise ValueError("at least one feature kind required")
-        for name in ("codebook_sizes", "coeff_counts", "kinds"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} must list each value once, got {','.join(map(str, values))}")
         if not set(self.kinds) <= {KIND_PSDCT, KIND_MFCC}:
             raise ValueError(f"kinds must each be {KIND_PSDCT} or {KIND_MFCC}, got {','.join(self.kinds)}")
 
@@ -132,7 +145,9 @@ class EvalReport:
         kinds = [k for k in (KIND_PSDCT, KIND_MFCC) if k in accuracies]
         dims = {KIND_PSDCT: self.n_coeffs, KIND_MFCC: N_MFCC}
         sizes = sorted({s for by_size in accuracies.values() for s in by_size})
-        lines = [
+        cells = [[_cell(accuracies.get(k, {}).get(size)) for k in kinds + [KIND_FUSED]] for size in sizes]
+        rows = [[size, *c, _cell(alphas.get(size), ".3f", 1.0)] for size, c in zip(sizes, cells)]
+        return "\n".join([
             "# Speaker identification report",
             "",
             f"- speakers: {len(self.speakers)}",
@@ -141,27 +156,15 @@ class EvalReport:
             "",
             "## Accuracy by codebook size",
             "",
-            "| codebook size | " + " | ".join(kinds + [KIND_FUSED, "alpha"]) + " |",
-            "|" + "---|" * (len(kinds) + 3),
-        ]
-        for size in sizes:
-            cells = [f"{accuracies[k][size] * 100:.1f}" if size in accuracies.get(k, {}) else "-" for k in kinds]
-            fused_acc = accuracies.get(KIND_FUSED, {}).get(size)
-            cells.append(f"{fused_acc * 100:.1f}" if fused_acc is not None else "-")
-            alpha = alphas.get(size)
-            cells.append(f"{alpha:.3f}" if alpha is not None else "-")
-            lines.append(f"| {size} | " + " | ".join(cells) + " |")
-        lines += [
+            *_markdown_table(["codebook size", *kinds, KIND_FUSED, "alpha"], rows),
             "",
             "Reference (30-speaker TIMIT protocol, percent):",
             "",
-            "| codebook size | psdct | mfcc | fused |",
-            "|---|---|---|---|",
-        ]
-        for size, (a, b, c) in TIMIT30_REFERENCE_ACCURACY.items():
-            lines.append(f"| {size} | {a} | {b} | {c} |")
-        lines.append("")
-        return "\n".join(lines)
+            *_markdown_table(
+                ["codebook size", "psdct", "mfcc", "fused"], [[k, *v] for k, v in TIMIT30_REFERENCE_ACCURACY.items()]
+            ),
+            "",
+        ])
 
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh)
@@ -340,8 +343,10 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     is fixed (default 32). Cycles shorter than the largest requested
     coefficient count are excluded once up front, so the energy statistics
     for every K are computed over the same cycle set and are monotone in K by
-    construction. Each cycle is transformed once, at the largest K; every
-    smaller K keeps the first K columns of those matrices. The smallest K
+    construction. The training and test features are transformed once, at the
+    largest K; every smaller K keeps the first K columns of those matrices.
+    ``mec`` transforms the pooled training cycles again on each of its two
+    calls per K: 14 calls for K = 10..40. The smallest K
     trains first, and its rows have the fewest distinct values, so a codebook
     size too large for any K fails before any Lloyd run.
     """
@@ -383,31 +388,23 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
 
 
 def sweep_to_markdown(rows: list[SweepRow], codebook_size: int) -> str:
-    lines = [
+    return "\n".join([
         "# Coefficient-count sweep",
         "",
         f"- codebook size: {codebook_size}",
         "- MEC = mean fraction of cycle energy captured by the retained coefficients",
         "  (total: denominator includes the mean coefficient; ac: it does not)",
         "",
-        "| coeffs | MEC total % | MEC ac % | accuracy % |",
-        "|---|---|---|---|",
-    ]
-    for r in rows:
-        lines.append(
-            f"| {r.n_coeffs} | {r.mec_total * 100:.1f} | {r.mec_ac * 100:.1f} | {r.accuracy * 100:.1f} |"
-        )
-    lines += [
+        *_markdown_table(
+            ["coeffs", "MEC total %", "MEC ac %", "accuracy %"],
+            [[r.n_coeffs, _cell(r.mec_total), _cell(r.mec_ac), _cell(r.accuracy)] for r in rows],
+        ),
         "",
         "Reference (30-speaker TIMIT protocol, percent):",
         "",
-        "| coeffs | MEC % | accuracy % |",
-        "|---|---|---|",
-    ]
-    for k, (mec_pct, acc_pct) in TIMIT30_REFERENCE_SWEEP.items():
-        lines.append(f"| {k} | {mec_pct} | {acc_pct} |")
-    lines.append("")
-    return "\n".join(lines)
+        *_markdown_table(["coeffs", "MEC %", "accuracy %"], [[k, *ref] for k, ref in TIMIT30_REFERENCE_SWEEP.items()]),
+        "",
+    ])
 
 
 def write_sweep_csv(fh, rows: list[SweepRow]) -> None:

@@ -167,9 +167,9 @@ def cycles_from_region(region: VoicedRegion) -> list[PitchCycle]:
 
 
 def dump_epochs_csv(fh, region: VoicedRegion, epochs: EpochList, peaks) -> None:
-    """Debug dump of (region_id, epoch, mapped_peak) rows."""
+    """Debug dump of (region_id, epoch, mapped_peak) rows, each line ended by a bare line feed."""
     peaks = np.asarray(peaks, dtype=np.int64)
-    writer = csv.writer(fh)
+    writer = csv.writer(fh, lineterminator="\n")
     for e in epochs.positions:
         nearest = int(peaks[np.argmin(np.abs(peaks - e))]) if peaks.size else -1
         writer.writerow([region.region_id, int(e), nearest])

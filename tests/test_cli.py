@@ -422,6 +422,7 @@ def test_extract_epoch_dump(corpus_dir, tmp_path):
     with open(dump, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["region_id", "epoch", "mapped_peak"]
+    assert b"\r" not in dump.read_bytes()  # every line, the header's and the rows', ends with a bare \n
 
     expected = []
     voiced = ExperimentConfig().effective_voiced_set()
@@ -434,6 +435,18 @@ def test_extract_epoch_dump(corpus_dir, tmp_path):
                 expected.append([region.region_id, str(e), str(nearest)])
     assert len(expected) > 1000
     assert rows[1:] == expected
+
+
+def test_extract_quotes_a_speaker_id_that_holds_a_comma(corpus_dir, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    (corpus / "spk01").rename(corpus / "spk,01")
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--corpus", str(corpus), "--kind", "mfcc", "--report-out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 16 and all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {"spk00", "spk,01", "spk02", "spk03"}
 
 
 @pytest.mark.parametrize("kind", ["psdct", "mfcc"])

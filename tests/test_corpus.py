@@ -98,6 +98,21 @@ def test_utterance_keeps_its_check_when_the_caller_writes_its_array():
     assert utt.samples[0] == 0.0 and not utt.samples.flags.writeable
 
 
+def test_utterance_keeps_its_segments_when_the_caller_changes_its_list():
+    segs = [PhoneSegment(0, 50, "ax")]
+    utt = Utterance(np.zeros(100), 16000, "s", "u", segs)
+    segs.append(PhoneSegment(10, 500, "ax"))  # overlaps, and ends past the samples
+    assert utt.segments == (PhoneSegment(0, 50, "ax"),)
+
+
+def test_utterance_keeps_its_impulses_when_the_caller_writes_its_array():
+    imp = np.array([10, 60], dtype=np.int32)
+    utt = Utterance(np.zeros(100), 16000, "s", "u", impulses=imp)
+    imp[0] = 999
+    assert utt.impulses.tolist() == [10, 60] and utt.impulses.dtype == np.int64
+    assert not utt.impulses.flags.writeable
+
+
 def test_load_wav_rejects_sphere(tmp_path):
     path = tmp_path / "sphere.wav"
     path.write_bytes(b"NIST_1A\n   1024\n" + b"\x00" * 64)

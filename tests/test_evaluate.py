@@ -83,6 +83,18 @@ def test_config_validation():
         dataclasses.replace(c, codebook_sizes=(4, 4))
 
 
+def test_config_keeps_copies_of_the_lists_it_checked():
+    sizes, kinds, voiced = [16, 32], ["psdct"], {"aa"}
+    c = ExperimentConfig(codebook_sizes=sizes, coeff_counts=[10], kinds=kinds, voiced_set=voiced)
+    sizes.append(0)
+    kinds.append("fused")
+    voiced.add("zz")
+    assert c.codebook_sizes == (16, 32) and c.coeff_counts == (10,) and c.kinds == ("psdct",)
+    assert c.voiced_set == frozenset({"aa"}) and isinstance(c.voiced_set, frozenset)
+    assert hash(c) == hash(ExperimentConfig(codebook_sizes=(16, 32), coeff_counts=(10,), kinds=("psdct",),
+                                            voiced_set=frozenset({"aa"})))
+
+
 def test_default_voiced_set_stops_at_the_timit_v_fricative():
     phones = [(0, 1000, "h#"), (1000, 2000, "iy"), (2000, 3000, "v"), (3000, 5000, "ah"), (5000, 6000, "h#")]
     utt = Utterance(np.zeros(6000), 16000, "s", "u", segments=[PhoneSegment(*p) for p in phones])

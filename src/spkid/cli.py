@@ -127,15 +127,19 @@ def cmd_identify(args) -> int:
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
     test_feats = ev.split_features(splits, config, "test")
 
-    rankings, predicted = {}, {}
-    for spk in (s.speaker_id for s in splits):
+    def rank(spk: str):
         if fused_mode:
             ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
             ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
-            rankings[spk], predicted[spk] = fuse(ranked_dct, ranked_mfcc, weights)
-        else:
-            rankings[spk], predicted[spk] = identify(test_feats[spk, args.kind], books[args.kind])
-        print(f"{spk}: predicted {predicted[spk]}", file=sys.stderr)
+            return fuse(ranked_dct, ranked_mfcc, weights)
+        return identify(test_feats[spk, args.kind], books[args.kind])
+
+    speakers = [s.speaker_id for s in splits]
+    rankings, predicted = {}, {}
+    # the speakers are scored across the CPUs, then printed in order
+    for spk, (ranking, best) in zip(speakers, ev._parallel_map(rank, speakers)):
+        rankings[spk], predicted[spk] = ranking, best
+        print(f"{spk}: predicted {best}", file=sys.stderr)
     with _out_stream(args.report_out) as fh:
         if fused_mode:
             write_fused_csv(fh, rankings, weights.alpha)

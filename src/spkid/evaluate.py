@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +53,119 @@ TIMIT30_REFERENCE_SWEEP = {
 
 KIND_FUSED = "fused"
 
+# True in a worker of _parallel_map, and in its caller while the caller computes its own stride
+_IN_MAP = False
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (its affinity mask); 1 where the platform does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_stride(fn, units: list) -> tuple[list, Exception | None]:
+    """``fn`` of each unit in turn, up to the first that raises: (the results before it, its exception or None)."""
+    done = []
+    for unit in units:
+        try:
+            done.append(fn(unit))
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
+def _worker(sender, fn, units: list) -> None:
+    """A forked worker: computes its stride, then sends ``(True, result)`` per unit and ``(False, exception or None)``.
+
+    One message per unit, so the caller never holds a whole stride's pickled
+    bytes at once. A result or exception that does not pickle ends the stride
+    at its unit with a ``RuntimeError``.
+    """
+    global _IN_MAP
+    _IN_MAP = True
+    done, error = _run_stride(fn, units)
+    try:
+        for result in done:
+            sender.send((True, result))
+        sender.send((False, error))
+    except Exception as exc:
+        sender.send((False, RuntimeError(f"a worker's result could not be sent back: {exc!r}")))
+
+
+def _receive(receiver) -> tuple[list, Exception | None]:
+    """A worker's stride as ``_run_stride`` gives it, read from the messages ``_worker`` sends."""
+    done = []
+    while True:
+        ok, value = receiver.recv()
+        if not ok:
+            return done, value
+        done.append(value)
+
+
+def _parallel_map(fn, units: list) -> list:
+    """``[fn(x) for x in units]``, dealt out in strides to this process and one forked worker per extra CPU.
+
+    With n processes, process w computes ``units[w::n]``; this process takes
+    stride 0 while the workers, forked with every argument inherited, compute
+    theirs and send their results back through a pipe. The results, and the
+    exception raised, are those of the plain loop: a stride stops at its first
+    failing unit, and the failure earliest in unit order is raised. A worker
+    that dies without a result raises ``RuntimeError`` naming its exit code.
+    Every worker is joined before this returns or raises; on
+    ``KeyboardInterrupt`` they are terminated first. With one CPU (see
+    ``os.sched_getaffinity``), one unit, no ``fork``, inside a worker or a
+    stride (so a nested call never forks again), while other threads run
+    (a fork copies the locks they hold, never to be released in the
+    worker), or in a daemonic process such as a ``multiprocessing.Pool``
+    worker, which may not start processes, it is the plain loop.
+    """
+    global _IN_MAP
+    n = min(_cpu_count(), len(units))
+    if n < 2 or _IN_MAP or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(unit) for unit in units]
+    import multiprocessing  # here alone: importing spkid stays as fast as before
+
+    if multiprocessing.current_process().daemon:
+        return [fn(unit) for unit in units]
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(1, n):
+            receiver, sender = context.Pipe(duplex=False)
+            proc = context.Process(target=_worker, args=(sender, fn, units[w::n]), daemon=True)
+            proc.start()
+            sender.close()  # so that a dead worker's pipe reads as EOF
+            workers.append((proc, receiver))
+        _IN_MAP = True
+        try:
+            strides = [_run_stride(fn, units[::n])]
+        finally:
+            _IN_MAP = False
+        for proc, receiver in workers:
+            try:
+                strides.append(_receive(receiver))
+            except EOFError:
+                proc.join()
+                died = RuntimeError(f"a worker process exited with code {proc.exitcode} without a result")
+                strides.append(([], died))
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in workers:
+            proc.join()
+            receiver.close()
+    results: list = [None] * len(units)
+    failures = []
+    for w, (done, error) in enumerate(strides):
+        if error is None:
+            results[w::n] = done
+        else:
+            failures.append((w + len(done) * n, error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
 
 def _markdown_table(header: list, rows: list[list]) -> list[str]:
     """The lines of a markdown table: the header, the ``|---|`` rule and one line per row, each cell as ``str``."""
@@ -84,6 +199,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, values)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must list each value once, got {','.join(map(str, values))}")
+        if isinstance(self.voiced_set, str):  # frozenset("aa") would be {"a"}
+            raise ValueError(f"voiced_set must be a collection of phone labels, not the string {self.voiced_set!r}")
         object.__setattr__(self, "voiced_set", None if self.voiced_set is None else frozenset(self.voiced_set))
         if not self.codebook_sizes or any(k < 1 for k in self.codebook_sizes):
             raise ValueError("codebook_sizes must be a non-empty list of sizes >= 1")
@@ -231,19 +348,29 @@ def split_features(
 ) -> dict[tuple[str, str], FeatureMatrix]:
     """(speaker, kind) -> matrix of each split's ``"training"`` or ``"test"`` vectors, per kind in ``config.kinds``.
 
-    Each matrix is checked here, once, for every codebook and score that
-    uses it. Raises if a speaker has no vectors of a kind. The
-    splits may list files (``UtteranceFile``): those of one role are read a
-    speaker at a time, and a speaker's audio is released before the next
-    speaker's files are opened.
+    The splits are shared out among the CPUs, one speaker per unit of
+    ``_parallel_map``; the matrices are the same for any number of processes.
+    Each matrix is checked here, in the calling process, once, for every
+    codebook and score that uses it. Raises, for the first such speaker in
+    order, if a speaker has no vectors of a kind. The splits may list files
+    (``UtteranceFile``): those of one role are read a speaker at a time, and
+    a speaker's audio is released before the same process opens the next
+    speaker's files, so each process holds at most one speaker's audio.
     """
-    out: dict[tuple[str, str], FeatureMatrix] = {}
-    for split in splits:
+
+    def collect(split: SpeakerSplit) -> dict[str, np.ndarray]:
         utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
         feats = collect_features([u.read() for u in utts], config)
         for kind in config.kinds:
             if not len(feats[kind]):
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")
+        return feats
+
+    collected = _parallel_map(collect, splits)
+    out = {}
+    for i, split in enumerate(splits):
+        feats, collected[i] = collected[i], None  # a speaker's collected rows go once its copies are checked
+        for kind in config.kinds:
             out[split.speaker_id, kind] = FeatureMatrix(feats[kind], kind)
     return out
 
@@ -260,23 +387,39 @@ def train_codebooks(
     never repeats a row, so one short of the largest size has found every
     distinct vector. Before any Lloyd run, one error then lists every speaker,
     kind and size that does not fit.
+
+    The seeds, then the Lloyd runs, are shared out among the CPUs, one
+    (speaker, kind) per unit of ``_parallel_map``; each codebook is built here
+    from its returned centroids, byte-identical for any number of processes.
     """
     speakers = list(dict.fromkeys(spk for spk, _ in train))
     kinds = list(dict.fromkeys(kind for _, kind in train))
     sizes, seed = config.codebook_sizes, config.seed
     largest = max(sizes)
-    seeds = {key: kmeanspp_seeds(rows, largest, seed) for key, rows in train.items()}
+    # kind-major, so that each stride holds both kinds' speakers alike
+    keys = sorted(train, key=lambda key: kinds.index(key[1]))
+    seeds = dict(zip(keys, _parallel_map(lambda key: kmeanspp_seeds(train[key], largest, seed), keys)))
     misfits = [
-        f"{spk} {kind} k={','.join(str(k) for k in sizes if k > len(rows))} ({len(rows)} distinct)"
-        for (spk, kind), rows in seeds.items() if len(rows) < largest
+        f"{spk} {kind} k={','.join(str(k) for k in sizes if k > distinct)} ({distinct} distinct)"
+        for spk, kind in train if (distinct := len(seeds[spk, kind])) < largest
     ]
     if misfits:
         raise ValueError("codebook sizes exceed the distinct training vectors: " + "; ".join(misfits))
 
-    def book(spk: str, kind: str, size: int) -> Codebook:
-        return train_codebook(train[spk, kind], size, seed=seed, speaker_id=spk, init=seeds[spk, kind][:size])
+    def lloyd(key: tuple[str, str]) -> list[np.ndarray]:
+        return [
+            train_codebook(train[key], size, seed=seed, speaker_id=key[0], init=seeds[key][:size]).centroids
+            for size in sizes
+        ]
 
-    return {kind: {size: [book(spk, kind, size) for spk in speakers] for size in sizes} for kind in kinds}
+    centroids = dict(zip(keys, _parallel_map(lloyd, keys)))
+    return {
+        kind: {
+            size: [Codebook(spk, kind, centroids[spk, kind][i], seed, len(train[spk, kind])) for spk in speakers]
+            for i, size in enumerate(sizes)
+        }
+        for kind in kinds
+    }
 
 
 def score_report(
@@ -288,17 +431,22 @@ def score_report(
     of the keys of ``test``. When ``books`` holds both kinds, each size's
     fusion weight is derived from the two systems' accuracies measured in
     this same report (the closed-loop protocol the reference results use).
+    The trials are shared out among the CPUs, one per unit of
+    ``_parallel_map``; the fusion runs in the calling process.
     """
     speakers = list(dict.fromkeys(spk for spk, _ in test))
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
+
+    def rank(trial: tuple[str, int, str]) -> list[CmdScore]:
+        kind, size, spk = trial
+        return identify(test[spk, kind], books[kind][size])[0]
+
+    trials = [(kind, size, spk) for kind, by_size in books.items() for size in by_size for spk in speakers]
     # ranked[(kind, size, test speaker)] -> ranked CmdScore list, which fuse takes
-    ranked: dict[tuple[str, int, str], list[CmdScore]] = {}
-    for kind, by_size in books.items():
-        for size, codebooks in by_size.items():
-            for spk in speakers:
-                scores = ranked[kind, size, spk] = identify(test[spk, kind], codebooks)[0]
-                pairs = tuple((s.speaker_id, s.cmd) for s in scores)
-                report.trials.append(TrialResult(spk, kind, size, pairs, n_vectors=len(test[spk, kind])))
+    ranked = dict(zip(trials, _parallel_map(rank, trials)))
+    for (kind, size, spk), scores in ranked.items():
+        pairs = tuple((s.speaker_id, s.cmd) for s in scores)
+        report.trials.append(TrialResult(spk, kind, size, pairs, n_vectors=len(test[spk, kind])))
 
     if KIND_PSDCT in books and KIND_MFCC in books:
         accuracies = report.accuracies
@@ -346,9 +494,13 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     construction. The training and test features are transformed once, at the
     largest K; every smaller K keeps the first K columns of those matrices.
     ``mec`` transforms the pooled training cycles again on each of its two
-    calls per K: 14 calls for K = 10..40. The smallest K
-    trains first, and its rows have the fewest distinct values, so a codebook
-    size too large for any K fails before any Lloyd run.
+    calls per K: 14 calls for K = 10..40. The K are shared out among the
+    CPUs, one per unit of ``_parallel_map``: a unit trains and scores that
+    K's codebooks and makes its two ``mec`` calls, each in one process, and
+    the rows are the same for any number of processes. The smallest K comes
+    first, and its rows have the fewest distinct values, so a codebook size
+    too large for any K fails with the smallest K's error, before that K's
+    Lloyd runs.
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)
@@ -373,18 +525,16 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
         return {key: FeatureMatrix(m.matrix[:, :k], KIND_PSDCT) for key, m in rows.items()}
 
-    rows = []
-    for k in sorted(config.coeff_counts):
+    def row(k: int) -> SweepRow:
         report = score_report(first(test_rows, k), train_codebooks(first(train_rows, k), sweep), sweep)
-        rows.append(
-            SweepRow(
-                n_coeffs=k,
-                mec_total=mec(pooled_train, k, include_dc=True),
-                mec_ac=mec(pooled_train, k, include_dc=False),
-                accuracy=report.accuracies[KIND_PSDCT][config.sweep_codebook_size],
-            )
+        return SweepRow(
+            n_coeffs=k,
+            mec_total=mec(pooled_train, k, include_dc=True),
+            mec_ac=mec(pooled_train, k, include_dc=False),
+            accuracy=report.accuracies[KIND_PSDCT][config.sweep_codebook_size],
         )
-    return rows
+
+    return _parallel_map(row, sorted(config.coeff_counts))
 
 
 def sweep_to_markdown(rows: list[SweepRow], codebook_size: int) -> str:

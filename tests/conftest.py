@@ -1,5 +1,8 @@
+import ast
+
 import pytest
 
+import spkid.evaluate
 from spkid.corpus import write_wav
 from spkid.synth import synth_corpus
 
@@ -10,6 +13,41 @@ TIMIT_IDS = ["SA1", "SA2", "SI1", "SI2", "SX1", "SX2", "SX3", "SX4"]
 def corpus12():
     """12 speakers x 8 utterances; shared by the GCI and acceptance suites."""
     return synth_corpus(12, 8, seed=7)
+
+
+class CallLog:
+    """A list that forked workers append to as well: one ``repr`` per line of a file, read back in write order."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def append(self, item) -> None:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(repr(item) + "\n")
+
+    def read(self) -> list:
+        return [ast.literal_eval(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+    def clear(self) -> None:
+        self.path.write_text("", encoding="utf-8")
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    """Counts calls in every process that ``spkid.evaluate._parallel_map`` runs units in."""
+    return CallLog(tmp_path / "calls.log")
+
+
+def set_workers(monkeypatch, n: int) -> None:
+    """Make ``spkid.evaluate._parallel_map`` see ``n`` CPUs, so it runs ``n`` processes whatever the machine."""
+    monkeypatch.setattr(spkid.evaluate, "_cpu_count", lambda: n)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Every map in this process, as the plain loop: for contracts of in-process call order or liveness."""
+    set_workers(monkeypatch, 1)
 
 
 def write_timit_tree(root, n_male, n_female):

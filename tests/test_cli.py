@@ -476,7 +476,9 @@ SPEAKERS = ["spk00", "spk01", "spk02", "spk03"]
     ["identify", "--kind", "psdct"],
     ["identify", "--kind", "fused", "--acc-dct", "0.9", "--acc-mfcc", "0.8"],
 ])
-def test_train_and_identify_read_their_split_one_speaker_at_a_time(argv, corpus_dir, fused_model, tmp_path, reads):
+def test_train_and_identify_read_their_split_one_speaker_at_a_time(
+    argv, corpus_dir, fused_model, tmp_path, reads, one_worker
+):
     model = tmp_path / "model" if argv[0] == "train" else fused_model
     assert main([argv[0], "--corpus", str(corpus_dir), "--model-dir", str(model), *argv[1:]]) == 0
     ids = TRAIN_IDS if argv[0] == "train" else TEST_IDS

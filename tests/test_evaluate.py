@@ -95,6 +95,13 @@ def test_config_keeps_copies_of_the_lists_it_checked():
                                             voiced_set=frozenset({"aa"})))
 
 
+def test_config_rejects_a_string_as_the_voiced_set():
+    # frozenset("aa") is {"a"}: a lone label must not become a set of its characters
+    with pytest.raises(ValueError, match="^voiced_set must be a collection of phone labels, not the string 'aa'$"):
+        ExperimentConfig(voiced_set="aa")
+    assert ExperimentConfig(voiced_set=["aa"]).voiced_set == frozenset({"aa"})
+
+
 def test_default_voiced_set_stops_at_the_timit_v_fricative():
     phones = [(0, 1000, "h#"), (1000, 2000, "iy"), (2000, 3000, "v"), (3000, 5000, "ah"), (5000, 6000, "h#")]
     utt = Utterance(np.zeros(6000), 16000, "s", "u", segments=[PhoneSegment(*p) for p in phones])
@@ -261,14 +268,14 @@ def test_8khz_smoke(corpus8k):
     assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
 
 
-def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, monkeypatch):
+def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, monkeypatch, call_log):
     rng = np.random.default_rng(17)
     speakers = ["a", "b", "c"]
     train = {
         (spk, KIND_PSDCT): FeatureMatrix(rng.normal(size=(300, 15)) + 4.0 * i, KIND_PSDCT)
         for i, spk in enumerate(speakers)
     }
-    draws = []
+    draws = call_log  # the seeds may be drawn in forked workers
     plain_seeds = evaluate.kmeanspp_seeds
 
     def counted_seeds(vectors, k, seed):
@@ -278,7 +285,7 @@ def test_train_codebooks_seeds_once_per_speaker_at_the_largest_size(tmp_path, mo
     monkeypatch.setattr(evaluate, "kmeanspp_seeds", counted_seeds)
     sizes = (32, 16, 128, 64)
     books = train_codebooks(train, ExperimentConfig(codebook_sizes=sizes, seed=9, kinds=(KIND_PSDCT,)))[KIND_PSDCT]
-    assert draws == [128] * len(speakers)
+    assert draws.read() == [128] * len(speakers)
     assert list(books) == list(sizes)
     for size in sizes:
         assert [cb.speaker_id for cb in books[size]] == speakers
@@ -346,8 +353,8 @@ def test_run_experiment_rejects_split_counts_below_one(corpus8k):
         run_experiment(ExperimentConfig(n_test=0, codebook_sizes=(8,)), utterances=corpus8k)
 
 
-def test_each_utterance_read_once(corpus8k, monkeypatch):
-    calls = []
+def test_each_utterance_read_once(corpus8k, monkeypatch, call_log):
+    calls = call_log  # counted in every process
     real = evaluate.extract_voiced_regions
 
     def counting(utt, voiced_set):
@@ -361,12 +368,12 @@ def test_each_utterance_read_once(corpus8k, monkeypatch):
         for s in split_speakers(corpus8k, 3, 2)
         for u in s.train_utterances + s.test_utterances
     ]
-    assert sorted(calls) == sorted(split_utts)
+    assert sorted(calls.read()) == sorted(split_utts)
 
 
-def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus8k, monkeypatch):
+def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus8k, monkeypatch, call_log):
     # every codebook and score of a (speaker, kind, split) reuses its one checked matrix
-    made = []  # (kind, fresh) per FeatureMatrix constructed
+    made = call_log  # (kind, fresh) per FeatureMatrix constructed, in every process
     plain = FeatureMatrix.__post_init__
 
     def counting(self):
@@ -378,15 +385,15 @@ def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus
     n_speakers = len({u.speaker_id for u in corpus8k})
     run_experiment(ExperimentConfig(codebook_sizes=(4, 8), n_train=3, n_test=2), utterances=corpus8k)
     # two kinds, two splits
-    assert sorted(made) == [("mfcc", True)] * 2 * n_speakers + [("psdct", True)] * 2 * n_speakers
+    assert sorted(made.read()) == [("mfcc", True)] * 2 * n_speakers + [("psdct", True)] * 2 * n_speakers
 
     made.clear()
     sweep_coefficients(ExperimentConfig(coeff_counts=(10, 15, 20), sweep_codebook_size=8, n_train=3, n_test=2),
                        utterances=corpus8k)
     # one training and one test matrix per speaker, whatever the number of K
-    assert [kind for kind, fresh in made if fresh] == ["psdct"] * 2 * n_speakers
+    assert [kind for kind, fresh in made.read() if fresh] == ["psdct"] * 2 * n_speakers
     # and each K takes its columns from those two
-    assert [kind for kind, fresh in made if not fresh] == ["psdct"] * 3 * 2 * n_speakers
+    assert [kind for kind, fresh in made.read() if not fresh] == ["psdct"] * 3 * 2 * n_speakers
 
 
 def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):
@@ -420,9 +427,9 @@ def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, capl
     assert "size 8: both systems at zero accuracy; skipping fusion" in caplog.messages
 
 
-def test_score_report_follows_the_order_of_books_and_test(steps8k, monkeypatch):
+def test_score_report_follows_the_order_of_books_and_test(steps8k, monkeypatch, call_log):
     config, test, books = steps8k
-    calls = []
+    calls = call_log  # every identify, in any process, is logged before the first fuse
     for name in ("identify", "fuse"):
         def counted(*args, real=getattr(evaluate, name), name=name):
             calls.append(name)
@@ -437,7 +444,7 @@ def test_score_report_follows_the_order_of_books_and_test(steps8k, monkeypatch):
     scored = [(kind, size, spk) for kind in ("mfcc", "psdct") for size in (8, 4) for spk in speakers]
     fused = [("fused", size, spk) for size in (8, 4) for spk in speakers]
     assert [(t.kind, t.codebook_size, t.speaker_id) for t in report.trials] == scored + fused
-    assert calls == ["identify"] * len(scored) + ["fuse"] * len(fused)
+    assert calls.read() == ["identify"] * len(scored) + ["fuse"] * len(fused)
     # the same trials as in the order of train_codebooks and split_features
     by_key = {(t.kind, t.codebook_size, t.speaker_id): t for t in score_report(test, books, config).trials}
     assert {(t.kind, t.codebook_size, t.speaker_id): t for t in report.trials} == by_key

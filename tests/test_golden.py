@@ -148,7 +148,7 @@ def test_golden_bytes_fail_on_a_one_sample_shift_in_the_epoch_dump(monkeypatch, 
     assert byte_mismatches(actual, files) == ["epochs.csv"]
 
 
-def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances):
+def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances, one_worker):
     identify = spkid.evaluate.identify
     calls = []
 
@@ -165,13 +165,13 @@ def test_golden_rankings_fail_on_a_swapped_ranking_pair(monkeypatch, utterances)
     assert len(mismatches) == 1 and mismatches[0].startswith("ranking psdct/4/spk02: ")
 
 
-def test_golden_tool_trains_each_codebook_once_in_process(monkeypatch):
+def test_golden_tool_trains_each_codebook_once_in_process(monkeypatch, call_log):
     """One run of the report's steps and one sweep; only the CLI's own ``evaluate`` (stubbed here) trains again."""
     train_codebook = spkid.evaluate.train_codebook
-    calls = Counter()
+    calls = call_log  # counted in every process
 
     def counting(features, k, *args, **kwargs):
-        calls[features.kind, k, features.matrix.shape[1]] += 1
+        calls.append((features.kind, k, features.matrix.shape[1]))
         return train_codebook(features, k, *args, **kwargs)
 
     monkeypatch.setattr(spkid.evaluate, "train_codebook", counting)
@@ -181,8 +181,8 @@ def test_golden_tool_trains_each_codebook_once_in_process(monkeypatch):
     dims = {"psdct": cfg.n_coeffs, "mfcc": N_MFCC}
     report = Counter({(kind, size, dim): n_speakers for kind, dim in dims.items() for size in golden.SIZES})
     sweep = Counter({("psdct", golden.SWEEP_SIZE, k): n_speakers for k in golden.COEFF_COUNTS})
-    assert calls == report + sweep
-    assert sum(calls.values()) == 2 * 3 * 4 + 5 * 4
+    assert Counter(calls.read()) == report + sweep
+    assert len(calls.read()) == 2 * 3 * 4 + 5 * 4
 
 
 def test_golden_scores_fail_beyond_the_tolerance():

@@ -17,8 +17,12 @@ def load_tool(name):
 
 def record(seed, speed, attempted, failed=0, check_error=None):
     metrics = {"audio_s_per_s": {"value": speed, "unit": "s/s"}, "setup_s": {"value": 0.25, "unit": "s"}}
-    rounds = [{"attempted": attempted, "failed": failed, "check_error": check_error}]
-    return {"workload": "report", "seed": seed, "seconds": 5.0, "trace": 0, "rounds": rounds, "metrics": metrics}
+    # two rounds of 100 s of audio on the wall clock: 2 s and 4 s, so 100 / 3 s/s
+    rounds = [{"attempted": attempted // 2, "failed": 0, "check_error": None, "audio_s": 100.0, "wall_s": w}
+              for w in (2.0, 4.0)]
+    rounds[0].update(failed=failed, check_error=check_error)
+    return {"workload": "report", "seed": seed, "seconds": 5.0, "trace": 0, "rounds": rounds, "metrics": metrics,
+            "setup_probes_wall": [0.1, 0.3, 0.2 * seed]}
 
 
 def init_checkout(path):
@@ -54,6 +58,10 @@ def test_bench_json_summarises_a_batch(tmp_path):
     speed = report["metrics"]["audio_s_per_s"]
     assert (speed["q1"], speed["median"], speed["q3"]) == (40.0, 50.0, 60.0)
     assert speed["values"] == [50.0, 40.0, 60.0, 30.0, 70.0] and speed["unit"] == "s/s"
+    # the unscaled wall clock beside them: the median round and the median set-up probe of each seed
+    wall = report["unscaled"]
+    assert wall["audio_s_per_s"]["values"] == [100.0 / 3.0] * 5 and wall["audio_s_per_s"]["unit"] == "s/s"
+    assert wall["setup_s"]["values"] == pytest.approx([0.2, 0.3, 0.3, 0.3, 0.3]) and wall["setup_s"]["unit"] == "s"
 
     with pytest.raises(SystemExit, match=r"records for seeds \[1, 2\] only"):
         bench.summarise(tmp_path, [1, 2, 6])

@@ -10,7 +10,11 @@ pin, and writes nothing there. Writes ``<checkout>/BENCH_<tag>.json`` (or
 ``--out``) with the checkout's commit (and whether ``src/`` or ``perfbench/``
 differ from it, new files included), the seeds, a machine record and, per
 workload, the median and quartiles of each end-to-end metric over the seeds,
-its per-seed values, and the operations attempted and failed. Run it with
+its per-seed values, and the operations attempted and failed. Beside the
+scaled ``setup_s`` and ``audio_s_per_s`` it gives the same two on the
+unscaled wall clock, as ``run.py`` prints them: the scaled clock samples the
+speed of the calling process's own CPU only, so wall time is the check on a
+change that puts work on other CPUs. Run it with
 the interpreter that ran the batch: the Python and numpy versions recorded
 are its own. A rerun of the same seeds on the same commit and machine
 reproduces the file up to timing noise.
@@ -74,6 +78,12 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
             key: {"unit": records[0]["metrics"][key]["unit"], **_spread([rec["metrics"][key]["value"] for rec in records])}
             for key in records[0]["metrics"]
         }
+        wall = {
+            "setup_s": [statistics.median(rec["setup_probes_wall"]) for rec in records],
+            "audio_s_per_s": [
+                rec["rounds"][0]["audio_s"] / statistics.median(r["wall_s"] for r in rec["rounds"]) for rec in records
+            ],
+        }
         workloads[name] = {
             "seconds": sorted({rec["seconds"] for rec in records}),
             "rounds": len(rounds),
@@ -81,6 +91,7 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
             "failed": sum(r["failed"] for r in rounds),
             "check_errors": sum(bool(r["check_error"]) for r in rounds),
             "metrics": metrics,
+            "unscaled": {key: {"unit": metrics[key]["unit"], **_spread(values)} for key, values in wall.items()},
         }
     if not workloads:
         raise SystemExit(f"no timed records (*-seed<n>-trace0.json) for seeds {seeds} under {out}")

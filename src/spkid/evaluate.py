@@ -299,7 +299,10 @@ class EvalReport:
 
 
 def collect_cycles(utterances: list[Utterance] | list[UtteranceFile], voiced_set: frozenset[str]) -> list[PitchCycle]:
-    """Pitch cycles of every voiced region, reading each listed file as it comes to it."""
+    """Pitch cycles of every voiced region, reading each listed file as it comes to it.
+
+    ``sweep_coefficients`` pools the same cycles, in the same order, from its per-speaker units.
+    """
     cycles: list[PitchCycle] = []
     for utt in utterances:
         for region in extract_voiced_regions(utt.read(), voiced_set):
@@ -493,48 +496,74 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     for every K are computed over the same cycle set and are monotone in K by
     construction. The training and test features are transformed once, at the
     largest K; every smaller K keeps the first K columns of those matrices.
-    ``mec`` transforms the pooled training cycles again on each of its two
-    calls per K: 14 calls for K = 10..40. The K are shared out among the
-    CPUs, one per unit of ``_parallel_map``: a unit trains and scores that
-    K's codebooks and makes its two ``mec`` calls, each in one process, and
-    the rows are the same for any number of processes. The smallest K comes
-    first, and its rows have the fewest distinct values, so a codebook size
-    too large for any K fails with the smallest K's error, before that K's
-    Lloyd runs.
+
+    The training side is shared out among the CPUs one speaker per unit of
+    ``_parallel_map``, as ``split_features`` shares out the test side: a unit
+    finds the speaker's cycles, transforms them and returns its rows and
+    where each cycle lies. This process then pools the training cycles, in
+    split order, as views into its own copy of the training audio: given a
+    listing, it reads each training file once more and holds them all.
+
+    ``mec`` transforms the pooled cycles again on each of its two calls per K:
+    14 calls for K = 10..40. Each call is one unit of a second map, and each
+    K's codebooks and scores one more. The first unit holds the smallest K's
+    codebooks and the largest K's first ``mec`` call, so this process makes
+    both kinds of call whatever the number of CPUs. The other K's codebooks
+    come next, from the largest K down, then the other ``mec`` calls, from
+    the largest K down, so each process builds a length's DCT basis once, at
+    its largest K. The smallest K's rows have the fewest distinct values, so a
+    codebook size too large for any K fails with the smallest K's error,
+    before that K's Lloyd runs. The rows are the same for any number of
+    processes.
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)
-    max_k = max(config.coeff_counts)
+    ks = sorted(config.coeff_counts)
+    max_k = ks[-1]
 
-    # mec needs the pooled training cycles, so the training side keeps them
-    train_cycles = {
-        s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced_set) if len(c) > max_k]
-        for s in splits
-    }
-    for spk, cycles in train_cycles.items():  # the report's check, made by split_features there
-        if not cycles:
-            raise ValueError(f"speaker {spk}: no {KIND_PSDCT} training vectors")
-    pooled_train = [c for cycles in train_cycles.values() for c in cycles]
-    train_rows = {
-        (spk, KIND_PSDCT): FeatureMatrix(_stack(psdct_features(c, max_k), max_k), KIND_PSDCT)
-        for spk, c in train_cycles.items()
-    }
+    def cycles_of(split: SpeakerSplit) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, str]]]:
+        """The (N, max_k) rows of the speaker's training cycles longer than max_k, each such cycle's
+        (region, start, end), and each region's (training utterance, offset, id)."""
+        regions = [
+            (i, region) for i, utt in enumerate(split.train_utterances)
+            for region in extract_voiced_regions(utt.read(), voiced_set)
+        ]
+        kept = [(r, c) for r, (_, region) in enumerate(regions) for c in cycles_from_region(region) if len(c) > max_k]
+        rows = _stack(psdct_features([c for _, c in kept], max_k), max_k)
+        spans = np.array([(r, c.start_peak, c.end_peak) for r, c in kept], dtype=np.int64).reshape(-1, 3)
+        return rows, spans, [(i, region.source_offset, region.region_id) for i, region in regions]
+
+    collected = _parallel_map(cycles_of, splits)
+    for split, (rows, _, _) in zip(splits, collected):  # the report's check, made by split_features there
+        if not len(rows):
+            raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
+    train_rows, pooled = {}, []
+    for split, (rows, spans, regions) in zip(splits, collected):
+        train_rows[split.speaker_id, KIND_PSDCT] = FeatureMatrix(rows, KIND_PSDCT)
+        audio = [utt.read().samples for utt in split.train_utterances]
+        for r, start, end in spans.tolist():
+            i, offset, region_id = regions[r]
+            pooled.append(PitchCycle(audio[i][offset + start : offset + end], start, end, region_id))
+    del collected  # the rows live on in the checked copies; freed before the next maps fork
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
     test_rows = split_features(splits, sweep, "test")
 
     def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
         return {key: FeatureMatrix(m.matrix[:, :k], KIND_PSDCT) for key, m in rows.items()}
 
-    def row(k: int) -> SweepRow:
+    def accuracy(k: int) -> float:
         report = score_report(first(test_rows, k), train_codebooks(first(train_rows, k), sweep), sweep)
-        return SweepRow(
-            n_coeffs=k,
-            mec_total=mec(pooled_train, k, include_dc=True),
-            mec_ac=mec(pooled_train, k, include_dc=False),
-            accuracy=report.accuracies[KIND_PSDCT][config.sweep_codebook_size],
-        )
+        return report.accuracies[KIND_PSDCT][config.sweep_codebook_size]
 
-    return _parallel_map(row, sorted(config.coeff_counts))
+    # a job (K, None) is K's codebooks and scores, (K, include_dc) one mec call
+    mecs = [(k, include_dc) for k in reversed(ks) for include_dc in (True, False)]
+    units = [((ks[0], None), mecs[0]), *(((k, None),) for k in reversed(ks[1:])), *((job,) for job in mecs[1:])]
+
+    def run(unit: tuple[tuple[int, bool | None], ...]) -> list[float]:
+        return [accuracy(k) if dc is None else mec(pooled, k, include_dc=dc) for k, dc in unit]
+
+    done = dict(zip([job for unit in units for job in unit], [v for vs in _parallel_map(run, units) for v in vs]))
+    return [SweepRow(k, mec_total=done[k, True], mec_ac=done[k, False], accuracy=done[k, None]) for k in ks]
 
 
 def sweep_to_markdown(rows: list[SweepRow], codebook_size: int) -> str:

@@ -386,6 +386,24 @@ def test_input_error_exits_2_without_traceback(corpus_dir, tmp_path):
     assert proc.stderr == "spkid train: error: codebook_sizes must be a non-empty list of sizes >= 1\n"
 
 
+def test_identify_names_the_files_of_a_model_whose_psdct_codebooks_differ_in_width(
+    corpus_dir, fused_model, tmp_path, monkeypatch, capsys
+):
+    model, narrow = tmp_path / "model", tmp_path / "narrow"
+    shutil.copytree(fused_model, model)
+    assert main(["train", "--corpus", str(corpus_dir), "--model-dir", str(narrow), "--kind", "psdct",
+                 "--codebook-size", "8", "--coeffs", "12"]) == 0
+    shutil.copyfile(narrow / "spk01.psdct.cb", model / "spk01.psdct.cb")
+    capsys.readouterr()
+    monkeypatch.setattr(ev, "extract_voiced_regions", lambda *args: pytest.fail("features extracted"))
+    err = assert_input_error(
+        capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"],
+        f"{model / 'manifest.json'}: psdct codebooks differ in width: "
+        "spk00.psdct.cb has dim 15, spk01.psdct.cb has dim 12",
+    )
+    assert "does not match" not in err
+
+
 def test_identify_reads_psdct_width_from_model(corpus_dir, tmp_path):
     model, out = tmp_path / "model", tmp_path / "scores.csv"
     common = ["--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"]

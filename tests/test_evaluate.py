@@ -1,12 +1,14 @@
 import dataclasses
 import io
 import logging
+import os
 
 import numpy as np
 import pytest
 import scipy.fft
 
 import spkid.evaluate as evaluate
+from conftest import set_workers
 from spkid.classify import identify
 from spkid.corpus import PhoneSegment, Utterance, extract_voiced_regions, load_corpus, save_corpus, split_speakers
 from spkid.evaluate import (
@@ -21,7 +23,7 @@ from spkid.evaluate import (
     train_codebooks,
     write_sweep_csv,
 )
-from spkid.psdct import KIND_PSDCT, FeatureMatrix
+from spkid.psdct import KIND_PSDCT, FeatureMatrix, mec
 from spkid.synth import synth_corpus
 from spkid.vq import save_codebook, train_codebook
 
@@ -248,6 +250,30 @@ def test_sweep_matches_per_k_reference(sample_rate):
         assert r.accuracy == accuracy
         assert abs(r.mec_total - mec_total) < 1e-12
         assert abs(r.mec_ac - mec_ac) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_mec_is_mec_over_the_pooled_training_cycles_in_split_order(corpus8k, monkeypatch, n):
+    # the rows come back bit for bit as mec over collect_cycles' list; speakers reversed, mec_ac moves in the last bit
+    set_workers(monkeypatch, n)
+    caller, seen, plain_mec = os.getpid(), [], evaluate.mec
+
+    def recording_mec(cycles, k, include_dc=True):
+        if os.getpid() == caller:
+            seen.append([(c.region_id, c.start_peak, c.end_peak, c.samples.tobytes()) for c in cycles])
+        return plain_mec(cycles, k, include_dc=include_dc)
+
+    monkeypatch.setattr(evaluate, "mec", recording_mec)
+    config = ExperimentConfig(coeff_counts=(20, 10, 25), sweep_codebook_size=8, n_train=3, n_test=2)
+    rows = sweep_coefficients(config, utterances=corpus8k)
+    voiced = config.effective_voiced_set()
+    pooled = [
+        c for s in split_speakers(corpus8k, 3, 2) for c in collect_cycles(s.train_utterances, voiced) if len(c) > 25
+    ]
+    expected = [(k, mec(pooled, k, include_dc=True), mec(pooled, k, include_dc=False)) for k in (10, 20, 25)]
+    assert [(r.n_coeffs, r.mec_total, r.mec_ac) for r in rows] == expected
+    wanted = [(c.region_id, c.start_peak, c.end_peak, c.samples.tobytes()) for c in pooled]
+    assert seen and all(cycles == wanted for cycles in seen)
 
 
 def test_collect_cycles_counts(corpus6):

@@ -4,6 +4,7 @@ Each test sets the CPU count the map sees, so the parallel path runs on a
 one-CPU machine too, and checks that no worker process outlives the call.
 """
 
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -16,15 +17,17 @@ from pathlib import Path
 
 import pytest
 
+import spkid.evaluate as evaluate
 from conftest import set_workers
 from spkid.cli import main
-from spkid.corpus import list_corpus, split_speakers
+from spkid.corpus import PhoneSegment, list_corpus, load_corpus, split_speakers
 from spkid.evaluate import (
     ExperimentConfig,
     _parallel_map,
     run_experiment,
     split_features,
     sweep_coefficients,
+    sweep_to_markdown,
     train_codebooks,
     write_sweep_csv,
 )
@@ -154,6 +157,102 @@ def test_report_sweep_and_codebooks_are_the_same_bytes_with_one_and_two_workers(
         outputs.append((report.to_markdown(), report_csv.getvalue(), sweep_csv.getvalue(), books))
         assert multiprocessing.active_children() == []
     assert outputs[0] == outputs[1]
+
+
+SWEEP = ExperimentConfig(coeff_counts=(10, 15, 20, 25), sweep_codebook_size=8)
+
+
+def _sweep_error(config, utterances) -> str:
+    with pytest.raises(ValueError) as err:
+        sweep_coefficients(config, utterances=utterances)
+    assert multiprocessing.active_children() == []
+    return str(err.value)
+
+
+def _unvoiced(utterances, speaker, role):
+    """The utterances, with each of ``speaker``'s ``role`` ("training" or "test") utterances labelled silence."""
+    (split,) = [s for s in split_speakers(utterances, SWEEP.n_train, SWEEP.n_test) if s.speaker_id == speaker]
+    chosen = {id(u) for u in (split.train_utterances if role == "training" else split.test_utterances)}
+    return [
+        dataclasses.replace(u, segments=[PhoneSegment(0, u.samples.size, "h#")]) if id(u) in chosen else u
+        for u in utterances
+    ]
+
+
+def test_sweep_is_the_same_bytes_with_one_to_four_workers(corpus_dir, monkeypatch):
+    files = list_corpus(corpus_dir)  # as the CLI gives it: the caller reads the training files again
+    outputs = []
+    for n in (1, 2, 3, 4):
+        set_workers(monkeypatch, n)
+        rows = sweep_coefficients(SWEEP, utterances=files)
+        sweep_csv = io.StringIO()
+        write_sweep_csv(sweep_csv, rows)
+        outputs.append((sweep_csv.getvalue(), sweep_to_markdown(rows, SWEEP.sweep_codebook_size)))
+        assert multiprocessing.active_children() == []
+    assert len(outputs[0][0].splitlines()) == 1 + 4
+    assert outputs == [outputs[0]] * 4
+
+
+# spk01 is unit 1 of the per-speaker map, so a worker's at 2-4 workers; its cycles are 54 samples long
+@pytest.mark.parametrize("change, message", [
+    (lambda utts: (dataclasses.replace(SWEEP, coeff_counts=(10, 60)), utts),
+     "speaker spk01: no psdct training vectors"),
+    (lambda utts: (SWEEP, _unvoiced(utts, "spk01", "test")), "speaker spk01: no psdct test vectors"),
+    # every speaker's training side is checked before any speaker's test side, as in the plain loop
+    (lambda utts: (SWEEP, _unvoiced(_unvoiced(utts, "spk01", "test"), "spk02", "training")),
+     "speaker spk02: no psdct training vectors"),
+], ids=["cycles-too-short", "no-test-vectors", "training-checked-first"])
+def test_a_sweep_error_in_a_workers_stride_is_the_plain_loops(corpus_dir, monkeypatch, change, message):
+    config, utterances = change(load_corpus(corpus_dir))
+    for n in (1, 2, 3, 4):
+        set_workers(monkeypatch, n)
+        assert _sweep_error(config, utterances) == message
+
+
+def test_an_oversized_sweep_codebook_fails_with_the_smallest_ks_error(corpus_dir, monkeypatch):
+    files = list_corpus(corpus_dir)
+    oversized = dataclasses.replace(SWEEP, sweep_codebook_size=5000)
+    errors = []
+    for n in (1, 2, 3, 4):
+        set_workers(monkeypatch, n)
+        errors.append(_sweep_error(oversized, files))
+    assert errors[0].startswith("codebook sizes exceed the distinct training vectors: spk00 psdct k=5000 (")
+    assert errors == [errors[0]] * 4
+
+    # with every K's codebooks failing on an error of their own, the smallest K's is raised
+    def failing(train, config):
+        raise ValueError(f"K={next(iter(train.values())).matrix.shape[1]}")
+
+    monkeypatch.setattr(evaluate, "train_codebooks", failing)
+    for n in (1, 2, 3, 4):
+        set_workers(monkeypatch, n)
+        assert _sweep_error(SWEEP, files) == "K=10"
+
+
+def _logged(log, name, fn):
+    """``fn``, appending ``(name, pid)`` to ``log`` on each call, in whichever process makes it."""
+
+    def call(*args, **kwargs):
+        log.append((name, os.getpid()))
+        return fn(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_sweep_caller_makes_mec_and_codebook_calls_itself(corpus_dir, monkeypatch, call_log, n):
+    # a benchmark that traces the calling process alone needs both kinds of call there
+    set_workers(monkeypatch, n)
+    for name in ("mec", "train_codebook"):
+        monkeypatch.setattr(evaluate, name, _logged(call_log, name, getattr(evaluate, name)))
+    sweep_coefficients(SWEEP, utterances=list_corpus(corpus_dir))
+    assert multiprocessing.active_children() == []
+    calls = call_log.read()
+    pids = {name: {pid for called, pid in calls if called == name} for name in ("mec", "train_codebook")}
+    assert [called for called, _ in calls].count("mec") == 2 * 4
+    assert [called for called, _ in calls].count("train_codebook") == 4 * 4
+    assert os.getpid() in pids["mec"] and os.getpid() in pids["train_codebook"]
+    assert len(pids["mec"] | pids["train_codebook"]) == n
 
 
 def test_cli_train_and_identify_write_the_same_bytes_with_one_and_two_workers(

@@ -295,6 +295,23 @@ def test_model_dir_rejects_two_codebooks_of_one_speaker_and_kind(tmp_path):
         assert str(err.value) == f"{manifest}: two psdct codebooks of a: a.psdct.cb, {names[-1]}"
 
 
+def test_model_dir_rejects_codebooks_of_one_kind_that_differ_in_width(tmp_path):
+    model = tmp_path / "model"
+    rng = np.random.default_rng(7)
+    books = [train_codebook(matrix(rng.normal(size=(20, 15))), 4, speaker_id=s) for s in ("a", "b", "c")]
+    books.append(train_codebook(matrix(rng.normal(size=(20, 13)), KIND_MFCC), 4, speaker_id="a"))
+    save_model_dir(books, model)
+    save_codebook(train_codebook(matrix(rng.normal(size=(20, 12))), 4, speaker_id="b"), model / "b.psdct.cb")
+    with pytest.raises(ValueError) as err:
+        load_model_dir(model)
+    assert str(err.value) == (
+        f"{model / 'manifest.json'}: psdct codebooks differ in width: a.psdct.cb has dim 15, b.psdct.cb has dim 12"
+    )
+    # the MFCC codebook's 13 columns are checked against MFCC codebooks alone
+    (model / "manifest.json").write_text(json.dumps({"version": 2, "codebooks": ["a.mfcc.cb", "a.psdct.cb"]}))
+    assert [cb.centroids.shape[1] for cb in load_model_dir(model)] == [13, 15]
+
+
 def reference_kmeanspp(data, k, seed):
     """k-means++ seeding with one rng.choice draw per step, which kmeanspp_seeds must match row for row."""
     rng = np.random.default_rng(seed)

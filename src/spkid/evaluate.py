@@ -301,7 +301,7 @@ class EvalReport:
 def collect_cycles(utterances: list[Utterance] | list[UtteranceFile], voiced_set: frozenset[str]) -> list[PitchCycle]:
     """Pitch cycles of every voiced region, reading each listed file as it comes to it.
 
-    ``sweep_coefficients`` pools the same cycles, in the same order, from its per-speaker units.
+    ``sweep_coefficients``' per-speaker units take each speaker's training cycles from it.
     """
     cycles: list[PitchCycle] = []
     for utt in utterances:
@@ -491,18 +491,20 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     """Accuracy and mean-energy-captured as a function of coefficient count.
 
     ``utterances`` may be a listing, as for ``run_experiment``. Codebook size
-    is fixed (default 32). Cycles shorter than the largest requested
-    coefficient count are excluded once up front, so the energy statistics
-    for every K are computed over the same cycle set and are monotone in K by
+    is fixed (default 32). Only cycles longer than the largest requested
+    coefficient count are kept, once up front, so the energy statistics for
+    every K are computed over the same cycle set and are monotone in K by
     construction. The training and test features are transformed once, at the
     largest K; every smaller K keeps the first K columns of those matrices.
 
     The training side is shared out among the CPUs one speaker per unit of
     ``_parallel_map``, as ``split_features`` shares out the test side: a unit
-    finds the speaker's cycles, transforms them and returns its rows and
-    where each cycle lies. This process then pools the training cycles, in
-    split order, as views into its own copy of the training audio: given a
-    listing, it reads each training file once more and holds them all.
+    takes the speaker's kept cycles from ``collect_cycles``, so each training
+    file is read once, and returns them with their rows. It raises, as
+    ``split_features``' unit does, if the speaker has none. This process
+    builds the training matrices from the rows and pools the cycles, in split
+    order, for ``mec``; a worker's cycles come back as copies, which give
+    ``mec`` the same bits as views.
 
     ``mec`` transforms the pooled cycles again on each of its two calls per K:
     14 calls for K = 10..40. Each call is one unit of a second map, and each
@@ -521,29 +523,18 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     ks = sorted(config.coeff_counts)
     max_k = ks[-1]
 
-    def cycles_of(split: SpeakerSplit) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, str]]]:
-        """The (N, max_k) rows of the speaker's training cycles longer than max_k, each such cycle's
-        (region, start, end), and each region's (training utterance, offset, id)."""
-        regions = [
-            (i, region) for i, utt in enumerate(split.train_utterances)
-            for region in extract_voiced_regions(utt.read(), voiced_set)
-        ]
-        kept = [(r, c) for r, (_, region) in enumerate(regions) for c in cycles_from_region(region) if len(c) > max_k]
-        rows = _stack(psdct_features([c for _, c in kept], max_k), max_k)
-        spans = np.array([(r, c.start_peak, c.end_peak) for r, c in kept], dtype=np.int64).reshape(-1, 3)
-        return rows, spans, [(i, region.source_offset, region.region_id) for i, region in regions]
-
-    collected = _parallel_map(cycles_of, splits)
-    for split, (rows, _, _) in zip(splits, collected):  # the report's check, made by split_features there
-        if not len(rows):
+    def training(split: SpeakerSplit) -> tuple[list[PitchCycle], np.ndarray]:
+        """The speaker's training cycles longer than max_k, and their (N, max_k) rows."""
+        cycles = [c for c in collect_cycles(split.train_utterances, voiced_set) if len(c) > max_k]
+        if not cycles:
             raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
-    train_rows, pooled = {}, []
-    for split, (rows, spans, regions) in zip(splits, collected):
-        train_rows[split.speaker_id, KIND_PSDCT] = FeatureMatrix(rows, KIND_PSDCT)
-        audio = [utt.read().samples for utt in split.train_utterances]
-        for r, start, end in spans.tolist():
-            i, offset, region_id = regions[r]
-            pooled.append(PitchCycle(audio[i][offset + start : offset + end], start, end, region_id))
+        return cycles, _stack(psdct_features(cycles, max_k), max_k)
+
+    collected = _parallel_map(training, splits)
+    train_rows = {
+        (split.speaker_id, KIND_PSDCT): FeatureMatrix(rows, KIND_PSDCT) for split, (_, rows) in zip(splits, collected)
+    }
+    pooled = [c for cycles, _ in collected for c in cycles]
     del collected  # the rows live on in the checked copies; freed before the next maps fork
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
     test_rows = split_features(splits, sweep, "test")

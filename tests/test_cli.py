@@ -537,6 +537,13 @@ def test_extract_reads_one_utterance_at_a_time(corpus_dir, tmp_path, reads):
     assert max(len(alive) for _, _, alive in reads) <= 1
 
 
+def test_sweep_reads_each_file_of_its_split_once(corpus_dir, reads, one_worker):
+    assert main(["sweep", "--corpus", str(corpus_dir), "--coeffs", "10,15", "--codebook-size", "8"]) == 0
+    # the training side a speaker at a time, then the test side
+    train = [(spk, utt) for spk in SPEAKERS for utt in TRAIN_IDS]
+    assert [(spk, utt) for spk, utt, _ in reads] == train + [(spk, utt) for spk in SPEAKERS for utt in TEST_IDS]
+
+
 @pytest.mark.parametrize("kind", ["psdct", "mfcc"])
 def test_extract_rows_come_from_collect_features(kind, corpus_dir, tmp_path, monkeypatch):
     calls = []

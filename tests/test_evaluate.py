@@ -10,7 +10,15 @@ import scipy.fft
 import spkid.evaluate as evaluate
 from conftest import set_workers
 from spkid.classify import identify
-from spkid.corpus import PhoneSegment, Utterance, extract_voiced_regions, load_corpus, save_corpus, split_speakers
+from spkid.corpus import (
+    PhoneSegment,
+    Utterance,
+    extract_voiced_regions,
+    list_corpus,
+    load_corpus,
+    save_corpus,
+    split_speakers,
+)
 from spkid.evaluate import (
     ExperimentConfig,
     collect_cycles,
@@ -252,10 +260,15 @@ def test_sweep_matches_per_k_reference(sample_rate):
         assert abs(r.mec_ac - mec_ac) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_sweep_mec_is_mec_over_the_pooled_training_cycles_in_split_order(corpus8k, monkeypatch, n):
-    # the rows come back bit for bit as mec over collect_cycles' list; speakers reversed, mec_ac moves in the last bit
+@pytest.mark.parametrize(
+    "n, listed", [(1, False), (2, False), (1, True), (2, True)], ids=["1", "2", "listed-1", "listed-2"]
+)
+def test_sweep_mec_is_mec_over_the_pooled_training_cycles_in_split_order(corpus8k, tmp_path, monkeypatch, n, listed):
+    # the rows come back bit for bit as mec over collect_cycles' list; speakers reversed, mec_ac moves in the last bit.
+    # Listed, the cycles a worker returns are copies of the ones it read, and must match the in-memory corpus's
     set_workers(monkeypatch, n)
+    if listed:
+        save_corpus(corpus8k, tmp_path)
     caller, seen, plain_mec = os.getpid(), [], evaluate.mec
 
     def recording_mec(cycles, k, include_dc=True):
@@ -265,7 +278,7 @@ def test_sweep_mec_is_mec_over_the_pooled_training_cycles_in_split_order(corpus8
 
     monkeypatch.setattr(evaluate, "mec", recording_mec)
     config = ExperimentConfig(coeff_counts=(20, 10, 25), sweep_codebook_size=8, n_train=3, n_test=2)
-    rows = sweep_coefficients(config, utterances=corpus8k)
+    rows = sweep_coefficients(config, utterances=list_corpus(tmp_path) if listed else corpus8k)
     voiced = config.effective_voiced_set()
     pooled = [
         c for s in split_speakers(corpus8k, 3, 2) for c in collect_cycles(s.train_utterances, voiced) if len(c) > 25

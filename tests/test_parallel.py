@@ -180,7 +180,7 @@ def _unvoiced(utterances, speaker, role):
 
 
 def test_sweep_is_the_same_bytes_with_one_to_four_workers(corpus_dir, monkeypatch):
-    files = list_corpus(corpus_dir)  # as the CLI gives it: the caller reads the training files again
+    files = list_corpus(corpus_dir)  # as the CLI gives it
     outputs = []
     for n in (1, 2, 3, 4):
         set_workers(monkeypatch, n)

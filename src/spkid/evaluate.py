@@ -506,16 +506,14 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     order, for ``mec``; a worker's cycles come back as copies, which give
     ``mec`` the same bits as views.
 
-    ``mec`` transforms the pooled cycles again on each of its two calls per K:
-    14 calls for K = 10..40. Each call is one unit of a second map, and each
-    K's codebooks and scores one more. The first unit holds the smallest K's
-    codebooks and the largest K's first ``mec`` call, so this process makes
-    both kinds of call whatever the number of CPUs. The other K's codebooks
-    come next, from the largest K down, then the other ``mec`` calls, from
-    the largest K down, so each process builds a length's DCT basis once, at
-    its largest K. The smallest K's rows have the fewest distinct values, so a
-    codebook size too large for any K fails with the smallest K's error,
-    before that K's Lloyd runs. The rows are the same for any number of
+    Each K is then one unit of a second map: its codebooks and scores, then
+    its two ``mec`` calls over the pooled cycles. The smallest K comes first,
+    so this process makes both kinds of call whatever the number of CPUs, and
+    a codebook size too large for any K fails with the smallest K's error (its
+    rows have the fewest distinct values). The other K follow from the largest
+    down: a larger K costs more, so this evens out the strides, where
+    ascending order would give this process K = 10, 20, 30 and 40 of 10..40
+    on two CPUs. The rows, in ascending K, are the same for any number of
     processes.
     """
     voiced_set = config.effective_voiced_set()
@@ -542,19 +540,13 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
         return {key: FeatureMatrix(m.matrix[:, :k], KIND_PSDCT) for key, m in rows.items()}
 
-    def accuracy(k: int) -> float:
+    def row(k: int) -> SweepRow:
         report = score_report(first(test_rows, k), train_codebooks(first(train_rows, k), sweep), sweep)
-        return report.accuracies[KIND_PSDCT][config.sweep_codebook_size]
+        accuracy = report.accuracies[KIND_PSDCT][config.sweep_codebook_size]
+        return SweepRow(k, mec(pooled, k), mec(pooled, k, include_dc=False), accuracy)
 
-    # a job (K, None) is K's codebooks and scores, (K, include_dc) one mec call
-    mecs = [(k, include_dc) for k in reversed(ks) for include_dc in (True, False)]
-    units = [((ks[0], None), mecs[0]), *(((k, None),) for k in reversed(ks[1:])), *((job,) for job in mecs[1:])]
-
-    def run(unit: tuple[tuple[int, bool | None], ...]) -> list[float]:
-        return [accuracy(k) if dc is None else mec(pooled, k, include_dc=dc) for k, dc in unit]
-
-    done = dict(zip([job for unit in units for job in unit], [v for vs in _parallel_map(run, units) for v in vs]))
-    return [SweepRow(k, mec_total=done[k, True], mec_ac=done[k, False], accuracy=done[k, None]) for k in ks]
+    rows = _parallel_map(row, [ks[0], *reversed(ks[1:])])
+    return [rows[0], *reversed(rows[1:])]
 
 
 def sweep_to_markdown(rows: list[SweepRow], codebook_size: int) -> str:

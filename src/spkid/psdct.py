@@ -128,9 +128,10 @@ def psdct_feature(cycle: PitchCycle, n_coeffs: int = DEFAULT_NUM_COEFFS) -> Feat
 def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> float:
     """Mean fraction of cycle energy captured by coefficients 1..K.
 
-    The denominator is the full unit-energy frame's coefficient energy, which
-    by Parseval is its sample energy; with include_dc=False the mean
-    coefficient is excluded from the denominator as well. Cycles are grouped
+    The denominator is the cycle's own coefficient energy, which by Parseval
+    is its sample energy; with include_dc=False the mean coefficient is
+    excluded from the denominator as well. A ratio of energies does not depend
+    on the cycle's scale, so cycles are not normalized. Cycles are grouped
     by length (one stable sort, so each group keeps list order) and each group
     is transformed in one product with the truncated basis, so each cycle is
     transformed once and only coefficients 0..K are computed.
@@ -150,9 +151,7 @@ def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> flo
         energy = np.einsum("ij,ij->i", x, x)
         if np.any(energy <= 0.0):
             raise ValueError("zero-energy frame; caller must filter these out")
-        x /= np.sqrt(energy)[:, None]
         c2 = (x @ _dct_basis(m, n_coeffs + 1).T) ** 2
-        full = np.einsum("ij,ij->i", x, x)
-        denom = full if include_dc else full - c2[:, 0]
+        denom = energy if include_dc else energy - c2[:, 0]
         ratios[idx] = c2[:, 1:].sum(axis=1) / denom
     return float(np.mean(ratios))

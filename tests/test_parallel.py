@@ -255,6 +255,27 @@ def test_the_sweep_caller_makes_mec_and_codebook_calls_itself(corpus_dir, monkey
     assert len(pids["mec"] | pids["train_codebook"]) == n
 
 
+def _logged_by_k(log, name, fn, k_of):
+    """``fn``, logging ``((name, K), pid)`` through ``_logged`` on each call, with K = ``k_of(*args)``."""
+    return lambda *args, **kwargs: _logged(log, (name, k_of(*args)), fn)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_k_makes_its_codebook_and_mec_calls_in_one_process(corpus_dir, monkeypatch, call_log, n):
+    set_workers(monkeypatch, n)
+    k_of = {"mec": lambda cycles, k: k, "train_codebook": lambda features, size: features.matrix.shape[1]}
+    for name, k in k_of.items():
+        monkeypatch.setattr(evaluate, name, _logged_by_k(call_log, name, getattr(evaluate, name), k))
+    sweep_coefficients(SWEEP, utterances=list_corpus(corpus_dir))
+    assert multiprocessing.active_children() == []
+    calls = call_log.read()
+    for k in SWEEP.coeff_counts:
+        names = [name for (name, called_k), _ in calls if called_k == k]
+        assert sorted(names) == ["mec"] * 2 + ["train_codebook"] * 4
+        assert len({pid for (_, called_k), pid in calls if called_k == k}) == 1
+    assert len({pid for _, pid in calls}) == n
+
+
 def test_cli_train_and_identify_write_the_same_bytes_with_one_and_two_workers(
     corpus_dir, tmp_path, monkeypatch, capsys
 ):

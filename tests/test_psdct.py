@@ -146,6 +146,22 @@ def test_mec_errors():
         mec([ok_60, short_12, short_10], 15)
 
 
+@pytest.mark.parametrize("include_dc", [True, False])
+def test_mec_does_not_depend_on_each_cycles_scale(include_dc):
+    rng = np.random.default_rng(13)
+    lengths = [45, 80, 80, 200, 613, 45] * 5
+    samples = [rng.normal(size=m) + rng.normal() for m in lengths]
+    original = [mec([cycle_of(x) for x in samples], k, include_dc) for k in (10, 25, 40)]
+    # a power of two scales every product and sum exactly, so the ratio keeps its bits
+    powers = 2.0 ** rng.integers(-7, 10, size=len(samples))
+    scaled = [cycle_of(p * x) for p, x in zip(powers, samples)]
+    assert [mec(scaled, k, include_dc) for k in (10, 25, 40)] == original
+    factors = rng.uniform(1e-3, 1e3, size=len(samples))
+    scaled = [cycle_of(f * x) for f, x in zip(factors, samples)]
+    for k, value in zip((10, 25, 40), original):
+        assert abs(mec(scaled, k, include_dc) - value) <= 1e-14 * value
+
+
 def test_mec_zero_energy_cycle_raises():
     with pytest.raises(ValueError):
         mec([cycle_of(np.ones(60)), cycle_of(np.zeros(60))], 15)
@@ -214,10 +230,9 @@ def mec_grouped_reference(cycles, n_coeffs, include_dc):
     ratios = np.empty(len(cycles))
     for m, idx in by_length.items():
         x = np.stack([cycles[i].samples for i in idx]).astype(np.float64, copy=False)
-        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        energy = np.einsum("ij,ij->i", x, x)
         c2 = (x @ psdct._dct_basis(m, n_coeffs + 1).T) ** 2
-        full = np.einsum("ij,ij->i", x, x)
-        denom = full if include_dc else full - c2[:, 0]
+        denom = energy if include_dc else energy - c2[:, 0]
         ratios[idx] = c2[:, 1:].sum(axis=1) / denom
     return float(np.mean(ratios))
 

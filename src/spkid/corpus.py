@@ -206,12 +206,14 @@ def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
                 raise UnsupportedWavError(f"{path}: {wf.getnchannels()} channels, need mono")
             if wf.getsampwidth() != 2:
                 raise UnsupportedWavError(f"{path}: {8 * wf.getsampwidth()}-bit samples, need 16-bit")
-            rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            rate, frames = wf.getframerate(), wf.getnframes()
+            raw = wf.readframes(frames)
     except wave.Error as exc:
         raise MalformedWavError(f"{path}: {exc}") from exc
     except EOFError:  # wave's bare error for a file that ends inside a chunk header
         raise MalformedWavError(f"{path}: file ends inside its header") from None
+    if len(raw) != 2 * frames:
+        raise MalformedWavError(f"{path}: file ends inside its data chunk ({len(raw)} of {2 * frames} bytes)")
     return np.frombuffer(raw, "<i2") / np.float32(PCM_SCALE), rate  # exact: k/32768 fits float32
 
 

@@ -250,6 +250,18 @@ def test_identify_rejects_truncated_codebook_file(corpus_dir, fused_model, tmp_p
                        f"{cut}: codebook header is truncated")
 
 
+@pytest.mark.parametrize("cut", [1, 1000])
+def test_evaluate_names_a_wav_cut_inside_its_data(cut, corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    wav = corpus / "spk01" / "u02.wav"
+    data = wav.read_bytes()
+    wav.write_bytes(data[:-cut])
+    want = len(data) - 44
+    assert_input_error(capsys, ["evaluate", "--corpus", str(corpus), "--codebook-size", "8"],
+                       f"{wav}: file ends inside its data chunk ({want - cut} of {want} bytes)")
+
+
 def test_train_names_speaker_without_voiced_vectors(corpus_dir, tmp_path, capsys):
     vset = tmp_path / "voiced.txt"
     vset.write_text("zz\n")

@@ -148,6 +148,17 @@ def test_load_wav_rejects_every_cut_inside_the_header(tmp_path):
         assert str(err.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("cut", [1, 2, 1000])
+def test_load_wav_rejects_a_cut_inside_the_data(cut, tmp_path):
+    # a cut by a whole frame used to load short, and one by an odd byte failed without naming the file
+    path = tmp_path / "cut.wav"
+    write_raw_wav(path, np.arange(1000))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(MalformedWavError) as err:
+        read_wav(path)
+    assert str(err.value) == f"{path}: file ends inside its data chunk ({2000 - cut} of 2000 bytes)"
+
+
 def test_load_wav_rejects_stereo(tmp_path):
     path = tmp_path / "st.wav"
     write_raw_wav(path, [0, 0, 0, 0], channels=2)

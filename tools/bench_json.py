@@ -5,34 +5,30 @@
 
 Reads ``<checkout>/perfbench/_out/<workload>-seed<n>-trace0.json``, the
 record each timed run leaves, for every given seed and every workload that
-has one; reads nothing else under ``perfbench/`` but its ``BLAS_THREADS``
-pin, and writes nothing there. Writes ``<checkout>/BENCH_<tag>.json`` (or
-``--out``) with the checkout's commit (and whether ``src/`` or ``perfbench/``
-differ from it, new files included), the seeds, a machine record and, per
-workload, the median and quartiles of each end-to-end metric over the seeds,
-its per-seed values, and the operations attempted and failed. Beside the
-scaled ``setup_s`` and ``audio_s_per_s`` it gives the same two on the
-unscaled wall clock, as ``run.py`` prints them: the scaled clock samples the
-speed of the calling process's own CPU only, so wall time is the check on a
-change that puts work on other CPUs. Run it with
-the interpreter that ran the batch: the Python and numpy versions recorded
-are its own. A rerun of the same seeds on the same commit and machine
-reproduces the file up to timing noise.
+has one; reads nothing else under ``perfbench/`` and writes nothing there.
+Writes ``<checkout>/BENCH_<tag>.json`` (or ``--out``) with the checkout's
+commit (and whether ``src/`` or ``perfbench/`` differ from it, new files
+included), the seeds, the machine every round recorded (its CPUs, Python,
+numpy, scipy, BLAS and BLAS thread pin; records that disagree are refused,
+as a batch spread over two machines or interpreters is not one batch) and,
+per workload, the corpus's audio seconds, the median and quartiles of each
+end-to-end metric over the seeds, its per-seed values, and the operations
+attempted and failed. Beside the scaled ``setup_s`` and ``audio_s_per_s``
+it gives the same two on the unscaled wall clock, as ``run.py`` prints
+them: the scaled clock samples the speed of the calling process's own CPU
+only, so wall time is the check on a change that puts work on other CPUs.
+A rerun of the same seeds on the same commit and machine reproduces the
+file up to timing noise.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 
 def _seeds(text: str) -> list[int]:
@@ -48,15 +44,6 @@ def _git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _blas_threads(checkout: Path):
-    """The benchmark's ``BLAS_THREADS`` pin, read from its source without importing it."""
-    tree = ast.parse((checkout / "perfbench" / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BLAS_THREADS" for t in node.targets):
-            return ast.literal_eval(node.value)
-    return None
-
-
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -64,7 +51,7 @@ def _spread(values: list[float]) -> dict:
 
 def summarise(checkout: Path, seeds: list[int]) -> dict:
     out = checkout / "perfbench" / "_out"
-    workloads = {}
+    workloads, machines = {}, {}  # machines: each distinct round record and the (workload, seed)s that wrote it
     for name in sorted({p.name.split("-seed")[0] for p in out.glob("*-seed*-trace0.json")}):
         records = [out / f"{name}-seed{seed}-trace0.json" for seed in seeds]
         records = [json.loads(p.read_text(encoding="utf-8")) for p in records if p.is_file()]
@@ -74,6 +61,9 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
             found = [r["seed"] for r in records]
             raise SystemExit(f"{name}: records for seeds {found} only, of {seeds}")
         rounds = [r for rec in records for r in rec["rounds"]]
+        for rec in records:
+            for r in rec["rounds"]:
+                machines.setdefault(tuple(r["record"].items()), set()).add((name, rec["seed"]))
         metrics = {
             key: {"unit": records[0]["metrics"][key]["unit"], **_spread([rec["metrics"][key]["value"] for rec in records])}
             for key in records[0]["metrics"]
@@ -86,6 +76,7 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
         }
         workloads[name] = {
             "seconds": sorted({rec["seconds"] for rec in records}),
+            "audio_s": _spread([rec["rounds"][0]["audio_s"] for rec in records]),
             "rounds": len(rounds),
             "attempted": sum(r["attempted"] for r in rounds),
             "failed": sum(r["failed"] for r in rounds),
@@ -95,18 +86,16 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
         }
     if not workloads:
         raise SystemExit(f"no timed records (*-seed<n>-trace0.json) for seeds {seeds} under {out}")
+    if len(machines) > 1:  # a batch spread over two machines or interpreters is not one batch
+        runs = "; ".join(f"{sorted(runs)} on {dict(machine)}" for machine, runs in machines.items())
+        raise SystemExit(f"the runs recorded different machines: {runs}")
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         # the batch measured the commit only if the code it runs matches it: an edited,
         # deleted or new file counts; what .gitignore names (caches, run outputs) does not
         "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=normal", "--", "src", "perfbench")),
         "seeds": seeds,
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": _blas_threads(checkout),
-        },
+        "machine": dict(next(iter(machines))),
         "workloads": workloads,
     }
 

@@ -8,12 +8,12 @@ record each timed run leaves, for every given seed and every workload that
 has one; reads nothing else under ``perfbench/`` and writes nothing there.
 Writes ``<checkout>/BENCH_<tag>.json`` (or ``--out``) with the checkout's
 commit (and whether ``src/`` or ``perfbench/`` differ from it, new files
-included), the seeds, the machine every round recorded (its CPUs, Python,
-numpy, scipy, BLAS and BLAS thread pin; records that disagree are refused,
-as a batch spread over two machines or interpreters is not one batch) and,
-per workload, the corpus's audio seconds, the median and quartiles of each
-end-to-end metric over the seeds, its per-seed values, and the operations
-attempted and failed. Beside the scaled ``setup_s`` and ``audio_s_per_s``
+included), the seeds, the machine every round recorded (its CPU count and
+model, Python, numpy, scipy, BLAS and BLAS thread pin; records that
+disagree are refused, as a batch spread over two machines or interpreters
+is not one batch) and, per workload, the corpus's audio seconds, the median
+and quartiles of each end-to-end metric over the seeds, its per-seed
+values, and the operations attempted and failed. Beside the scaled ``setup_s`` and ``audio_s_per_s``
 it gives the same two on the unscaled wall clock, as ``run.py`` prints
 them: the scaled clock samples the speed of the calling process's own CPU
 only, so wall time is the check on a change that puts work on other CPUs.
@@ -86,9 +86,9 @@ def summarise(checkout: Path, seeds: list[int]) -> dict:
         }
     if not workloads:
         raise SystemExit(f"no timed records (*-seed<n>-trace0.json) for seeds {seeds} under {out}")
-    if len(machines) > 1:  # a batch spread over two machines or interpreters is not one batch
-        runs = "; ".join(f"{sorted(runs)} on {dict(machine)}" for machine, runs in machines.items())
-        raise SystemExit(f"the runs recorded different machines: {runs}")
+    if len(machines) > 1:
+        listing = "; ".join(f"{sorted(runs)} on {dict(machine)}" for machine, runs in machines.items())
+        raise SystemExit(f"the runs recorded different machines: {listing}")
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         # the batch measured the commit only if the code it runs matches it: an edited,

@@ -150,7 +150,7 @@ def test_load_wav_rejects_every_cut_inside_the_header(tmp_path):
 
 @pytest.mark.parametrize("cut", [1, 2, 1000])
 def test_load_wav_rejects_a_cut_inside_the_data(cut, tmp_path):
-    # a cut by a whole frame used to load short, and one by an odd byte failed without naming the file
+    # without the check, a cut by whole frames loads short and one by an odd byte fails in numpy, unnamed
     path = tmp_path / "cut.wav"
     write_raw_wav(path, np.arange(1000))
     path.write_bytes(path.read_bytes()[:-cut])

@@ -8,7 +8,6 @@ convex combination of their scores, weighted by their measured accuracies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,23 +108,3 @@ def fuse(
         )
     fused.sort(key=lambda s: (s.d_com, s.speaker_id))
     return fused, fused[0].speaker_id
-
-
-def write_score_csv(fh, rankings: dict[str, list[CmdScore]]) -> None:
-    """One header, then each test speaker's scores ranked ascending."""
-    writer = csv.writer(fh)
-    writer.writerow(["test_speaker", "speaker", "kind", "cmd", "n_vectors", "rank"])
-    for spk, scores in rankings.items():
-        for rank, s in enumerate(sorted(scores, key=lambda s: (s.cmd, s.speaker_id)), start=1):
-            writer.writerow([spk, s.speaker_id, s.kind, f"{s.cmd:.9g}", s.n_vectors, rank])
-
-
-def write_fused_csv(fh, rankings: dict[str, list[FusedScore]], alpha: float) -> None:
-    """One header, then each test speaker's fused scores ranked ascending."""
-    writer = csv.writer(fh)
-    writer.writerow(["test_speaker", "speaker", "d_dct", "d_mfcc", "alpha", "d_com", "rank"])
-    for spk, fused in rankings.items():
-        for rank, s in enumerate(sorted(fused, key=lambda s: (s.d_com, s.speaker_id)), start=1):
-            writer.writerow(
-                [spk, s.speaker_id, f"{s.d_dct:.9g}", f"{s.d_mfcc:.9g}", f"{alpha:.6f}", f"{s.d_com:.9g}", rank]
-            )

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import evaluate as ev
-from .classify import FusionWeights, fuse, identify, write_fused_csv, write_score_csv
+from .classify import FusionWeights
 from .corpus import extract_voiced_regions, list_corpus, load_voiced_set, save_corpus, split_speakers
 from .gci import detect_gci, dump_epochs_csv, map_to_peaks
 from .mfcc import N_MFCC
@@ -111,6 +111,8 @@ def cmd_train(args) -> int:
 
 def cmd_identify(args) -> int:
     fused_mode = args.kind == ev.KIND_FUSED
+    if not fused_mode and (args.acc_dct is not None or args.acc_mfcc is not None):
+        raise ValueError("--acc-dct and --acc-mfcc apply only to --kind fused")
     if fused_mode and (args.acc_dct is None or args.acc_mfcc is None):
         raise ValueError("--kind fused requires --acc-dct and --acc-mfcc (accuracies in [0,1])")
     weights = FusionWeights(args.acc_dct, args.acc_mfcc) if fused_mode else None
@@ -126,27 +128,15 @@ def cmd_identify(args) -> int:
     # split_features reads the test files alone, one speaker at a time
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
     test_feats = ev.split_features(splits, config, "test")
-
-    def rank(spk: str):
-        if fused_mode:
-            ranked_dct, _ = identify(test_feats[spk, KIND_PSDCT], books[KIND_PSDCT])
-            ranked_mfcc, _ = identify(test_feats[spk, KIND_MFCC], books[KIND_MFCC])
-            return fuse(ranked_dct, ranked_mfcc, weights)
-        return identify(test_feats[spk, args.kind], books[args.kind])
-
-    speakers = [s.speaker_id for s in splits]
-    rankings, predicted = {}, {}
-    # the speakers are scored across the CPUs, then printed in order
-    for spk, (ranking, best) in zip(speakers, ev._parallel_map(rank, speakers)):
-        rankings[spk], predicted[spk] = ranking, best
-        print(f"{spk}: predicted {best}", file=sys.stderr)
+    # both kinds under one size, which the CSV does not print: a fused model's kinds may differ in size
+    size = len(books[kinds[0]][0].centroids)
+    report = ev.score_report(test_feats, {kind: {size: books[kind]} for kind in kinds}, config, weights)
+    trials = [t for t in report.trials if t.kind == args.kind]
+    for t in trials:
+        print(f"{t.speaker_id}: predicted {t.predicted}", file=sys.stderr)
     with _out_stream(args.report_out) as fh:
-        if fused_mode:
-            write_fused_csv(fh, rankings, weights.alpha)
-        else:
-            write_score_csv(fh, rankings)
-    correct = sum(p == spk for spk, p in predicted.items())
-    print(f"identified {correct}/{len(predicted)} test speakers correctly", file=sys.stderr)
+        ev.write_identify_csv(fh, report, args.kind)
+    print(f"identified {sum(t.correct for t in trials)}/{len(trials)} test speakers correctly", file=sys.stderr)
     return 0
 
 

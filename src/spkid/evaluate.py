@@ -298,6 +298,28 @@ class EvalReport:
                 )
 
 
+def write_identify_csv(fh, report: EvalReport, kind: str) -> None:
+    """``spkid identify``'s CSV: one header, then each ``kind`` trial's candidates in rank order.
+
+    A fused row gives the candidate's PS-DCT and MFCC scores beside the
+    fused one, from the report's trials of the same size and test speaker.
+    """
+    writer = csv.writer(fh)
+    if kind == KIND_FUSED:
+        scores = {(t.kind, t.codebook_size, t.speaker_id): dict(t.scores) for t in report.trials}
+        writer.writerow(["test_speaker", "speaker", "d_dct", "d_mfcc", "alpha", "d_com", "rank"])
+    else:
+        writer.writerow(["test_speaker", "speaker", "kind", "cmd", "n_vectors", "rank"])
+    for t in (t for t in report.trials if t.kind == kind):
+        for rank, (candidate, score) in enumerate(t.scores, start=1):
+            if kind == KIND_FUSED:
+                d_dct, d_mfcc = (scores[k, t.codebook_size, t.speaker_id][candidate] for k in (KIND_PSDCT, KIND_MFCC))
+                cells = [f"{d_dct:.9g}", f"{d_mfcc:.9g}", f"{t.alpha:.6f}", f"{score:.9g}"]
+            else:
+                cells = [kind, f"{score:.9g}", t.n_vectors]
+            writer.writerow([t.speaker_id, candidate, *cells, rank])
+
+
 def collect_cycles(utterances: list[Utterance] | list[UtteranceFile], voiced_set: frozenset[str]) -> list[PitchCycle]:
     """Pitch cycles of every voiced region, reading each listed file as it comes to it.
 
@@ -426,15 +448,18 @@ def train_codebooks(
 
 
 def score_report(
-    test: dict[tuple[str, str], FeatureMatrix], books: dict[str, dict[int, list[Codebook]]], config: ExperimentConfig
+    test: dict[tuple[str, str], FeatureMatrix], books: dict[str, dict[int, list[Codebook]]], config: ExperimentConfig,
+    weights: FusionWeights | None = None,
 ) -> EvalReport:
     """Rank each ``test[speaker, kind]`` against every codebook of ``books[kind][size]``, then fuse.
 
     Kinds and sizes come in the order of ``books``, and speakers in the order
-    of the keys of ``test``. When ``books`` holds both kinds, each size's
-    fusion weight is derived from the two systems' accuracies measured in
-    this same report (the closed-loop protocol the reference results use).
-    The trials are shared out among the CPUs, one per unit of
+    of the keys of ``test``. When ``books`` holds both kinds, every size is
+    fused with ``weights`` where given (``spkid identify``'s measured
+    accuracies); otherwise each size's fusion weight is derived from the two
+    systems' accuracies measured in this same report (the closed-loop
+    protocol the reference results use), and a size where both are zero is
+    not fused. The trials are shared out among the CPUs, one per unit of
     ``_parallel_map``; the fusion runs in the calling process.
     """
     speakers = list(dict.fromkeys(spk for spk, _ in test))
@@ -454,16 +479,15 @@ def score_report(
     if KIND_PSDCT in books and KIND_MFCC in books:
         accuracies = report.accuracies
         for size in books[KIND_PSDCT]:
-            a_dct = accuracies[KIND_PSDCT][size]
-            a_mfcc = accuracies[KIND_MFCC][size]
-            if a_dct + a_mfcc <= 0.0:
+            a_dct, a_mfcc = accuracies[KIND_PSDCT][size], accuracies[KIND_MFCC][size]
+            if weights is None and a_dct + a_mfcc <= 0.0:
                 log.warning("size %d: both systems at zero accuracy; skipping fusion", size)
                 continue
-            weights = FusionWeights(a_dct, a_mfcc)
+            size_weights = weights if weights is not None else FusionWeights(a_dct, a_mfcc)
             for spk in speakers:
-                fused, _ = fuse(ranked[KIND_PSDCT, size, spk], ranked[KIND_MFCC, size, spk], weights)
+                fused, _ = fuse(ranked[KIND_PSDCT, size, spk], ranked[KIND_MFCC, size, spk], size_weights)
                 pairs = tuple((s.speaker_id, s.d_com) for s in fused)
-                report.trials.append(TrialResult(spk, KIND_FUSED, size, pairs, alpha=weights.alpha))
+                report.trials.append(TrialResult(spk, KIND_FUSED, size, pairs, alpha=size_weights.alpha))
     return report
 
 

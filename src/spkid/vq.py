@@ -242,8 +242,8 @@ def load_model_dir(model_dir) -> list[Codebook]:
     """Every codebook the manifest lists, in its order; each file's own header says whose it is and what kind.
 
     One speaker may have one codebook of each kind, and the codebooks of one
-    kind must share one width; otherwise the error names the manifest and
-    both files.
+    kind must share one width, then one size; otherwise the error names the
+    manifest and both files.
     """
     model_dir = Path(model_dir)
     manifest_path = model_dir / MANIFEST_NAME
@@ -259,19 +259,24 @@ def load_model_dir(model_dir) -> list[Codebook]:
         raise ValueError(f"{manifest_path}: manifest version {version}, not {MANIFEST_VERSION}; train the model again")
     if not isinstance(files := manifest.get("codebooks"), list):
         raise ValueError(f"{manifest_path}: no codebook list")
-    codebooks, owner, width = [], {}, {}
+    codebooks, owner, shape = [], {}, {}
     for i, name in enumerate(files):
         if not isinstance(name, str):
             raise ValueError(f"{manifest_path}: codebook entry {i} is not a file name")
         cb = load_codebook(model_dir / name)
         if (first := owner.setdefault((cb.speaker_id, cb.kind), i)) != i:
             raise ValueError(f"{manifest_path}: two {cb.kind} codebooks of {cb.speaker_id}: {files[first]}, {name}")
-        dim = cb.centroids.shape[1]
-        first_name, first_dim = width.setdefault(cb.kind, (name, dim))
+        k, dim = cb.centroids.shape
+        first_name, (first_k, first_dim) = shape.setdefault(cb.kind, (name, (k, dim)))
         if dim != first_dim:
             raise ValueError(
                 f"{manifest_path}: {cb.kind} codebooks differ in width: "
                 f"{first_name} has dim {first_dim}, {name} has dim {dim}"
+            )
+        if k != first_k:
+            raise ValueError(
+                f"{manifest_path}: {cb.kind} codebooks differ in size: "
+                f"{first_name} has {first_k} entries, {name} has {k}"
             )
         codebooks.append(cb)
     return codebooks

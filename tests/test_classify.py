@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spkid.classify import (
-    CmdScore,
-    FusionWeights,
-    cmd,
-    fuse,
-    identify,
-    write_fused_csv,
-    write_score_csv,
-)
+from spkid.classify import CmdScore, FusionWeights, cmd, fuse, identify
 from spkid.psdct import KIND_MFCC, KIND_PSDCT, FeatureMatrix
 from spkid.vq import Codebook
 
@@ -182,17 +173,3 @@ def test_fuse_speaker_set_mismatch():
     with pytest.raises(ValueError, match="speaker sets"):
         fuse(scores_of([1.0], KIND_PSDCT), scores_of([1.0, 2.0], KIND_MFCC), FusionWeights(0.5, 0.5))
 
-
-def test_score_csv_writers():
-    buf = io.StringIO()
-    write_score_csv(buf, {"spk1": scores_of([2.0, 1.0], KIND_PSDCT)})
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "test_speaker,speaker,kind,cmd,n_vectors,rank"
-    assert lines[1].startswith("spk1,spk1,psdct,1,")
-
-    fused, _ = fuse(scores_of([1.0, 3.0], KIND_PSDCT), scores_of([4.0, 1.0], KIND_MFCC), FusionWeights(0.5, 0.5))
-    buf = io.StringIO()
-    write_fused_csv(buf, {"spk0": fused}, 0.5)
-    lines = buf.getvalue().strip().splitlines()
-    assert "alpha" in lines[0] and "d_com" in lines[0]
-    assert len(lines) == 3

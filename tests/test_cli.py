@@ -416,6 +416,51 @@ def test_identify_names_the_files_of_a_model_whose_psdct_codebooks_differ_in_wid
     assert "does not match" not in err
 
 
+def test_identify_names_the_files_of_a_model_whose_psdct_codebooks_differ_in_size(
+    corpus_dir, fused_model, tmp_path, monkeypatch, capsys
+):
+    model, small = tmp_path / "model", tmp_path / "small"
+    shutil.copytree(fused_model, model)
+    assert main(["train", "--corpus", str(corpus_dir), "--model-dir", str(small), "--kind", "psdct",
+                 "--codebook-size", "4"]) == 0
+    shutil.copyfile(small / "spk01.psdct.cb", model / "spk01.psdct.cb")
+    capsys.readouterr()
+    monkeypatch.setattr(ev, "extract_voiced_regions", lambda *args: pytest.fail("features extracted"))
+    assert_input_error(
+        capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"],
+        f"{model / 'manifest.json'}: psdct codebooks differ in size: "
+        "spk00.psdct.cb has 8 entries, spk01.psdct.cb has 4",
+    )
+
+
+def test_identify_fuses_a_model_whose_two_kinds_differ_in_size(corpus_dir, fused_model, tmp_path, capsys):
+    model, small = tmp_path / "model", tmp_path / "small"
+    shutil.copytree(fused_model, model)
+    assert main(["train", "--corpus", str(corpus_dir), "--model-dir", str(small), "--kind", "mfcc",
+                 "--codebook-size", "4"]) == 0
+    for path in small.glob("*.mfcc.cb"):
+        shutil.copyfile(path, model / path.name)
+    common = ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)]
+    assert main([*common, "--kind", "mfcc", "--report-out", str(tmp_path / "mfcc.csv")]) == 0
+    fused = ["--kind", "fused", "--acc-dct", "0.5", "--acc-mfcc", "0.5", "--report-out", str(tmp_path / "fused.csv")]
+    assert main([*common, *fused]) == 0
+    assert capsys.readouterr().err.count("identified ") == 2
+    with open(tmp_path / "mfcc.csv", newline="") as fh:
+        mfcc = {(r["test_speaker"], r["speaker"]): r["cmd"] for r in csv.DictReader(fh)}
+    with open(tmp_path / "fused.csv", newline="") as fh:
+        assert {(r["test_speaker"], r["speaker"]): r["d_mfcc"] for r in csv.DictReader(fh)} == mfcc
+
+
+@pytest.mark.parametrize("kind, flag", [("psdct", "--acc-dct"), ("mfcc", "--acc-mfcc")])
+def test_identify_rejects_accuracies_outside_kind_fused_before_extracting(
+    kind, flag, corpus_dir, fused_model, no_extraction, capsys
+):
+    assert_input_error(
+        capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(fused_model), "--kind", kind, flag, "0.5"],
+        "--acc-dct and --acc-mfcc apply only to --kind fused",
+    )
+
+
 def test_identify_reads_psdct_width_from_model(corpus_dir, tmp_path):
     model, out = tmp_path / "model", tmp_path / "scores.csv"
     common = ["--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"]

@@ -9,7 +9,7 @@ import scipy.fft
 
 import spkid.evaluate as evaluate
 from conftest import set_workers
-from spkid.classify import identify
+from spkid.classify import FusionWeights, identify
 from spkid.corpus import (
     PhoneSegment,
     Utterance,
@@ -20,7 +20,9 @@ from spkid.corpus import (
     split_speakers,
 )
 from spkid.evaluate import (
+    EvalReport,
     ExperimentConfig,
+    TrialResult,
     collect_cycles,
     psdct_features,
     run_experiment,
@@ -29,6 +31,7 @@ from spkid.evaluate import (
     sweep_coefficients,
     sweep_to_markdown,
     train_codebooks,
+    write_identify_csv,
     write_sweep_csv,
 )
 from spkid.psdct import KIND_PSDCT, FeatureMatrix, mec
@@ -435,15 +438,9 @@ def test_features_are_stacked_and_checked_once_per_speaker_kind_and_split(corpus
     assert [kind for kind, fresh in made.read() if not fresh] == ["psdct"] * 3 * 2 * n_speakers
 
 
-def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):
-    """With the true speaker ranked last everywhere, no fused trial is made and no alpha reported."""
-    owner = {}  # id of a speaker's vector list -> that speaker
-    real_split, real_identify = evaluate.split_features, evaluate.identify
-
-    def recording_split(splits, config, role):
-        feats = real_split(splits, config, role)
-        owner.update({id(vectors): spk for (spk, _), vectors in feats.items()})
-        return feats
+def rank_true_speaker_last(monkeypatch, owner):
+    """Make ``evaluate.identify`` rank the speaker ``owner[id(test vectors)]`` last, so that every trial misses."""
+    real_identify = evaluate.identify
 
     def true_speaker_last(test_vectors, codebooks):
         ranked, _ = real_identify(test_vectors, codebooks)
@@ -454,8 +451,21 @@ def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, capl
         ]
         return ranked, ranked[0].speaker_id
 
-    monkeypatch.setattr(evaluate, "split_features", recording_split)
     monkeypatch.setattr(evaluate, "identify", true_speaker_last)
+
+
+def test_fusion_skipped_when_both_systems_score_zero(corpus8k, monkeypatch, caplog):
+    """With the true speaker ranked last everywhere, no fused trial is made and no alpha reported."""
+    owner = {}  # id of a speaker's vector list -> that speaker
+    real_split = evaluate.split_features
+
+    def recording_split(splits, config, role):
+        feats = real_split(splits, config, role)
+        owner.update({id(vectors): spk for (spk, _), vectors in feats.items()})
+        return feats
+
+    monkeypatch.setattr(evaluate, "split_features", recording_split)
+    rank_true_speaker_last(monkeypatch, owner)
     with caplog.at_level(logging.WARNING, logger="spkid.evaluate"):
         report = run_experiment(ExperimentConfig(codebook_sizes=(8,), n_train=3, n_test=2), utterances=corpus8k)
 
@@ -487,6 +497,54 @@ def test_score_report_follows_the_order_of_books_and_test(steps8k, monkeypatch, 
     # the same trials as in the order of train_codebooks and split_features
     by_key = {(t.kind, t.codebook_size, t.speaker_id): t for t in score_report(test, books, config).trials}
     assert {(t.kind, t.codebook_size, t.speaker_id): t for t in report.trials} == by_key
+
+
+@pytest.mark.parametrize("zero_accuracy", [False, True], ids=["measured", "zero-accuracy"])
+def test_score_report_fuses_every_size_with_the_given_weights(steps8k, monkeypatch, zero_accuracy):
+    config, test, books = steps8k
+    if zero_accuracy:  # where the closed loop would skip fusion, given weights still fuse
+        rank_true_speaker_last(monkeypatch, {id(vectors): spk for (spk, _), vectors in test.items()})
+    weights = FusionWeights(0.3, 0.9)
+    report = score_report(test, books, config, weights)
+
+    assert report.alphas == {4: 0.25, 8: 0.25}
+    if zero_accuracy:
+        assert [report.accuracies[kind] for kind in ("psdct", "mfcc")] == [{4: 0.0, 8: 0.0}] * 2
+    scores = {(t.kind, t.codebook_size, t.speaker_id): dict(t.scores) for t in report.trials}
+    fused = [t for t in report.trials if t.kind == "fused"]
+    assert [(t.codebook_size, t.speaker_id) for t in fused] == [(k, spk) for k in (4, 8) for spk in report.speakers]
+    for t in fused:
+        d_dct, d_mfcc = (scores[kind, t.codebook_size, t.speaker_id] for kind in ("psdct", "mfcc"))
+        assert dict(t.scores) == pytest.approx({c: 0.25 * d_dct[c] + 0.75 * d_mfcc[c] for c in d_dct}, rel=1e-12)
+        assert [score for _, score in t.scores] == sorted(score for _, score in t.scores)
+
+
+def test_write_identify_csv_writes_each_kind_in_its_layout_in_rank_order():
+    trials = [
+        TrialResult("a", "psdct", 8, (("a", 1.0), ("b", 2.5)), n_vectors=7),
+        TrialResult("b", "psdct", 8, (("a", 0.5), ("b", 0.75)), n_vectors=6),
+        TrialResult("a", "mfcc", 8, (("b", 3.0), ("a", 4.0)), n_vectors=9),
+        TrialResult("b", "mfcc", 8, (("b", 1.0), ("a", 2.0)), n_vectors=8),
+        TrialResult("a", "fused", 8, (("a", 2.5), ("b", 2.75)), alpha=0.5),
+        TrialResult("b", "fused", 8, (("b", 0.875), ("a", 1.25)), alpha=0.5),
+    ]
+    report = EvalReport(trials, ["a", "b"], 15, 42)
+    written = {}
+    for kind in ("psdct", "mfcc", "fused"):
+        buf = io.StringIO()
+        write_identify_csv(buf, report, kind)
+        written[kind] = buf.getvalue().split("\r\n")
+    assert written["psdct"] == [
+        "test_speaker,speaker,kind,cmd,n_vectors,rank",
+        "a,a,psdct,1,7,1", "a,b,psdct,2.5,7,2", "b,a,psdct,0.5,6,1", "b,b,psdct,0.75,6,2", "",
+    ]
+    assert written["mfcc"][1:3] == ["a,b,mfcc,3,9,1", "a,a,mfcc,4,9,2"]
+    # a fused row takes its PS-DCT and MFCC scores from the trials of its size and test speaker
+    assert written["fused"] == [
+        "test_speaker,speaker,d_dct,d_mfcc,alpha,d_com,rank",
+        "a,a,1,4,0.500000,2.5,1", "a,b,2.5,3,0.500000,2.75,2",
+        "b,b,0.75,1,0.500000,0.875,1", "b,a,0.5,2,0.500000,1.25,2", "",
+    ]
 
 
 def test_score_report_fuses_only_when_books_hold_both_kinds(steps8k):

@@ -435,3 +435,23 @@ def test_lloyd_update_matches_reference_with_empty_cell():
     assert np.array_equal(centroids, ref_centroids)
     assert history == ref_history
     assert np.all(np.abs(centroids) < 1e3)  # the far centroid was re-seeded onto the data
+
+
+def test_model_dir_rejects_codebooks_of_one_kind_that_differ_in_size(tmp_path):
+    model = tmp_path / "model"
+    rng = np.random.default_rng(8)
+    books = [train_codebook(matrix(rng.normal(size=(40, 15))), 32, speaker_id=s) for s in ("a", "b", "c")]
+    books += [train_codebook(matrix(rng.normal(size=(40, 13)), KIND_MFCC), 8, speaker_id=s) for s in ("a", "b", "c")]
+    save_model_dir(books, model)
+    # each kind of one size, the two kinds of two sizes, as a fused model may be
+    assert [cb.centroids.shape[0] for cb in load_model_dir(model)] == [8] * 3 + [32] * 3
+    save_codebook(train_codebook(matrix(rng.normal(size=(20, 15))), 4, speaker_id="b"), model / "b.psdct.cb")
+    with pytest.raises(ValueError) as err:
+        load_model_dir(model)
+    assert str(err.value) == (
+        f"{model / 'manifest.json'}: psdct codebooks differ in size: a.psdct.cb has 32 entries, b.psdct.cb has 4"
+    )
+    # a codebook that differs in both is named for its width, which is checked first
+    save_codebook(train_codebook(matrix(rng.normal(size=(20, 12))), 4, speaker_id="b"), model / "b.psdct.cb")
+    with pytest.raises(ValueError, match="psdct codebooks differ in width: a.psdct.cb has dim 15, b.psdct.cb has dim 12$"):
+        load_model_dir(model)

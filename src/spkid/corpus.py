@@ -15,7 +15,10 @@ listing can be split by id before any audio is read.
 from __future__ import annotations
 
 import io
+import os
+import struct
 import wave
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,9 +115,10 @@ class Utterance:
         if samples.size == 0:
             raise ValueError(f"{where}: no samples")
         # checked before narrowing, which could round a value just past 1 to 1
-        peak = float(np.max(np.abs(samples)))  # NaN if any sample is NaN
-        if not np.isfinite(peak):
+        low, high = float(samples.min()), float(samples.max())  # NaN if any sample is NaN
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError(f"{where}: samples must be finite")
+        peak = max(-low, high)
         if peak > 1.0:
             raise ValueError(f"{where}: samples exceed [-1, 1] (peak {peak})")
         object.__setattr__(self, "samples", np.array(samples, dtype=np.float32, order="C"))
@@ -151,10 +155,15 @@ class UtteranceFile:
     def read(self) -> Utterance:
         """The wav plus its ``.phn`` (or ``.PHN``) labels and optional ``.gci`` epochs."""
         samples, rate = _read_pcm(self.path)
-        phn_paths = (self.path.with_suffix(".phn"), self.path.with_suffix(".PHN"))
-        segments = next((parse_phn(p) for p in phn_paths if p.exists()), None)
-        gci_path = self.path.with_suffix(".gci")
-        impulses = _parse_gci(gci_path) if gci_path.exists() else None
+        # each sibling is opened once, unchecked beforehand: one that is not there is absent
+        stem = os.path.splitext(self.path)[0]
+        segments = impulses = None
+        for phn in (stem + ".phn", stem + ".PHN"):
+            with suppress(FileNotFoundError):
+                segments = parse_phn(phn)
+                break
+        with suppress(FileNotFoundError):
+            impulses = _parse_gci(stem + ".gci")
         return Utterance(samples, rate, self.speaker_id, self.utterance_id, segments, impulses)
 
 
@@ -189,32 +198,61 @@ class SpeakerSplit:
 
 
 def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
-    """float32 samples (scaled by 1/32768) and sample rate of a RIFF/WAVE PCM 16-bit mono file."""
+    """float32 samples (scaled by 1/32768) and sample rate of a RIFF/WAVE PCM 16-bit mono file.
+
+    The file is read in one call and its chunks walked as the standard
+    library's ``wave`` walks them, with its messages: no chunk reaches past
+    the RIFF size, an odd-sized chunk is followed by a pad byte, ``fmt ``
+    must come before ``data`` and the walk stops at ``data``.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == b"NIST":
+        data = fh.read()
+    if data[:4] == b"NIST":
         raise UnsupportedWavError(
             f"{path}: NIST SPHERE container; convert to RIFF/WAVE (e.g. with sph2pipe) first"
         )
-    if head != b"RIFF":
+    if data[:4] != b"RIFF":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getcomptype() != "NONE":
-                raise UnsupportedWavError(f"{path}: compressed WAV ({wf.getcomptype()}) not supported, need PCM")
-            if wf.getnchannels() != 1:
-                raise UnsupportedWavError(f"{path}: {wf.getnchannels()} channels, need mono")
-            if wf.getsampwidth() != 2:
-                raise UnsupportedWavError(f"{path}: {8 * wf.getsampwidth()}-bit samples, need 16-bit")
-            rate, frames = wf.getframerate(), wf.getnframes()
-            raw = wf.readframes(frames)
-    except wave.Error as exc:
-        raise MalformedWavError(f"{path}: {exc}") from exc
-    except EOFError:  # wave's bare error for a file that ends inside a chunk header
-        raise MalformedWavError(f"{path}: file ends inside its header") from None
-    if len(raw) != 2 * frames:
-        raise MalformedWavError(f"{path}: file ends inside its data chunk ({len(raw)} of {2 * frames} bytes)")
-    return np.frombuffer(raw, "<i2") / np.float32(PCM_SCALE), rate  # exact: k/32768 fits float32
+    if len(data) < 8:
+        raise MalformedWavError(f"{path}: file ends inside its header")
+    end = min(len(data), 8 + int.from_bytes(data[4:8], "little"))
+    if data[8:min(12, end)] != b"WAVE":
+        raise MalformedWavError(f"{path}: not a WAVE file")
+    fmt, pos = None, 12
+    while pos + 8 <= end:
+        name, size = struct.unpack_from("<4sI", data, pos)
+        pos += 8
+        if name == b"fmt ":
+            fields = data[pos:min(pos + size, end)]
+            if len(fields) < 14:
+                raise MalformedWavError(f"{path}: file ends inside its header")
+            tag, channels, rate = struct.unpack_from("<HHI", fields)
+            if tag != 1:
+                raise MalformedWavError(f"{path}: unknown format: {tag}")
+            if len(fields) < 16:
+                raise MalformedWavError(f"{path}: file ends inside its header")
+            width = (struct.unpack_from("<H", fields, 14)[0] + 7) // 8
+            if not width:
+                raise MalformedWavError(f"{path}: bad sample width")
+            if not channels:
+                raise MalformedWavError(f"{path}: bad # of channels")
+            fmt = channels, rate, width
+        elif name == b"data":
+            if fmt is None:
+                raise MalformedWavError(f"{path}: data chunk before fmt chunk")
+            break
+        pos += size + (size & 1)
+    else:
+        raise MalformedWavError(f"{path}: fmt chunk and/or data chunk missing")
+    channels, rate, width = fmt
+    if channels != 1:
+        raise UnsupportedWavError(f"{path}: {channels} channels, need mono")
+    if width != 2:
+        raise UnsupportedWavError(f"{path}: {8 * width}-bit samples, need 16-bit")
+    frames = size // 2
+    if pos + 2 * frames > end:
+        raise MalformedWavError(f"{path}: file ends inside its data chunk ({end - pos} of {2 * frames} bytes)")
+    return np.frombuffer(data, "<i2", frames, pos) / np.float32(PCM_SCALE), rate  # exact: k/32768 fits float32
 
 
 def write_wav(path, samples, sample_rate: int) -> None:

@@ -454,7 +454,8 @@ def score_report(
     """Rank each ``test[speaker, kind]`` against every codebook of ``books[kind][size]``, then fuse.
 
     Kinds and sizes come in the order of ``books``, and speakers in the order
-    of the keys of ``test``. When ``books`` holds both kinds, every size is
+    of the keys of ``test``. When ``books`` holds both kinds, it must hold
+    them at the same sizes (checked before any trial is scored), and every size is
     fused with ``weights`` where given (``spkid identify``'s measured
     accuracies); otherwise each size's fusion weight is derived from the two
     systems' accuracies measured in this same report (the closed-loop
@@ -462,6 +463,11 @@ def score_report(
     not fused. The trials are shared out among the CPUs, one per unit of
     ``_parallel_map``; the fusion runs in the calling process.
     """
+    if KIND_PSDCT in books and KIND_MFCC in books and set(books[KIND_PSDCT]) != set(books[KIND_MFCC]):
+        raise ValueError(
+            f"fusion needs both kinds at the same codebook sizes: "
+            f"{KIND_PSDCT} {list(books[KIND_PSDCT])}, {KIND_MFCC} {list(books[KIND_MFCC])}"
+        )
     speakers = list(dict.fromkeys(spk for spk, _ in test))
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
 

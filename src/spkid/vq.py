@@ -247,11 +247,11 @@ def load_model_dir(model_dir) -> list[Codebook]:
     """
     model_dir = Path(model_dir)
     manifest_path = model_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ValueError(f"{model_dir}: no {MANIFEST_NAME}; not a model directory")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+    except (FileNotFoundError, NotADirectoryError):  # opened unchecked: no manifest, or no directory
+        raise ValueError(f"{model_dir}: no {MANIFEST_NAME}; not a model directory") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{manifest_path}: not a valid JSON manifest: {exc}") from None
     version = manifest.get("version") if isinstance(manifest, dict) else None

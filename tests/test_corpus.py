@@ -1,5 +1,9 @@
+import builtins
+import collections
 import dataclasses
 import io
+import os
+import struct
 import wave
 
 import numpy as np
@@ -159,6 +163,46 @@ def test_load_wav_rejects_a_cut_inside_the_data(cut, tmp_path):
     assert str(err.value) == f"{path}: file ends inside its data chunk ({2000 - cut} of 2000 bytes)"
 
 
+def riff(*chunks, size=None):
+    """A RIFF/WAVE file of the given (name, body) chunks, each odd body padded; ``size`` overrides the RIFF size."""
+    body = b"WAVE" + b"".join(
+        name + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1) for name, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body) if size is None else size) + body
+
+
+FMT = (b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16))
+DATA = (b"data", struct.pack("<3h", 0, 16384, -16384))
+
+
+@pytest.mark.parametrize(
+    "chunks, riff_size, message",
+    [
+        ([(b"LIST", b"odd"), FMT, DATA], None, None),  # a pad byte follows the odd chunk
+        ([FMT, DATA, (b"LIST", b"odd")], None, None),  # chunks after the data are not read
+        ([FMT, DATA], 4 + 8 + 16, "fmt chunk and/or data chunk missing"),  # the RIFF ends before the data
+        # the odd chunk's pad byte runs past the RIFF size, where wave raised a bare RuntimeError
+        ([(b"LIST", b"odd"), FMT, DATA], 4 + 8 + 3, "fmt chunk and/or data chunk missing"),
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 0, 16000, 0, 0, 16)), DATA], None, "bad # of channels"),
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 0, 0, 0)), DATA], None, "bad sample width"),
+        ([DATA, FMT], None, "data chunk before fmt chunk"),
+        ([FMT], None, "fmt chunk and/or data chunk missing"),
+        ([(b"LIST", b"odd")], None, "fmt chunk and/or data chunk missing"),
+        ([(b"fmt ", FMT[1][:14]), DATA], None, "file ends inside its header"),  # PCM needs 16 bytes
+        ([(b"fmt ", struct.pack("<HHIIH", 0xFFFE, 1, 16000, 32000, 2)), DATA], None, "unknown format: 65534"),
+    ],
+)
+def test_load_wav_walks_the_chunks_as_wave_does(chunks, riff_size, message, tmp_path):
+    path = tmp_path / "w.wav"
+    path.write_bytes(riff(*chunks, size=riff_size))
+    if message is None:
+        assert read_wav(path).samples.tolist() == [0.0, 0.5, -0.5]
+    else:
+        with pytest.raises(MalformedWavError) as err:
+            read_wav(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_wav_rejects_stereo(tmp_path):
     path = tmp_path / "st.wav"
     write_raw_wav(path, [0, 0, 0, 0], channels=2)
@@ -179,8 +223,6 @@ def test_load_wav_rejects_8bit(tmp_path):
 
 def test_load_wav_rejects_float_format(tmp_path):
     # hand-rolled RIFF with IEEE-float format code 3
-    import struct
-
     data = struct.pack("<4f", 0.0, 0.1, -0.1, 0.2)
     fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
     body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
@@ -465,6 +507,30 @@ def test_load_corpus_reads_every_listed_file(tmp_path, timit_tree):
         assert len(loaded) == len(files) > 0
         for utt, f in zip(loaded, files):
             _same_utterance(utt, f.read())
+
+
+def test_reading_a_file_opens_each_file_once_and_stats_none(tmp_path, timit_tree, monkeypatch):
+    save_corpus(synth_corpus(2, 1, seed=3), tmp_path)
+    [synth, *_] = list_corpus(tmp_path)
+    timit = next(f for f in list_timit_utterances(timit_tree[0]) if f.path.suffix == ".WAV")
+    stem = str(timit.path.with_suffix(""))
+    for f, opened in [
+        (synth, [synth.path, synth.path.with_suffix(".phn"), synth.path.with_suffix(".gci")]),
+        (timit, [timit.path, stem + ".phn", stem + ".PHN", stem + ".gci"]),  # .phn and .gci are absent
+    ]:
+        opens = collections.Counter()
+        real_open = builtins.open
+
+        def counted(file, *args, **kwargs):
+            opens[os.fspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", counted)
+            patch.setattr(os, "stat", lambda *args, **kwargs: pytest.fail(f"stat{args} was called"))
+            utt = f.read()
+        assert opens == collections.Counter(os.fspath(p) for p in opened)
+        assert utt.segments and (utt.impulses is None) == (f is timit)
 
 
 def test_plain_listing_is_the_sorted_wav_paths(tmp_path):

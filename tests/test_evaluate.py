@@ -519,6 +519,15 @@ def test_score_report_fuses_every_size_with_the_given_weights(steps8k, monkeypat
         assert [score for _, score in t.scores] == sorted(score for _, score in t.scores)
 
 
+def test_score_report_refuses_kinds_at_different_sizes_before_scoring(steps8k, monkeypatch):
+    config, test, books = steps8k
+    monkeypatch.setattr(evaluate, "_parallel_map", lambda *args: pytest.fail("a trial was scored"))
+    mixed = {"psdct": {8: books["psdct"][8]}, "mfcc": {4: books["mfcc"][4]}}
+    with pytest.raises(ValueError) as err:
+        score_report(test, mixed, config)
+    assert str(err.value) == "fusion needs both kinds at the same codebook sizes: psdct [8], mfcc [4]"
+
+
 def test_write_identify_csv_writes_each_kind_in_its_layout_in_rank_order():
     trials = [
         TrialResult("a", "psdct", 8, (("a", 1.0), ("b", 2.5)), n_vectors=7),

@@ -2,6 +2,7 @@ import json
 import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +262,16 @@ def test_model_dir_round_trip(tmp_path):
     }
     with pytest.raises(ValueError, match="manifest"):
         load_model_dir(tmp_path / "nothing-here")
+
+
+def test_model_dir_without_a_manifest_is_named_without_a_stat(tmp_path, monkeypatch):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "file").write_text("")
+    for name in ("empty", "missing", "file"):
+        with monkeypatch.context() as patch, pytest.raises(ValueError) as err:
+            patch.setattr(Path, "exists", lambda self: pytest.fail(f"exists({self}) was called"))
+            load_model_dir(tmp_path / name)
+        assert str(err.value) == f"{tmp_path / name}: no manifest.json; not a model directory"
 
 
 def test_manifest_that_is_not_json_names_the_manifest(tmp_path):

@@ -465,7 +465,7 @@ def score_report(
     """
     if KIND_PSDCT in books and KIND_MFCC in books and set(books[KIND_PSDCT]) != set(books[KIND_MFCC]):
         raise ValueError(
-            f"fusion needs both kinds at the same codebook sizes: "
+            "fusion needs both kinds at the same codebook sizes: "
             f"{KIND_PSDCT} {list(books[KIND_PSDCT])}, {KIND_MFCC} {list(books[KIND_MFCC])}"
         )
     speakers = list(dict.fromkeys(spk for spk, _ in test))

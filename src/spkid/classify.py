@@ -62,7 +62,7 @@ def cmd(test: FeatureMatrix, codebook: Codebook) -> CmdScore:
     if data.shape[1] != codebook.centroids.shape[1]:
         raise ValueError(f"dimension {data.shape[1]} does not match codebook dim {codebook.centroids.shape[1]}")
     # (centroids, vectors) layout: the minimum runs down the centroid axis, and |x|^2 goes on the n minima only
-    shifted = np.matmul(codebook.neg2_centroids, data.T)
+    shifted = np.matmul(-2.0 * codebook.centroids, data.T)
     shifted += codebook.sq_norms[:, None]
     nearest = np.min(shifted, axis=0)
     nearest += test.sq_norms

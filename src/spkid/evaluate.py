@@ -208,6 +208,8 @@ class ExperimentConfig:
             raise ValueError("coeff_counts must be a non-empty list of counts >= 1")
         if self.n_coeffs < 1:
             raise ValueError("n_coeffs must be >= 1")
+        if not 0 <= self.seed < 2**63:  # the codebook header's signed 64-bit field
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.sweep_codebook_size < 1:
             raise ValueError("sweep_codebook_size must be >= 1")
         if not self.kinds:
@@ -336,11 +338,6 @@ def psdct_features(cycles: list[PitchCycle], n_coeffs: int) -> list[FeatureVecto
     return [psdct_feature(c, n_coeffs) for c in cycles if len(c) > n_coeffs]
 
 
-def _stack(rows: list[FeatureVector], dim: int) -> np.ndarray:
-    """The rows as one C-contiguous (N, dim) float64 matrix, with one concatenate; N may be 0."""
-    return np.concatenate([r.values for r in rows]).reshape(len(rows), dim) if rows else np.empty((0, dim))
-
-
 def collect_features(utterances: list[Utterance], config: ExperimentConfig) -> dict[str, np.ndarray]:
     """One (N, dim) float64 matrix of each kind in ``config.kinds``, reading every voiced region once.
 
@@ -354,10 +351,10 @@ def collect_features(utterances: list[Utterance], config: ExperimentConfig) -> d
     for kind in config.kinds:
         if kind == KIND_PSDCT:
             rows = [f for region in regions for f in psdct_features(cycles_from_region(region), config.n_coeffs)]
-            feats[kind] = _stack(rows, config.n_coeffs)
+            feats[kind] = np.array([r.values for r in rows]).reshape(-1, config.n_coeffs)
         else:
             rows = [f for region in regions for f in mfcc_features_for_region(region, config.mfcc)]
-            feats[kind] = _stack(rows, N_MFCC)
+            feats[kind] = np.array([r.values for r in rows]).reshape(-1, N_MFCC)
     return feats
 
 
@@ -538,10 +535,9 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
 
     Each K is then one unit of a second map: its codebooks and scores, then
     its two ``mec`` calls over the pooled cycles. The smallest K comes first,
-    so this process makes both kinds of call whatever the number of CPUs, and
-    a codebook size too large for any K fails with the smallest K's error (its
-    rows have the fewest distinct values). The other K follow from the largest
-    down: a larger K costs more, so this evens out the strides, where
+    so a codebook size too large for any K fails with the smallest K's error
+    (its rows have the fewest distinct values). The other K follow from the
+    largest down: a larger K costs more, so this evens out the strides, where
     ascending order would give this process K = 10, 20, 30 and 40 of 10..40
     on two CPUs. The rows, in ascending K, are the same for any number of
     processes.
@@ -556,7 +552,7 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
         cycles = [c for c in collect_cycles(split.train_utterances, voiced_set) if len(c) > max_k]
         if not cycles:
             raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
-        return cycles, _stack(psdct_features(cycles, max_k), max_k)
+        return cycles, np.array([r.values for r in psdct_features(cycles, max_k)]).reshape(-1, max_k)
 
     collected = _parallel_map(training, splits)
     train_rows = {

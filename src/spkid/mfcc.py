@@ -79,7 +79,7 @@ def mfcc_feature(frame, sample_rate: int, config: MfccConfig = MfccConfig()) -> 
     energies = mel_filterbank(sample_rate, n_fft) @ power
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = dct2(log_energies)
-    return FeatureVector(coeffs[:N_MFCC].copy())
+    return FeatureVector(coeffs[:N_MFCC])
 
 
 def mfcc_features_for_region(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> list[FeatureVector]:

@@ -55,13 +55,6 @@ class Codebook:
         object.__setattr__(self, "centroids", centroids)
 
     @cached_property
-    def neg2_centroids(self) -> np.ndarray:
-        """``-2.0 * centroids``, read-only: taken once for every ``cmd`` against this codebook."""
-        terms = -2.0 * self.centroids
-        terms.flags.writeable = False
-        return terms
-
-    @cached_property
     def sq_norms(self) -> np.ndarray:
         """``np.sum(centroids**2, axis=1)``, read-only: taken once for every ``cmd`` against this codebook."""
         norms = np.sum(self.centroids**2, axis=1)
@@ -225,14 +218,51 @@ def load_codebook(path) -> Codebook:
         raise ValueError(f"{path}: {e}") from None
 
 
+def _check_names(names: list, where) -> None:
+    """Refuse an entry that is not a bare file name in the model directory: one with a directory part, ``.`` or ``..``."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"{where}: codebook entry {i} is not a file name")
+
+
+def _check_model(names: list[str], codebooks: list[Codebook], where) -> None:
+    """Refuse codebooks that cannot be scored as one model; the error names ``where`` and both files.
+
+    One speaker may have one codebook of each kind, and the codebooks of one
+    kind must share one width, then one size.
+    """
+    owner, shape = {}, {}
+    for i, (name, cb) in enumerate(zip(names, codebooks)):
+        if (first := owner.setdefault((cb.speaker_id, cb.kind), i)) != i:
+            raise ValueError(f"{where}: two {cb.kind} codebooks of {cb.speaker_id}: {names[first]}, {name}")
+        k, dim = cb.centroids.shape
+        first_name, (first_k, first_dim) = shape.setdefault(cb.kind, (name, (k, dim)))
+        if dim != first_dim:
+            raise ValueError(
+                f"{where}: {cb.kind} codebooks differ in width: "
+                f"{first_name} has dim {first_dim}, {name} has dim {dim}"
+            )
+        if k != first_k:
+            raise ValueError(
+                f"{where}: {cb.kind} codebooks differ in size: "
+                f"{first_name} has {first_k} entries, {name} has {k}"
+            )
+
+
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
-    """One file per speaker per kind, plus a manifest listing the file names in (kind, speaker) order."""
+    """One file per speaker per kind, plus a manifest listing the file names in (kind, speaker) order.
+
+    A list that ``load_model_dir`` would refuse once written is refused, with
+    its message, before the directory is made or any file written.
+    """
     model_dir = Path(model_dir)
+    codebooks = sorted(codebooks, key=lambda c: (c.kind, c.speaker_id))
+    files = [f"{cb.speaker_id}.{cb.kind}.cb" for cb in codebooks]
+    _check_names(files, model_dir)
+    _check_model(files, codebooks, model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for cb in sorted(codebooks, key=lambda c: (c.kind, c.speaker_id)):
-        files.append(f"{cb.speaker_id}.{cb.kind}.cb")
-        save_codebook(cb, model_dir / files[-1])
+    for cb, name in zip(codebooks, files):
+        save_codebook(cb, model_dir / name)
     with open(model_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump({"version": MANIFEST_VERSION, "codebooks": files}, fh, indent=2)
         fh.write("\n")
@@ -241,9 +271,9 @@ def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
 def load_model_dir(model_dir) -> list[Codebook]:
     """Every codebook the manifest lists, in its order; each file's own header says whose it is and what kind.
 
-    One speaker may have one codebook of each kind, and the codebooks of one
-    kind must share one width, then one size; otherwise the error names the
-    manifest and both files.
+    Every entry must be a bare file name, checked before any codebook is
+    read; the codebooks are then checked by ``_check_model``, whose errors
+    name the manifest.
     """
     model_dir = Path(model_dir)
     manifest_path = model_dir / MANIFEST_NAME
@@ -259,24 +289,7 @@ def load_model_dir(model_dir) -> list[Codebook]:
         raise ValueError(f"{manifest_path}: manifest version {version}, not {MANIFEST_VERSION}; train the model again")
     if not isinstance(files := manifest.get("codebooks"), list):
         raise ValueError(f"{manifest_path}: no codebook list")
-    codebooks, owner, shape = [], {}, {}
-    for i, name in enumerate(files):
-        if not isinstance(name, str):
-            raise ValueError(f"{manifest_path}: codebook entry {i} is not a file name")
-        cb = load_codebook(model_dir / name)
-        if (first := owner.setdefault((cb.speaker_id, cb.kind), i)) != i:
-            raise ValueError(f"{manifest_path}: two {cb.kind} codebooks of {cb.speaker_id}: {files[first]}, {name}")
-        k, dim = cb.centroids.shape
-        first_name, (first_k, first_dim) = shape.setdefault(cb.kind, (name, (k, dim)))
-        if dim != first_dim:
-            raise ValueError(
-                f"{manifest_path}: {cb.kind} codebooks differ in width: "
-                f"{first_name} has dim {first_dim}, {name} has dim {dim}"
-            )
-        if k != first_k:
-            raise ValueError(
-                f"{manifest_path}: {cb.kind} codebooks differ in size: "
-                f"{first_name} has {first_k} entries, {name} has {k}"
-            )
-        codebooks.append(cb)
+    _check_names(files, manifest_path)
+    codebooks = [load_codebook(model_dir / name) for name in files]
+    _check_model(files, codebooks, manifest_path)
     return codebooks

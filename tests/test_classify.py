@@ -46,12 +46,10 @@ def test_cmd_matches_brute_force():
 def test_codebook_scoring_terms_are_cached_and_read_only():
     rng = np.random.default_rng(1)
     cb = book(rng.normal(size=(8, 15)))
-    assert np.array_equal(cb.neg2_centroids, -2.0 * cb.centroids)
     assert np.array_equal(cb.sq_norms, np.sum(cb.centroids**2, axis=1))
-    assert cb.neg2_centroids is cb.neg2_centroids and cb.sq_norms is cb.sq_norms
-    for terms in (cb.neg2_centroids, cb.sq_norms):
-        with pytest.raises(ValueError, match="read-only"):
-            terms[0] = 0.0
+    assert cb.sq_norms is cb.sq_norms
+    with pytest.raises(ValueError, match="read-only"):
+        cb.sq_norms[0] = 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 15])

@@ -371,6 +371,18 @@ def test_sweep_rejects_codebook_size_below_one_before_extracting(size, corpus_di
                        "sweep_codebook_size must be >= 1")
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_seed_the_codebook_file_cannot_hold_is_rejected_before_extracting(
+    command, seed, corpus_dir, tmp_path, no_extraction, capsys
+):
+    argv = [command, "--corpus", str(corpus_dir), "--seed", seed]
+    if command == "train":
+        argv += ["--model-dir", str(tmp_path / "m")]
+    assert_input_error(capsys, argv, f"seed must be in [0, 2**63), got {seed}\n")
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
 def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, tmp_path, no_extraction, capsys):
     argv = [command, "--corpus", str(corpus_dir), "--coeffs", "0"]

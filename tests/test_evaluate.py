@@ -2,6 +2,7 @@ import dataclasses
 import io
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ def test_config_validation():
         ExperimentConfig(n_coeffs=0)
     with pytest.raises(ValueError, match="^sweep_codebook_size must be >= 1$"):
         ExperimentConfig(sweep_codebook_size=0)
+    for seed in (-1, 2**63):  # the codebook header holds the seed as a signed 64-bit field
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**63), got {seed}") + "$"):
+            ExperimentConfig(seed=seed)
+    assert [ExperimentConfig(seed=seed).seed for seed in (0, 2**63 - 1)] == [0, 2**63 - 1]
     with pytest.raises(ValueError, match="^codebook_sizes must list each value once, got 8,16,8$"):
         ExperimentConfig(codebook_sizes=(8, 16, 8))
     with pytest.raises(ValueError, match="^coeff_counts must list each value once, got 10,10$"):

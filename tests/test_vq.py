@@ -323,6 +323,43 @@ def test_model_dir_rejects_codebooks_of_one_kind_that_differ_in_width(tmp_path):
     assert [cb.centroids.shape[1] for cb in load_model_dir(model)] == [13, 15]
 
 
+def test_model_dir_rejects_a_manifest_entry_that_is_not_a_bare_file_name(tmp_path):
+    rng = np.random.default_rng(10)
+    other, model = tmp_path / "other", tmp_path / "model"
+    save_model_dir([train_codebook(matrix(rng.normal(size=(20, 3))), 4, speaker_id="spk00")], other)
+    save_model_dir([train_codebook(matrix(rng.normal(size=(20, 3))), 4, speaker_id="spk01")], model)
+    (model / "sub").mkdir()
+    (model / "sub" / "spk00.psdct.cb").write_bytes((other / "spk00.psdct.cb").read_bytes())
+    manifest = model / "manifest.json"
+    outside = ["../other/spk00.psdct.cb", str(other / "spk00.psdct.cb"), "sub/spk00.psdct.cb", "./spk01.psdct.cb"]
+    for name in [*outside, ".", "..", ""]:
+        manifest.write_text(json.dumps({"version": 2, "codebooks": ["spk01.psdct.cb", name]}))
+        with pytest.raises(ValueError) as err:
+            load_model_dir(model)
+        assert str(err.value) == f"{manifest}: codebook entry 1 is not a file name"
+
+
+@pytest.mark.parametrize("shapes, speakers, message", [
+    ([(8, 3), (4, 3)], ["spk00", "spk00"], "two psdct codebooks of spk00: spk00.psdct.cb, spk00.psdct.cb"),
+    ([(4, 3), (4, 2)], ["spk00", "spk01"], "psdct codebooks differ in width: spk00.psdct.cb has dim 3, spk01.psdct.cb has dim 2"),
+    ([(8, 3), (4, 3)], ["spk00", "spk01"], "psdct codebooks differ in size: spk00.psdct.cb has 8 entries, spk01.psdct.cb has 4"),
+    ([(4, 3)], ["../spk00"], "codebook entry 0 is not a file name"),
+])
+@pytest.mark.parametrize("exists", [False, True])
+def test_save_model_dir_refuses_what_load_model_dir_would_before_writing(shapes, speakers, message, exists, tmp_path):
+    rng = np.random.default_rng(12)
+    books = [
+        train_codebook(matrix(rng.normal(size=(20, dim))), k, speaker_id=spk) for (k, dim), spk in zip(shapes, speakers)
+    ]
+    model = tmp_path / "model"
+    if exists:
+        model.mkdir()
+    with pytest.raises(ValueError) as err:
+        save_model_dir(books, model)
+    assert str(err.value) == f"{model}: {message}"
+    assert sorted(tmp_path.rglob("*")) == ([model] if exists else [])
+
+
 def reference_kmeanspp(data, k, seed):
     """k-means++ seeding with one rng.choice draw per step, which kmeanspp_seeds must match row for row."""
     rng = np.random.default_rng(seed)

@@ -219,7 +219,7 @@ def load_codebook(path) -> Codebook:
 
 
 def _check_names(names: list, where) -> None:
-    """Refuse an entry that is not a bare file name in the model directory: one with a directory part, ``.`` or ``..``."""
+    """Refuse an entry that is not a bare file name in the model directory: a directory part, ``.`` or ``..``."""
     for i, name in enumerate(names):
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"{where}: codebook entry {i} is not a file name")

@@ -365,6 +365,25 @@ def collect_mfcc_features(
     return FeatureMatrix(collect_features(utterances, experiment)[KIND_MFCC], KIND_MFCC)
 
 
+def _rates(utterances: list[Utterance]) -> list[tuple[int, str]]:
+    """Each utterance's sample rate and ``speaker/utterance`` name, for ``_check_one_rate``."""
+    return [(u.sample_rate, f"{u.speaker_id}/{u.utterance_id}") for u in utterances]
+
+
+def _check_one_rate(rates) -> None:
+    """Refuse ``(rate, name)`` pairs of more than one sample rate, naming the first utterance at each in order.
+
+    The MFCC filterbank spans 0 to half the sample rate, so rows from two
+    rates describe different bands.
+    """
+    first: dict[int, str] = {}
+    for rate, name in rates:
+        first.setdefault(rate, name)
+    if len(first) > 1:
+        named = ", ".join(f"{name} at {rate} Hz" for rate, name in first.items())
+        raise ValueError(f"utterances at more than one sample rate: {named}")
+
+
 def split_features(
     splits: list[SpeakerSplit], config: ExperimentConfig, role: str
 ) -> dict[tuple[str, str], FeatureMatrix]:
@@ -373,26 +392,26 @@ def split_features(
     The splits are shared out among the CPUs, one speaker per unit of
     ``_parallel_map``; the matrices are the same for any number of processes.
     Each matrix is checked here, in the calling process, once, for every
-    codebook and score that uses it. Raises, for the first such speaker in
-    order, if a speaker has no vectors of a kind. The splits may list files
+    codebook and score that uses it. Raises if the role's utterances are at
+    more than one sample rate, then, for the first such speaker in order, if
+    a speaker has no vectors of a kind. The splits may list files
     (``UtteranceFile``): those of one role are read a speaker at a time, and
     a speaker's audio is released before the same process opens the next
     speaker's files, so each process holds at most one speaker's audio.
     """
 
-    def collect(split: SpeakerSplit) -> dict[str, np.ndarray]:
-        utts = {"training": split.train_utterances, "test": split.test_utterances}[role]
-        feats = collect_features([u.read() for u in utts], config)
+    def collect(split: SpeakerSplit) -> tuple[list[tuple[int, str]], dict[str, np.ndarray]]:
+        utts = [u.read() for u in {"training": split.train_utterances, "test": split.test_utterances}[role]]
+        return _rates(utts), collect_features(utts, config)
+
+    collected = _parallel_map(collect, splits)
+    _check_one_rate(pair for rates, _ in collected for pair in rates)
+    out = {}
+    for i, split in enumerate(splits):
+        (_, feats), collected[i] = collected[i], None  # a speaker's collected rows go once its copies are checked
         for kind in config.kinds:
             if not len(feats[kind]):
                 raise ValueError(f"speaker {split.speaker_id}: no {kind} {role} vectors")
-        return feats
-
-    collected = _parallel_map(collect, splits)
-    out = {}
-    for i, split in enumerate(splits):
-        feats, collected[i] = collected[i], None  # a speaker's collected rows go once its copies are checked
-        for kind in config.kinds:
             out[split.speaker_id, kind] = FeatureMatrix(feats[kind], kind)
     return out
 
@@ -527,11 +546,12 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     The training side is shared out among the CPUs one speaker per unit of
     ``_parallel_map``, as ``split_features`` shares out the test side: a unit
     takes the speaker's kept cycles from ``collect_cycles``, so each training
-    file is read once, and returns them with their rows. It raises, as
-    ``split_features``' unit does, if the speaker has none. This process
-    builds the training matrices from the rows and pools the cycles, in split
-    order, for ``mec``; a worker's cycles come back as copies, which give
-    ``mec`` the same bits as views.
+    file is read once, and returns them with their rows. This process then
+    raises, as ``split_features`` does, if the training utterances are at
+    more than one sample rate or a speaker has no kept cycle. It builds the
+    training matrices from the rows and pools the cycles, in split order,
+    for ``mec``; a worker's cycles come back as copies, which give ``mec``
+    the same bits as views.
 
     Each K is then one unit of a second map: its codebooks and scores, then
     its two ``mec`` calls over the pooled cycles. The smallest K comes first,
@@ -547,18 +567,20 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     ks = sorted(config.coeff_counts)
     max_k = ks[-1]
 
-    def training(split: SpeakerSplit) -> tuple[list[PitchCycle], np.ndarray]:
-        """The speaker's training cycles longer than max_k, and their (N, max_k) rows."""
-        cycles = [c for c in collect_cycles(split.train_utterances, voiced_set) if len(c) > max_k]
-        if not cycles:
-            raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
-        return cycles, np.array([r.values for r in psdct_features(cycles, max_k)]).reshape(-1, max_k)
+    def training(split: SpeakerSplit) -> tuple[list[tuple[int, str]], list[PitchCycle], np.ndarray]:
+        """The speaker's training rates, its training cycles longer than max_k, and their (N, max_k) rows."""
+        utts = [u.read() for u in split.train_utterances]
+        cycles = [c for c in collect_cycles(utts, voiced_set) if len(c) > max_k]
+        return _rates(utts), cycles, np.array([r.values for r in psdct_features(cycles, max_k)]).reshape(-1, max_k)
 
     collected = _parallel_map(training, splits)
-    train_rows = {
-        (split.speaker_id, KIND_PSDCT): FeatureMatrix(rows, KIND_PSDCT) for split, (_, rows) in zip(splits, collected)
-    }
-    pooled = [c for cycles, _ in collected for c in cycles]
+    _check_one_rate(pair for rates, _, _ in collected for pair in rates)
+    train_rows = {}
+    for split, (_, cycles, rows) in zip(splits, collected):
+        if not cycles:
+            raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
+        train_rows[split.speaker_id, KIND_PSDCT] = FeatureMatrix(rows, KIND_PSDCT)
+    pooled = [c for _, cycles, _ in collected for c in cycles]
     del collected  # the rows live on in the checked copies; freed before the next maps fork
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
     test_rows = split_features(splits, sweep, "test")

@@ -28,12 +28,23 @@ class FeatureVector:
     values: np.ndarray
 
 
+def checked_matrix(matrix, what: str) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``matrix``, checked 2-D, non-empty and finite; errors name ``what``."""
+    m = np.array(matrix, dtype=np.float64, order="C")
+    if m.ndim != 2 or 0 in m.shape:
+        raise ValueError(f"{what} must be a non-empty 2-D matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """One speaker's features of one kind: a checked, read-only, C-contiguous (N, dim) float64 matrix.
 
-    The constructor copies the matrix and checks the copy once (2-D,
-    non-empty, finite), so its consumers (``train_codebook``,
+    The constructor copies the matrix and checks the copy once
+    (``checked_matrix``), so its consumers (``train_codebook``,
     ``kmeanspp_seeds``, ``cmd``) check nothing per call. The copy is read-only
     and no caller holds it, so the check, and the row norms ``sq_norms`` that
     ``cmd`` takes from it, hold for every later use.
@@ -44,17 +55,7 @@ class FeatureMatrix:
     kind: str
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64, order="C")
-        if m.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got shape {m.shape}")
-        if not m.shape[0]:
-            raise ValueError("empty vector list")
-        if not m.shape[1]:
-            raise ValueError("feature values must be a non-empty 1-D vector")
-        if not np.isfinite(m).all():
-            raise ValueError("feature values must be finite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", checked_matrix(self.matrix, "feature matrix"))
 
     @cached_property
     def sq_norms(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .psdct import FeatureMatrix
+from .psdct import FeatureMatrix, checked_matrix
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +46,7 @@ class Codebook:
     train_vector_count: int
 
     def __post_init__(self):
-        centroids = np.array(self.centroids, dtype=np.float64, order="C")
-        if centroids.ndim != 2 or 0 in centroids.shape:
-            raise ValueError(f"centroids must be a non-empty 2-D matrix, got shape {centroids.shape}")
-        if not np.isfinite(centroids).all():
-            raise ValueError("centroids must be finite")
-        centroids.flags.writeable = False
-        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "centroids", checked_matrix(self.centroids, "centroids"))
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
@@ -179,17 +173,25 @@ def train_codebook(
     )
 
 
+def _codebook_bytes(codebook: Codebook, where) -> bytes:
+    """A codebook file's bytes: versioned header + centroids as little-endian float64; refusals name ``where``."""
+    seed, count = codebook.seed, codebook.train_vector_count
+    try:
+        text = [s.encode("utf-8") for s in (codebook.kind, codebook.speaker_id)]
+        header = struct.pack("<IIIqQ", CODEBOOK_VERSION, *codebook.centroids.shape, seed, count)
+    except UnicodeEncodeError:
+        got = f"{codebook.kind!r}, {codebook.speaker_id!r}"
+        raise ValueError(f"{where}: kind and speaker id must be UTF-8 text, got {got}") from None
+    except struct.error:
+        bounds = "must be in [-2**63, 2**63) and [0, 2**64)"
+        raise ValueError(f"{where}: seed {seed} and vector count {count} {bounds}") from None
+    lengths_and_text = [struct.pack("<I", len(t)) + t for t in text]
+    return b"".join([CODEBOOK_MAGIC, header, *lengths_and_text, codebook.centroids.astype("<f8").tobytes()])
+
+
 def save_codebook(codebook: Codebook, path) -> None:
-    """Binary format: versioned header + centroids as little-endian float64."""
-    kind_b = codebook.kind.encode("utf-8")
-    spk_b = codebook.speaker_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<IIIqQ", CODEBOOK_VERSION, *codebook.centroids.shape,
-                             codebook.seed, codebook.train_vector_count))
-        fh.write(struct.pack("<I", len(kind_b)) + kind_b)
-        fh.write(struct.pack("<I", len(spk_b)) + spk_b)
-        fh.write(np.ascontiguousarray(codebook.centroids, dtype="<f8").tobytes())
+    """Write ``_codebook_bytes``, built whole before ``path`` is opened, so a refused codebook writes nothing."""
+    Path(path).write_bytes(_codebook_bytes(codebook, path))
 
 
 def load_codebook(path) -> Codebook:
@@ -252,17 +254,19 @@ def _check_model(names: list[str], codebooks: list[Codebook], where) -> None:
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
     """One file per speaker per kind, plus a manifest listing the file names in (kind, speaker) order.
 
-    A list that ``load_model_dir`` would refuse once written is refused, with
-    its message, before the directory is made or any file written.
+    A list that ``load_model_dir`` would refuse once written, or a codebook
+    that its file cannot hold, is refused, with its message, before the
+    directory is made or any file written.
     """
     model_dir = Path(model_dir)
     codebooks = sorted(codebooks, key=lambda c: (c.kind, c.speaker_id))
     files = [f"{cb.speaker_id}.{cb.kind}.cb" for cb in codebooks]
     _check_names(files, model_dir)
     _check_model(files, codebooks, model_dir)
+    blobs = [_codebook_bytes(cb, model_dir / name) for cb, name in zip(codebooks, files)]
     model_dir.mkdir(parents=True, exist_ok=True)
-    for cb, name in zip(codebooks, files):
-        save_codebook(cb, model_dir / name)
+    for blob, name in zip(blobs, files):
+        (model_dir / name).write_bytes(blob)
     with open(model_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump({"version": MANIFEST_VERSION, "codebooks": files}, fh, indent=2)
         fh.write("\n")

@@ -383,6 +383,26 @@ def test_seed_the_codebook_file_cannot_hold_is_rejected_before_extracting(
     assert not (tmp_path / "m").exists()
 
 
+def test_train_refuses_a_speaker_directory_whose_name_is_not_utf8_before_writing(corpus_dir, tmp_path):
+    corpus, model = tmp_path / "corpus", tmp_path / "m"
+    shutil.copytree(corpus_dir, corpus)
+    os.rename(os.fsencode(corpus / "spk01"), os.fsencode(corpus) + b"/spk\xff")
+    # in a process of its own, whose stderr escapes the path's surrogate as Python's stderr always does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spkid.cli", "train", "--corpus", str(corpus), "--model-dir", str(model),
+         "--codebook-size", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    # the speaker id is os.fsdecode's "spk\udcff"; its MFCC codebook is the first refused, as MFCC sorts first
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"spkid train: error: {model}/spk\\udcff.mfcc.cb: kind and speaker id must be UTF-8 text, "
+        "got 'mfcc', 'spk\\udcff'\n"
+    )
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
 def test_zero_coeffs_rejected_before_extracting(command, corpus_dir, tmp_path, no_extraction, capsys):
     argv = [command, "--corpus", str(corpus_dir), "--coeffs", "0"]

@@ -2,7 +2,8 @@
 speakers or end in one error that names its cause.
 
 Every row starts from ``synth_corpus(4, 8, seed=5, sample_rate=8000)`` and
-trains codebooks of size 8. There are no noise rows yet: on this voice even
+trains codebooks of size 8; the mixed-rate rows mix it with the same call
+at 16 kHz. There are no noise rows yet: on this voice even
 0 dB white noise leaves every speaker identified, so such a row cannot fail.
 """
 
@@ -12,9 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spkid.evaluate as evaluate
+from conftest import set_workers
 from spkid import cli
-from spkid.corpus import PhoneSegment, load_corpus, max_period, save_corpus
-from spkid.evaluate import ExperimentConfig, run_experiment
+from spkid.corpus import PhoneSegment, load_corpus, max_period, save_corpus, split_speakers
+from spkid.evaluate import ExperimentConfig, run_experiment, split_features, sweep_coefficients
 from spkid.synth import SILENCE_PHONE, VOICED_PHONE, synth_corpus
 
 SR = 8000
@@ -125,3 +128,79 @@ def test_row_fails_with_one_named_error(corpus, row, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"spkid evaluate: error: {error}\n", err), err
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    return synth_corpus(4, 8, seed=5)
+
+
+def _mixed_speakers(narrow, wide):
+    """spk00 and spk01 at 16 kHz beside spk02 and spk03 at 8 kHz."""
+    return [w if w.speaker_id in ("spk00", "spk01") else n for n, w in zip(narrow, wide, strict=True)]
+
+
+def _mixed_utterances(narrow, wide):
+    """Each speaker's even-numbered utterances at 16 kHz, and its odd-numbered ones at 8 kHz."""
+    return [w if int(w.utterance_id[1:]) % 2 == 0 else n for n, w in zip(narrow, wide, strict=True)]
+
+
+MIXED_RATES = "utterances at more than one sample rate: "
+# row -> (the corpus from the 8 and 16 kHz ones, the first training and the first test utterance at each rate)
+MIXED = {
+    "speakers at two rates": (
+        _mixed_speakers, "spk00/u00 at 16000 Hz, spk02/u00 at 8000 Hz", "spk00/u06 at 16000 Hz, spk02/u06 at 8000 Hz"
+    ),
+    "utterances at two rates": (
+        _mixed_utterances, "spk00/u00 at 16000 Hz, spk00/u01 at 8000 Hz", "spk00/u06 at 16000 Hz, spk00/u07 at 8000 Hz"
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("row", MIXED)
+def test_mixed_sample_rates_are_refused_before_any_codebook(corpus, wide_corpus, row, workers, monkeypatch):
+    mix, training, test = MIXED[row]
+    utterances = mix(corpus, wide_corpus)
+    set_workers(monkeypatch, workers)
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a codebook was trained on a corpus of mixed sample rates")
+
+    monkeypatch.setattr(evaluate, "train_codebooks", tripwire)
+    # the sweep's default K up to 40 finds no 8 kHz cycle long enough; the rates are named first
+    for run in (run_experiment, sweep_coefficients):
+        with pytest.raises(ValueError) as exc:
+            run(ExperimentConfig(codebook_sizes=(SIZE,), sweep_codebook_size=SIZE), utterances=utterances)
+        assert str(exc.value) == MIXED_RATES + training
+    with pytest.raises(ValueError) as exc:
+        split_features(split_speakers(utterances), ExperimentConfig(), "test")
+    assert str(exc.value) == MIXED_RATES + test
+
+
+@pytest.fixture(scope="module")
+def narrow_model(corpus, tmp_path_factory):
+    """PS-DCT codebooks of size 8 trained on the 8 kHz corpus."""
+    root, model = tmp_path_factory.mktemp("narrow"), tmp_path_factory.mktemp("narrow-model")
+    save_corpus(corpus, root)
+    argv = ["--kind", "psdct", "--codebook-size", str(SIZE)]
+    assert cli.main(["train", "--corpus", str(root), "--model-dir", str(model), *argv]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "identify", "sweep"])
+@pytest.mark.parametrize("row", MIXED)
+def test_cli_refuses_mixed_sample_rates_with_one_line(
+    corpus, wide_corpus, narrow_model, row, command, tmp_path, capsys
+):
+    mix, training, test = MIXED[row]
+    named = test if command == "identify" else training  # identify reads the test split alone
+    save_corpus(mix(corpus, wide_corpus), tmp_path / "corpus")
+    model = narrow_model if command == "identify" else tmp_path / "model"
+    argv = [command, "--corpus", str(tmp_path / "corpus")]
+    if command in ("train", "identify"):
+        argv += ["--model-dir", str(model)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"spkid {command}: error: {MIXED_RATES}{named}\n")
+    assert not (tmp_path / "model").exists()

@@ -116,12 +116,12 @@ def test_feature_matrix_checks_its_shape_and_values():
     cb = Codebook("s", KIND_PSDCT, np.zeros((1, 2)), 42, 1)
     # a matrix holds one kind and one width, so only its shape and values can be wrong
     bad_matrices = [
-        (np.zeros((0, 2)), "empty vector list"),
-        (np.zeros((3, 0)), "feature values must be a non-empty 1-D vector"),
-        (np.zeros(4), "feature matrix must be 2-D, got shape (4,)"),
-        (np.zeros((2, 2, 2)), "feature matrix must be 2-D, got shape (2, 2, 2)"),
-        (np.array([[1.0, 2.0], [np.inf, 0.0]]), "feature values must be finite"),
-        (np.array([[1.0, np.nan], [0.0, 1.0]]), "feature values must be finite"),
+        (np.zeros((0, 2)), "feature matrix must be a non-empty 2-D matrix, got shape (0, 2)"),
+        (np.zeros((3, 0)), "feature matrix must be a non-empty 2-D matrix, got shape (3, 0)"),
+        (np.zeros(4), "feature matrix must be a non-empty 2-D matrix, got shape (4,)"),
+        (np.zeros((2, 2, 2)), "feature matrix must be a non-empty 2-D matrix, got shape (2, 2, 2)"),
+        (np.array([[1.0, 2.0], [np.inf, 0.0]]), "feature matrix must be finite"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "feature matrix must be finite"),
     ]
     for matrix, message in bad_matrices:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -358,6 +358,31 @@ def test_save_model_dir_refuses_what_load_model_dir_would_before_writing(shapes,
         save_model_dir(books, model)
     assert str(err.value) == f"{model}: {message}"
     assert sorted(tmp_path.rglob("*")) == ([model] if exists else [])
+
+
+FIELDS = "must be in [-2**63, 2**63) and [0, 2**64)"
+
+
+# "s\udcff" is what os.fsdecode gives a speaker directory named by the bytes b"s\xff"
+@pytest.mark.parametrize("speaker, kind, seed, count, message", [
+    ("s", KIND_PSDCT, 2**63, 1, f"seed 9223372036854775808 and vector count 1 {FIELDS}"),
+    ("s", KIND_PSDCT, -(2**63) - 1, 1, f"seed -9223372036854775809 and vector count 1 {FIELDS}"),
+    ("s", KIND_PSDCT, 1, 2**64, f"seed 1 and vector count 18446744073709551616 {FIELDS}"),
+    ("s", KIND_PSDCT, 1, -1, f"seed 1 and vector count -1 {FIELDS}"),
+    ("s\udcff", KIND_PSDCT, 1, 1, "kind and speaker id must be UTF-8 text, got 'psdct', 's\\udcff'"),
+    ("s", "psdct\udcff", 1, 1, "kind and speaker id must be UTF-8 text, got 'psdct\\udcff', 's'"),
+], ids=["seed-high", "seed-low", "count-high", "count-negative", "speaker-not-utf8", "kind-not-utf8"])
+def test_a_codebook_its_file_cannot_hold_is_refused_before_writing(speaker, kind, seed, count, message, tmp_path):
+    # the good codebook sorts first, so it would be written before the bad one
+    good, bad = Codebook("a", KIND_PSDCT, np.ones((2, 2)), 1, 1), Codebook(speaker, kind, np.ones((2, 2)), seed, count)
+    model = tmp_path / "model"
+    with pytest.raises(ValueError) as err:
+        save_model_dir([bad, good], model)
+    assert str(err.value) == f"{model / f'{speaker}.{kind}.cb'}: {message}"
+    with pytest.raises(ValueError) as err:
+        save_codebook(bad, tmp_path / "bad.cb")
+    assert str(err.value) == f"{tmp_path / 'bad.cb'}: {message}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def reference_kmeanspp(data, k, seed):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import wave
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,6 +256,8 @@ def _read_pcm(path: Path) -> tuple[np.ndarray, int]:
 
 def write_wav(path, samples, sample_rate: int) -> None:
     """Write samples in [-1, 1] as PCM 16-bit mono."""
+    import wave  # here, not at the top: reading a corpus does not need it
+
     samples = np.asarray(samples, dtype=np.float64)
     ints = np.clip(np.rint(samples * PCM_SCALE), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
@@ -428,11 +429,11 @@ def list_timit_utterances(root, seed: int = 42) -> list[UtteranceFile]:
     rng = np.random.default_rng(seed)
     chosen = [males[i] for i in rng.choice(len(males), size=TIMIT_MALE, replace=False)]
     chosen += [females[i] for i in rng.choice(len(females), size=TIMIT_FEMALE, replace=False)]
-    return [
+    return _utf8_names([
         UtteranceFile(spk_dir.name, wav_path.stem.lower(), wav_path)
         for spk_dir in chosen
         for wav_path in sorted(list(spk_dir.glob("*.wav")) + list(spk_dir.glob("*.WAV")))
-    ]
+    ])
 
 
 def list_corpus(root) -> list[UtteranceFile]:
@@ -454,6 +455,21 @@ def list_corpus(root) -> list[UtteranceFile]:
     files = [UtteranceFile(p.parent.name, p.stem, p) for p in sorted(root.glob("*/*.wav"))]
     if not files:
         raise CorpusError(f"no wav files found under {root}")
+    return _utf8_names(files)
+
+
+def _utf8_names(files: list[UtteranceFile]) -> list[UtteranceFile]:
+    """``files``, once each speaker directory and wav name is known to be UTF-8, as the ids are written as text.
+
+    ``os.fsdecode`` gives a name that is not UTF-8 with surrogates, which no
+    UTF-8 writer takes; refusing it here fails a command before it reads a file.
+    """
+    for f in files:
+        for path in (f.path.parent, f.path):
+            try:
+                path.name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"{path}: name is not UTF-8") from None
     return files
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import shutil
 import subprocess
@@ -394,13 +395,34 @@ def test_train_refuses_a_speaker_directory_whose_name_is_not_utf8_before_writing
          "--codebook-size", "8"],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    # the speaker id is os.fsdecode's "spk\udcff"; its MFCC codebook is the first refused, as MFCC sorts first
+    # the directory name is os.fsdecode's "spk\udcff", refused where the corpus is listed
     assert proc.returncode == 2
-    assert proc.stderr == (
-        f"spkid train: error: {model}/spk\\udcff.mfcc.cb: kind and speaker id must be UTF-8 text, "
-        "got 'mfcc', 'spk\\udcff'\n"
-    )
+    assert proc.stderr == f"spkid train: error: {corpus}/spk\\udcff: name is not UTF-8\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "train", "identify", "sweep"])
+def test_corpus_name_that_is_not_utf8_is_refused_before_any_file_is_read_or_written(
+    command, corpus_dir, fused_model, tmp_path, monkeypatch
+):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(corpus_dir, corpus)
+    bad = corpus / os.fsdecode(b"spk\xff")
+    (corpus / "spk01").rename(bad)
+    out.mkdir()
+    argv = {
+        "extract": ["--report-out", str(out / "x.csv"), "--epoch-dump", str(out / "e.csv")],
+        "evaluate": ["--report-out", str(out / "r")],
+        "train": ["--model-dir", str(out / "m")],
+        "identify": ["--model-dir", str(fused_model), "--report-out", str(out / "s.csv")],
+        "sweep": ["--report-out", str(out / "sw")],
+    }[command]
+    monkeypatch.setattr(UtteranceFile, "read", lambda self: pytest.fail(f"{self.path} was read"))
+    # the message holds the surrogate "\udcff", which capsys's strict UTF-8 stream cannot take
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main([command, "--corpus", str(corpus), *argv]) == 2
+    assert sys.stderr.getvalue() == f"spkid {command}: error: {bad}: name is not UTF-8\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])

@@ -631,3 +631,27 @@ def test_text_file_that_is_not_utf8_names_the_file(tmp_path, read, name, error):
     with pytest.raises(error) as err:
         read(path)
     assert str(err.value) == f"{path}: not UTF-8 text: invalid start byte at byte offset 2"
+
+
+@pytest.mark.parametrize("renamed", ["speaker", "wav"])
+def test_listing_refuses_a_name_that_is_not_utf8(tmp_path, renamed):
+    save_corpus(synth_corpus(2, 3, seed=3, sample_rate=8000), tmp_path)
+    old = tmp_path / "spk01" if renamed == "speaker" else tmp_path / "spk01" / "u01.wav"
+    # os.fsdecode gives the byte 0xff as the surrogate "\udcff"
+    new = old.with_name(os.fsdecode(b"spk\xff" if renamed == "speaker" else b"u\xff.wav"))
+    old.rename(new)
+    for finder in (list_corpus, load_corpus):
+        with pytest.raises(CorpusError) as err:
+            finder(tmp_path)
+        assert str(err.value) == f"{new}: name is not UTF-8"
+
+
+def test_timit_listing_refuses_a_speaker_name_that_is_not_utf8(tmp_path):
+    write_timit_tree(tmp_path, TIMIT_MALE, TIMIT_FEMALE)  # every speaker is drawn
+    old = next(tmp_path.glob("*/*/M0000"))
+    new = old.with_name(os.fsdecode(b"M\xff"))
+    old.rename(new)
+    for finder in (list_corpus, list_timit_utterances):
+        with pytest.raises(CorpusError) as err:
+            finder(tmp_path)
+        assert str(err.value) == f"{new}: name is not UTF-8"

@@ -7,10 +7,10 @@ distance, optionally fused with an MFCC system.
 
 ``import spkid`` loads no submodule: each exported name, and each submodule
 below, is imported on its first use (PEP 562), so ``spkid.load_corpus``
-loads ``spkid.corpus`` alone.
+loads ``spkid.corpus`` alone. The submodule is imported through
+``__import__``, as an import statement would, so ``python -X importtime``
+lists it.
 """
-
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -34,12 +34,13 @@ __all__ = sorted(_SOURCE)
 
 def __getattr__(name: str):
     """Import the submodule that defines ``name`` (or is ``name``) and keep the value here."""
-    if name in _SOURCE:
-        value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    elif name in _EXPORTS:
-        value = import_module(f"{__name__}.{name}")
-    else:
+    module = _SOURCE.get(name, name)
+    if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing spkid.<module> binds it in this namespace, so this getattr does not come back here
+    value = getattr(__import__(f"{__name__}.{module}"), module)
+    if name != module:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 

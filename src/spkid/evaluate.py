@@ -538,49 +538,58 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
 
     ``utterances`` may be a listing, as for ``run_experiment``. Codebook size
     is fixed (default 32). Only cycles longer than the largest requested
-    coefficient count are kept, once up front, so the energy statistics for
-    every K are computed over the same cycle set and are monotone in K by
-    construction. The training and test features are transformed once, at the
-    largest K; every smaller K keeps the first K columns of those matrices.
+    coefficient count are kept, so the energy statistics for every K are
+    computed over the same cycle set and are monotone in K by construction.
+    The training and test features are transformed once, at the largest K;
+    every smaller K keeps the first K columns of those matrices.
 
     The training side is shared out among the CPUs one speaker per unit of
-    ``_parallel_map``, as ``split_features`` shares out the test side: a unit
-    takes the speaker's kept cycles from ``collect_cycles``, so each training
-    file is read once, and returns them with their rows. This process then
-    raises, as ``split_features`` does, if the training utterances are at
-    more than one sample rate or a speaker has no kept cycle. It builds the
-    training matrices from the rows and pools the cycles, in split order,
-    for ``mec``; a worker's cycles come back as copies, which give ``mec``
-    the same bits as views.
+    ``_parallel_map``, as ``split_features`` shares out the test side. A unit
+    reads the speaker's training files once, cuts their cycles
+    (``collect_cycles``) and keeps those longer than the largest K. It makes
+    the speaker's ``mec`` calls on them, with and without the mean
+    coefficient at each K, and returns those values, the kept-cycle count
+    and the rows, but no cycle. So each process holds one speaker's audio
+    at a time, and no cycle crosses a pipe. This process then raises, as
+    ``split_features`` does, if the training utterances are at more than
+    one sample rate or a speaker has no kept cycle. Each K's MEC is the mean
+    of the speakers' values weighted by their kept-cycle counts, in split
+    order: the mean ratio over every kept cycle, as one pooled ``mec`` call
+    would give it up to its last bit.
 
-    Each K is then one unit of a second map: its codebooks and scores, then
-    its two ``mec`` calls over the pooled cycles. The smallest K comes first,
-    so a codebook size too large for any K fails with the smallest K's error
-    (its rows have the fewest distinct values). The other K follow from the
-    largest down: a larger K costs more, so this evens out the strides, where
-    ascending order would give this process K = 10, 20, 30 and 40 of 10..40
-    on two CPUs. The rows, in ascending K, are the same for any number of
-    processes.
+    Each K is then one unit of a second map: its codebooks, then its scores.
+    The smallest K comes first, so a codebook size too large for any K fails
+    with the smallest K's error (its rows have the fewest distinct values).
+    The other K follow from the largest down: a larger K costs more, so this
+    evens out the strides, where ascending order would give this process
+    K = 10, 20, 30 and 40 of 10..40 on two CPUs. The rows, in ascending K,
+    are the same for any number of processes.
     """
     voiced_set = config.effective_voiced_set()
     splits = split_speakers(utterances, config.n_train, config.n_test)
     ks = sorted(config.coeff_counts)
     max_k = ks[-1]
 
-    def training(split: SpeakerSplit) -> tuple[list[tuple[int, str]], list[PitchCycle], np.ndarray]:
-        """The speaker's training rates, its training cycles longer than max_k, and their (N, max_k) rows."""
+    def training(split: SpeakerSplit) -> tuple[list[tuple[int, str]], int, np.ndarray, np.ndarray]:
+        """The speaker's training rates, its count of cycles longer than max_k, their MEC and their (N, max_k) rows.
+
+        The MEC is one (mec_total, mec_ac) row per K, in ascending K; a
+        speaker without such cycles makes no ``mec`` call.
+        """
         utts = [u.read() for u in split.train_utterances]
         cycles = [c for c in collect_cycles(utts, voiced_set) if len(c) > max_k]
-        return _rates(utts), cycles, np.array([r.values for r in psdct_features(cycles, max_k)]).reshape(-1, max_k)
+        rows = np.array([r.values for r in psdct_features(cycles, max_k)]).reshape(-1, max_k)
+        mecs = np.array([(mec(cycles, k), mec(cycles, k, include_dc=False)) for k in ks] if cycles else [])
+        return _rates(utts), len(cycles), mecs, rows
 
     collected = _parallel_map(training, splits)
-    _check_one_rate(pair for rates, _, _ in collected for pair in rates)
+    _check_one_rate(pair for rates, _, _, _ in collected for pair in rates)
     train_rows = {}
-    for split, (_, cycles, rows) in zip(splits, collected):
-        if not cycles:
+    for split, (_, kept, _, rows) in zip(splits, collected):
+        if not kept:
             raise ValueError(f"speaker {split.speaker_id}: no {KIND_PSDCT} training vectors")
         train_rows[split.speaker_id, KIND_PSDCT] = FeatureMatrix(rows, KIND_PSDCT)
-    pooled = [c for _, cycles, _ in collected for c in cycles]
+    weighted = (sum(kept * m for _, kept, m, _ in collected) / sum(kept for _, kept, _, _ in collected)).tolist()
     del collected  # the rows live on in the checked copies; freed before the next maps fork
     sweep = replace(config, kinds=(KIND_PSDCT,), n_coeffs=max_k, codebook_sizes=(config.sweep_codebook_size,))
     test_rows = split_features(splits, sweep, "test")
@@ -588,13 +597,13 @@ def sweep_coefficients(config: ExperimentConfig, utterances: list[Utterance] | l
     def first(rows: dict[tuple[str, str], FeatureMatrix], k: int) -> dict[tuple[str, str], FeatureMatrix]:
         return {key: FeatureMatrix(m.matrix[:, :k], KIND_PSDCT) for key, m in rows.items()}
 
-    def row(k: int) -> SweepRow:
-        report = score_report(first(test_rows, k), train_codebooks(first(train_rows, k), sweep), sweep)
-        accuracy = report.accuracies[KIND_PSDCT][config.sweep_codebook_size]
-        return SweepRow(k, mec(pooled, k), mec(pooled, k, include_dc=False), accuracy)
+    def accuracy(k: int) -> float:
+        books = train_codebooks(first(train_rows, k), sweep)  # before the test slices, so k-means runs without them
+        return score_report(first(test_rows, k), books, sweep).accuracies[KIND_PSDCT][config.sweep_codebook_size]
 
-    rows = _parallel_map(row, [ks[0], *reversed(ks[1:])])
-    return [rows[0], *reversed(rows[1:])]
+    order = [ks[0], *reversed(ks[1:])]
+    accuracies = dict(zip(order, _parallel_map(accuracy, order)))
+    return [SweepRow(k, mec_total, mec_ac, accuracies[k]) for k, (mec_total, mec_ac) in zip(ks, weighted)]
 
 
 def sweep_to_markdown(rows: list[SweepRow], codebook_size: int) -> str:

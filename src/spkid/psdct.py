@@ -135,7 +135,10 @@ def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> flo
     on the cycle's scale, so cycles are not normalized. Cycles are grouped
     by length (one stable sort, so each group keeps list order) and each group
     is transformed in one product with the truncated basis, so each cycle is
-    transformed once and only coefficients 0..K are computed.
+    transformed once and only coefficients 0..K are computed. The samples
+    are copied to float64 once, in length order, and each group is a view of
+    that copy, so a call on few cycles per length pays one concatenation, not
+    one per length.
     """
     if not cycles:
         raise ValueError("empty cycle list")
@@ -145,10 +148,13 @@ def mec(cycles: list[PitchCycle], n_coeffs: int, include_dc: bool = True) -> flo
     if short.size:
         raise ValueError(f"cycle of {lengths[short[0]]} samples too short for {n_coeffs} coefficients")
     order = np.argsort(lengths, kind="stable")
+    flat = np.concatenate([samples[i] for i in order], dtype=np.float64)
     ratios = np.empty(len(cycles))
+    start = 0
     for idx in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         m = int(lengths[idx[0]])
-        x = np.concatenate([samples[i] for i in idx], dtype=np.float64).reshape(idx.size, m)
+        x = flat[start : start + idx.size * m].reshape(idx.size, m)
+        start += idx.size * m
         energy = np.einsum("ij,ij->i", x, x)
         if np.any(energy <= 0.0):
             raise ValueError("zero-energy frame; caller must filter these out")

@@ -272,29 +272,42 @@ def test_sweep_matches_per_k_reference(sample_rate):
     "n, listed", [(1, False), (2, False), (1, True), (2, True)], ids=["1", "2", "listed-1", "listed-2"]
 )
 def test_sweep_mec_is_mec_over_the_pooled_training_cycles_in_split_order(corpus8k, tmp_path, monkeypatch, n, listed):
-    # the rows come back bit for bit as mec over collect_cycles' list; speakers reversed, mec_ac moves in the last bit.
-    # Listed, the cycles a worker returns are copies of the ones it read, and must match the in-memory corpus's
+    # each speaker's unit takes mec over its own kept cycles; the rows are, bit for bit, those values weighted by
+    # the kept-cycle counts in split order, which is mec over the pooled list up to its last bit
     set_workers(monkeypatch, n)
     if listed:
         save_corpus(corpus8k, tmp_path)
     caller, seen, plain_mec = os.getpid(), [], evaluate.mec
 
+    def keys(cycles):
+        return [(c.region_id, c.start_peak, c.end_peak, c.samples.tobytes()) for c in cycles]
+
     def recording_mec(cycles, k, include_dc=True):
         if os.getpid() == caller:
-            seen.append([(c.region_id, c.start_peak, c.end_peak, c.samples.tobytes()) for c in cycles])
+            seen.append(keys(cycles))
         return plain_mec(cycles, k, include_dc=include_dc)
 
     monkeypatch.setattr(evaluate, "mec", recording_mec)
     config = ExperimentConfig(coeff_counts=(20, 10, 25), sweep_codebook_size=8, n_train=3, n_test=2)
     rows = sweep_coefficients(config, utterances=list_corpus(tmp_path) if listed else corpus8k)
     voiced = config.effective_voiced_set()
-    pooled = [
-        c for s in split_speakers(corpus8k, 3, 2) for c in collect_cycles(s.train_utterances, voiced) if len(c) > 25
-    ]
-    expected = [(k, mec(pooled, k, include_dc=True), mec(pooled, k, include_dc=False)) for k in (10, 20, 25)]
+    kept = {
+        s.speaker_id: [c for c in collect_cycles(s.train_utterances, voiced) if len(c) > 25]
+        for s in split_speakers(corpus8k, 3, 2)
+    }
+
+    def weighted(k, include_dc):
+        total = sum(len(cycles) * mec(cycles, k, include_dc=include_dc) for cycles in kept.values())
+        return total / sum(map(len, kept.values()))
+
+    expected = [(k, weighted(k, True), weighted(k, False)) for k in (10, 20, 25)]
     assert [(r.n_coeffs, r.mec_total, r.mec_ac) for r in rows] == expected
-    wanted = [(c.region_id, c.start_peak, c.end_peak, c.samples.tobytes()) for c in pooled]
-    assert seen and all(cycles == wanted for cycles in seen)
+    pooled = [c for cycles in kept.values() for c in cycles]
+    for r in rows:
+        for value, include_dc in ((r.mec_total, True), (r.mec_ac, False)):
+            assert abs(value - mec(pooled, r.n_coeffs, include_dc=include_dc)) <= 1e-15 * value
+    # this process's calls each see one of its own stride's speakers' kept cycles, whole and in list order
+    assert seen == [keys(kept[spk]) for spk in list(kept)[::n] for _ in range(2 * 3)]
 
 
 def test_collect_cycles_counts(corpus6):

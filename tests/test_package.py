@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,12 +33,19 @@ EXPORTS = {
 }
 
 
+def _run(code: str, *args: str, options: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """``code`` run to success in a new interpreter (with ``options``) that imports spkid from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def _fresh(code: str, *args: str) -> list[str]:
     """The lines ``code`` prints in a new interpreter that imports spkid from this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return _run(code, *args).stdout.splitlines()
 
 
 LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spkid'))"
@@ -47,6 +55,15 @@ def test_loading_a_corpus_imports_the_corpus_module_alone(tmp_path):
     save_corpus(synth_corpus(2, 2, seed=3, sample_rate=8000), tmp_path)
     code = f"import sys, spkid\n{LOADED}\nspkid.load_corpus(sys.argv[1])\n{LOADED}"
     assert _fresh(code, str(tmp_path)) == ["spkid", "spkid spkid.corpus"]
+
+
+def test_an_import_time_profile_lists_the_submodule_a_name_loads(tmp_path):
+    # -X importtime reports imports made through __import__, as an import statement makes them, and not
+    # those of importlib.import_module
+    save_corpus(synth_corpus(2, 2, seed=3, sample_rate=8000), tmp_path)
+    code = "import sys, spkid\nspkid.load_corpus(sys.argv[1])"
+    profile = _run(code, str(tmp_path), options=("-X", "importtime")).stderr
+    assert re.search(r"^import time: +\d+ \| +\d+ \| +spkid\.corpus$", profile, re.MULTILINE), profile
 
 
 def test_each_submodule_is_an_attribute_of_a_bare_import():

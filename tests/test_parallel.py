@@ -31,6 +31,7 @@ from spkid.evaluate import (
     train_codebooks,
     write_sweep_csv,
 )
+from spkid.gci import PitchCycle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -249,31 +250,86 @@ def test_the_sweep_caller_makes_mec_and_codebook_calls_itself(corpus_dir, monkey
     assert multiprocessing.active_children() == []
     calls = call_log.read()
     pids = {name: {pid for called, pid in calls if called == name} for name in ("mec", "train_codebook")}
-    assert [called for called, _ in calls].count("mec") == 2 * 4
+    # two mec calls per speaker and K, and one codebook per speaker and K: 4 speakers, 4 K
+    assert [called for called, _ in calls].count("mec") == 2 * 4 * 4
     assert [called for called, _ in calls].count("train_codebook") == 4 * 4
     assert os.getpid() in pids["mec"] and os.getpid() in pids["train_codebook"]
-    assert len(pids["mec"] | pids["train_codebook"]) == n
+    # the training map, then the K map, each in n processes
+    assert len(pids["mec"]) == len(pids["train_codebook"]) == n
 
 
-def _logged_by_k(log, name, fn, k_of):
-    """``fn``, logging ``((name, K), pid)`` through ``_logged`` on each call, with K = ``k_of(*args)``."""
-    return lambda *args, **kwargs: _logged(log, (name, k_of(*args)), fn)(*args, **kwargs)
+def _logged_by_key(log, name, fn, key_of):
+    """``fn``, logging ``((name, key), pid)`` through ``_logged`` on each call, with key = ``key_of(*args)``."""
+    return lambda *args, **kwargs: _logged(log, (name, key_of(*args)), fn)(*args, **kwargs)
+
+
+def _speakers(cycles) -> tuple[str, ...]:
+    """The speakers whose audio ``cycles`` were cut from, sorted (a region id starts ``<speaker>/``)."""
+    return tuple(sorted({c.region_id.split("/")[0] for c in cycles}))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_each_k_makes_its_codebook_and_mec_calls_in_one_process(corpus_dir, monkeypatch, call_log, n):
+def test_each_speaker_takes_its_mec_and_each_k_trains_its_codebooks_in_one_process(
+    corpus_dir, monkeypatch, call_log, n
+):
     set_workers(monkeypatch, n)
-    k_of = {"mec": lambda cycles, k: k, "train_codebook": lambda features, size: features.matrix.shape[1]}
-    for name, k in k_of.items():
-        monkeypatch.setattr(evaluate, name, _logged_by_k(call_log, name, getattr(evaluate, name), k))
+    key_of = {
+        "mec": lambda cycles, k: (_speakers(cycles), k),
+        "train_codebook": lambda features, size: features.matrix.shape[1],
+    }
+    for name, key in key_of.items():
+        monkeypatch.setattr(evaluate, name, _logged_by_key(call_log, name, getattr(evaluate, name), key))
     sweep_coefficients(SWEEP, utterances=list_corpus(corpus_dir))
     assert multiprocessing.active_children() == []
     calls = call_log.read()
+    speakers = [f"spk{i:02d}" for i in range(4)]
+    mec_calls = [(key, pid) for (name, key), pid in calls if name == "mec"]
+    # 2 x |K| x speakers calls, each on one speaker's cycles, and each speaker's in one process
+    wanted = [((spk,), k) for spk in speakers for k in SWEEP.coeff_counts]
+    assert sorted(key for key, _ in mec_calls) == sorted(wanted * 2)
+    for spk in speakers:
+        assert len({pid for ((spks, _), pid) in mec_calls if spks == (spk,)}) == 1
     for k in SWEEP.coeff_counts:
-        names = [name for (name, called_k), _ in calls if called_k == k]
-        assert sorted(names) == ["mec"] * 2 + ["train_codebook"] * 4
-        assert len({pid for (_, called_k), pid in calls if called_k == k}) == 1
-    assert len({pid for _, pid in calls}) == n
+        assert len([key for (name, key), _ in calls if name == "train_codebook" and key == k]) == 4
+        assert len({pid for (name, key), pid in calls if name == "train_codebook" and key == k}) == 1
+    assert all(len({pid for (called, _), pid in calls if called == name}) == n for name in key_of)
+
+
+def _cycles_in(value) -> int:
+    """How many ``PitchCycle``s ``value`` holds, looking through tuples, lists and dicts."""
+    if isinstance(value, PitchCycle):
+        return 1
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    return sum(map(_cycles_in, value)) if isinstance(value, (tuple, list)) else 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_no_sweep_cycle_crosses_processes(corpus_dir, monkeypatch, n):
+    set_workers(monkeypatch, n)
+    caller, seen, returned = os.getpid(), [], []
+    plain_mec, plain_map = evaluate.mec, evaluate._parallel_map
+
+    def recording_mec(cycles, k, include_dc=True):
+        if os.getpid() == caller:
+            seen.append(_speakers(cycles))
+        return plain_mec(cycles, k, include_dc=include_dc)
+
+    def recording_map(fn, units):
+        results = plain_map(fn, units)
+        returned.append(results)
+        return results
+
+    monkeypatch.setattr(evaluate, "mec", recording_mec)
+    monkeypatch.setattr(evaluate, "_parallel_map", recording_map)
+    files = list_corpus(corpus_dir)
+    sweep_coefficients(SWEEP, utterances=files)
+    assert multiprocessing.active_children() == []
+    # this process takes mec over its own stride's speakers alone, each speaker's cycles on their own
+    speakers = [s.speaker_id for s in split_speakers(files, SWEEP.n_train, SWEEP.n_test)]
+    assert seen == [(spk,) for spk in speakers[::n] for _ in range(2 * len(SWEEP.coeff_counts))]
+    # and no unit of any of the sweep's maps returns a cycle
+    assert len(returned) >= 2 and _cycles_in(returned) == 0
 
 
 def test_cli_train_and_identify_write_the_same_bytes_with_one_and_two_workers(

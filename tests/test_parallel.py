@@ -269,9 +269,7 @@ def _speakers(cycles) -> tuple[str, ...]:
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_each_speaker_takes_its_mec_and_each_k_trains_its_codebooks_in_one_process(
-    corpus_dir, monkeypatch, call_log, n
-):
+def test_each_speakers_mec_and_each_ks_codebooks_are_made_in_one_process(corpus_dir, monkeypatch, call_log, n):
     set_workers(monkeypatch, n)
     key_of = {
         "mec": lambda cycles, k: (_speakers(cycles), k),

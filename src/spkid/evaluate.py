@@ -384,6 +384,14 @@ def _check_one_rate(rates) -> None:
         raise ValueError(f"utterances at more than one sample rate: {named}")
 
 
+def _check_grid(matrices: dict, speakers: list[str], kinds: list[str], name: str) -> None:
+    """Refuse ``matrices`` without a (speaker, kind) key for every speaker and kind, naming the first missing pair."""
+    for spk in speakers:
+        for kind in kinds:
+            if (spk, kind) not in matrices:
+                raise ValueError(f"{name} has no {kind} matrix for speaker {spk}: every speaker needs every kind")
+
+
 def split_features(
     splits: list[SpeakerSplit], config: ExperimentConfig, role: str
 ) -> dict[tuple[str, str], FeatureMatrix]:
@@ -427,7 +435,8 @@ def train_codebooks(
     those of separate ``train_codebook`` calls with ``config.seed``. A draw
     never repeats a row, so one short of the largest size has found every
     distinct vector. Before any Lloyd run, one error then lists every speaker,
-    kind and size that does not fit.
+    kind and size that does not fit. A key grid with a hole, a speaker
+    without a matrix of some kind, is refused before any of this.
 
     The seeds, then the Lloyd runs, are shared out among the CPUs, one
     (speaker, kind) per unit of ``_parallel_map``; each codebook is built here
@@ -435,6 +444,7 @@ def train_codebooks(
     """
     speakers = list(dict.fromkeys(spk for spk, _ in train))
     kinds = list(dict.fromkeys(kind for _, kind in train))
+    _check_grid(train, speakers, kinds, "train")
     sizes, seed = config.codebook_sizes, config.seed
     largest = max(sizes)
     # kind-major, so that each stride holds both kinds' speakers alike
@@ -470,8 +480,9 @@ def score_report(
     """Rank each ``test[speaker, kind]`` against every codebook of ``books[kind][size]``, then fuse.
 
     Kinds and sizes come in the order of ``books``, and speakers in the order
-    of the keys of ``test``. When ``books`` holds both kinds, it must hold
-    them at the same sizes (checked before any trial is scored), and every size is
+    of the keys of ``test``; ``test`` must hold every speaker at every kind of
+    ``books``, and when ``books`` holds both kinds, it must hold them at the
+    same sizes (both checked before any trial is scored). Every size is then
     fused with ``weights`` where given (``spkid identify``'s measured
     accuracies); otherwise each size's fusion weight is derived from the two
     systems' accuracies measured in this same report (the closed-loop
@@ -485,6 +496,7 @@ def score_report(
             f"{KIND_PSDCT} {list(books[KIND_PSDCT])}, {KIND_MFCC} {list(books[KIND_MFCC])}"
         )
     speakers = list(dict.fromkeys(spk for spk, _ in test))
+    _check_grid(test, speakers, list(books), "test")
     report = EvalReport(trials=[], speakers=speakers, n_coeffs=config.n_coeffs, seed=config.seed)
 
     def rank(trial: tuple[str, int, str]) -> list[CmdScore]:

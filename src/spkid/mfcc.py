@@ -59,9 +59,17 @@ def frame_length(sample_rate: int, config: MfccConfig = MfccConfig()) -> int:
 
 
 def frame_signal(region: VoicedRegion, config: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Full frames of a region as a view of its samples; a trailing partial frame is dropped."""
+    """Full frames of a region as a view of its samples; a trailing partial frame is dropped.
+
+    Raises if the frame or the shift rounds to less than one sample at the region's rate.
+    """
     flen = frame_length(region.sample_rate, config)
     shift = int(round(config.shift_ms * region.sample_rate / 1000.0))
+    if flen < 1 or shift < 1:
+        raise ValueError(
+            f"MFCC frame_ms {config.frame_ms} and shift_ms {config.shift_ms} must each be at least one sample "
+            f"at {region.sample_rate} Hz, got {flen} and {shift}"
+        )
     if region.samples.size < flen:
         return np.empty((0, flen))
     return sliding_window_view(region.samples, flen)[::shift]

@@ -170,6 +170,13 @@ def test_evaluate_writes_reports(corpus_dir, tmp_path, capsys):
     assert csv_text.startswith("test_speaker,kind,codebook_size")
 
 
+def test_evaluate_report_names_the_mfcc_width_when_it_scores_mfcc_alone(corpus_dir, tmp_path):
+    prefix = tmp_path / "report"
+    assert main(["evaluate", "--corpus", str(corpus_dir), "--kind", "mfcc", "--codebook-size", "8",
+                 "--report-out", str(prefix)]) == 0
+    assert "- feature dim: 13 (mfcc)" in (tmp_path / "report.md").read_text().splitlines()
+
+
 def test_sweep_writes_reports(corpus_dir, tmp_path, capsys):
     prefix = tmp_path / "sweep"
     assert main([
@@ -323,6 +330,36 @@ def test_identify_rejects_a_version_1_manifest(corpus_dir, tmp_path, no_extracti
     )
     assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model)],
                        f"{model / 'manifest.json'}: manifest version 1, not 2; train the model again\n")
+
+
+def _manifest(text):
+    return lambda model: (model / "manifest.json").write_text(text)
+
+
+def _kind_not_utf8(model):
+    cb = model / "spk00.mfcc.cb"
+    data = cb.read_bytes()
+    # the kind's first byte, after the magic, the <IIIqQ fields and the kind's length
+    cb.write_bytes(data[:36] + b"\xff" + data[37:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_manifest('{"version": 2, "codebooks": ['), "manifest.json: not a valid JSON manifest: Expecting value"),
+    (_manifest('{"version": 2, "codebooks": ["../other/spk00.psdct.cb"]}'),
+     "manifest.json: codebook entry 0 is not a file name\n"),
+    (_manifest('{"version": 2, "codebooks": ["spk00.psdct.cb", "spk01.psdct.cb", "spk00.psdct.cb"]}'),
+     "manifest.json: two psdct codebooks of spk00: spk00.psdct.cb, spk00.psdct.cb\n"),
+    # identify --kind psdct reads every codebook the manifest lists, the MFCC ones too
+    (_kind_not_utf8, "spk00.mfcc.cb: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+], ids=["cut-json", "entry-outside-the-model", "listed-twice", "kind-not-utf8"])
+def test_identify_refuses_a_malformed_model_before_extracting(
+    edit, message, corpus_dir, fused_model, tmp_path, no_extraction, capsys
+):
+    model = tmp_path / "model"
+    shutil.copytree(fused_model, model)
+    edit(model)
+    assert_input_error(capsys, ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model), "--kind", "psdct"],
+                       f"{model}/{message}")
 
 
 def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):
@@ -692,6 +729,21 @@ def test_a_bad_file_fails_only_the_command_whose_split_holds_it(bad, fails, pass
     assert main(argv(passes)) == 0
     capsys.readouterr()
     assert_input_error(capsys, argv(fails), f"{gci}:{lines + 1}: expected one sample index, got '12x\\n'")
+
+
+def test_evaluate_reads_crlf_labels_and_upper_case_label_names_as_the_plain_corpus(corpus_dir, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    for i, phn in enumerate(sorted(corpus.glob("*/*.phn"))):
+        phn.write_bytes(phn.read_bytes().replace(b"\n", b"\r\n"))
+        if i % 2:
+            phn.rename(phn.with_suffix(".PHN"))
+    assert len(list(corpus.glob("*/*.PHN"))) == 16 and b"\r\n" in (corpus / "spk00" / "u00.phn").read_bytes()
+    written = []
+    for root, prefix in ((corpus_dir, tmp_path / "plain"), (corpus, tmp_path / "crlf")):
+        assert main(["evaluate", "--corpus", str(root), "--codebook-size", "8", "--report-out", str(prefix)]) == 0
+        written.append([prefix.with_suffix(suffix).read_bytes() for suffix in (".md", ".csv")])
+    assert written[0] == written[1]
 
 
 def test_evaluate_and_sweep_read_only_their_split(tmp_path, capsys):

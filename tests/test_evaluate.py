@@ -546,6 +546,21 @@ def test_score_report_refuses_kinds_at_different_sizes_before_scoring(steps8k, m
     assert str(err.value) == "fusion needs both kinds at the same codebook sizes: psdct [8], mfcc [4]"
 
 
+@pytest.mark.parametrize("step, holes, named", [
+    ("score_report", [("spk00", "psdct")], "test has no psdct matrix for speaker spk00"),
+    # speaker-major: spk01's missing kind is named before spk02's
+    ("train_codebooks", [("spk02", "psdct"), ("spk01", "mfcc")], "train has no mfcc matrix for speaker spk01"),
+], ids=["score_report", "train_codebooks"])
+def test_a_key_grid_with_a_hole_is_refused_before_any_unit_runs(steps8k, monkeypatch, step, holes, named):
+    config, test, books = steps8k
+    monkeypatch.setattr(evaluate, "_parallel_map", lambda *args: pytest.fail("a unit ran"))
+    # the test matrices stand in for training ones: nothing is trained or scored
+    matrices = {key: m for key, m in test.items() if key not in holes}
+    with pytest.raises(ValueError) as err:
+        score_report(matrices, books, config) if step == "score_report" else train_codebooks(matrices, config)
+    assert str(err.value) == f"{named}: every speaker needs every kind"
+
+
 def test_write_identify_csv_writes_each_kind_in_its_layout_in_rank_order():
     trials = [
         TrialResult("a", "psdct", 8, (("a", 1.0), ("b", 2.5)), n_vectors=7),

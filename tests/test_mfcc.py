@@ -40,6 +40,21 @@ def test_frame_signal_is_a_view_of_the_region():
     assert np.array_equal(frames[2], region.samples[160:320])
 
 
+@pytest.mark.parametrize("config, flen, shift", [
+    (MfccConfig(shift_ms=0.01), 160, 0),
+    (MfccConfig(frame_ms=0), 0, 80),
+    (MfccConfig(frame_ms=-5), -40, 80),
+], ids=["shift-0.01ms", "frame-0ms", "frame-minus-5ms"])
+def test_frame_signal_refuses_a_frame_or_shift_shorter_than_one_sample(config, flen, shift):
+    region = VoicedRegion(np.zeros(800), 0, 8000, "t")
+    with pytest.raises(ValueError) as err:
+        frame_signal(region, config)
+    assert str(err.value) == (
+        f"MFCC frame_ms {config.frame_ms} and shift_ms {config.shift_ms} must each be at least one sample "
+        f"at 8000 Hz, got {flen} and {shift}"
+    )
+
+
 def test_mel_scale_round_trip():
     f = np.array([0.0, 300.0, 1000.0, 8000.0])
     assert np.allclose(mel_to_hz(hz_to_mel(f)), f)

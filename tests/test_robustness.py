@@ -87,10 +87,15 @@ def _labels_past_the_end(utts, root):
     phn.write_text("\n".join(lines + [f"{begin} {int(end) + 4000} {phone}"]) + "\n")
 
 
-def _malformed_epoch_line(utts, root):
-    save_corpus(utts, root)
-    gci = root / "spk01" / "u03.gci"
-    gci.write_text(gci.read_text() + "12x\n")
+def _epoch_line(line: bytes):
+    """Writes the corpus with ``line`` appended to the epoch file of spk01/u03, a training utterance."""
+
+    def write(utts, root):
+        save_corpus(utts, root)
+        gci = root / "spk01" / "u03.gci"
+        gci.write_bytes(gci.read_bytes() + line)
+
+    return write
 
 
 NO_PSDCT = re.escape("speaker spk02: no psdct training vectors")
@@ -110,7 +115,14 @@ FAIL = {
         _labels_past_the_end, SIZE, r"speaker spk00 utterance u00: segment ends at sample \d+, past the \d+ samples"
     ),
     "malformed epoch line": (
-        _malformed_epoch_line, SIZE, r".+/spk01/u03\.gci:\d+: expected one sample index, got '12x\\n'"
+        _epoch_line(b"12x\n"), SIZE, r".+/spk01/u03\.gci:\d+: expected one sample index, got '12x\\n'"
+    ),
+    "epoch index beyond int64": (
+        _epoch_line(b"99999999999999999999\n"), SIZE,
+        r".+/spk01/u03\.gci:\d+: expected one sample index, got '99999999999999999999\\n'",
+    ),
+    "epoch file not UTF-8": (
+        _epoch_line(b"\xff\n"), SIZE, r".+/spk01/u03\.gci: not UTF-8 text: invalid start byte at byte offset \d+"
     ),
 }
 

@@ -76,7 +76,14 @@ def cmd_extract(args) -> int:
     voiced = config.effective_voiced_set()
     index, width = ("cycle_index", config.n_coeffs) if args.kind == KIND_PSDCT else ("frame_index", N_MFCC)
     dump_out = open(args.epoch_dump, "w", encoding="utf-8", newline="") if args.epoch_dump else nullcontext()
-    with dump_out as dump, _out_stream(args.report_out) as fh:
+    try:
+        report_out = _out_stream(args.report_out)
+    except OSError:  # a refused command leaves no file: not the dump just made either
+        if args.epoch_dump:
+            dump_out.close()
+            Path(args.epoch_dump).unlink()
+        raise
+    with dump_out as dump, report_out as fh:
         if dump is not None:
             csv.writer(dump, lineterminator="\n").writerow(["region_id", "epoch", "mapped_peak"])
         writer = csv.writer(fh, lineterminator="\n")

@@ -87,15 +87,19 @@ def _labels_past_the_end(utts, root):
     phn.write_text("\n".join(lines + [f"{begin} {int(end) + 4000} {phone}"]) + "\n")
 
 
-def _epoch_line(line: bytes):
-    """Writes the corpus with ``line`` appended to the epoch file of spk01/u03, a training utterance."""
+def _edited(name, edit):
+    """Writes the corpus with the bytes of its file ``name`` passed through ``edit``."""
 
     def write(utts, root):
         save_corpus(utts, root)
-        gci = root / "spk01" / "u03.gci"
-        gci.write_bytes(gci.read_bytes() + line)
+        (root / name).write_bytes(edit((root / name).read_bytes()))
 
     return write
+
+
+def _epoch_line(line: bytes):
+    """Writes the corpus with ``line`` appended to the epoch file of spk01/u03, a training utterance."""
+    return _edited("spk01/u03.gci", lambda data: data + line)
 
 
 NO_PSDCT = re.escape("speaker spk02: no psdct training vectors")
@@ -105,7 +109,7 @@ TOO_BIG = re.escape("codebook sizes exceed the distinct training vectors: ") + "
 SILENT = _one_speaker("spk02", lambda u: replace(u, samples=np.zeros_like(u.samples)))
 UNVOICED = _one_speaker("spk02", lambda u: replace(u, segments=[PhoneSegment(0, u.samples.size, SILENCE_PHONE)]))
 
-# row -> (writer of the corpus from the 8 kHz one, codebook size, the one error)
+# row -> (writer of the corpus from the 8 kHz one, codebook size, the one error); {root} stands for the corpus root
 FAIL = {
     "silent speaker": (_saved(SILENT), SIZE, NO_PSDCT),
     "labels all unvoiced": (_saved(UNVOICED), SIZE, NO_PSDCT),
@@ -115,14 +119,28 @@ FAIL = {
         _labels_past_the_end, SIZE, r"speaker spk00 utterance u00: segment ends at sample \d+, past the \d+ samples"
     ),
     "malformed epoch line": (
-        _epoch_line(b"12x\n"), SIZE, r".+/spk01/u03\.gci:\d+: expected one sample index, got '12x\\n'"
+        _epoch_line(b"12x\n"), SIZE, r"{root}/spk01/u03\.gci:\d+: expected one sample index, got '12x\\n'"
     ),
     "epoch index beyond int64": (
         _epoch_line(b"99999999999999999999\n"), SIZE,
-        r".+/spk01/u03\.gci:\d+: expected one sample index, got '99999999999999999999\\n'",
+        r"{root}/spk01/u03\.gci:\d+: expected one sample index, got '99999999999999999999\\n'",
     ),
     "epoch file not UTF-8": (
-        _epoch_line(b"\xff\n"), SIZE, r".+/spk01/u03\.gci: not UTF-8 text: invalid start byte at byte offset \d+"
+        _epoch_line(b"\xff\n"), SIZE, r"{root}/spk01/u03\.gci: not UTF-8 text: invalid start byte at byte offset \d+"
+    ),
+    # spk01/u02.wav, a training utterance, holds 33326 bytes of samples
+    "wav cut 1 byte inside its data": (
+        _edited("spk01/u02.wav", lambda data: data[:-1]), SIZE,
+        r"{root}/spk01/u02\.wav: file ends inside its data chunk \(33325 of 33326 bytes\)",
+    ),
+    "wav cut 1000 bytes inside its data": (
+        _edited("spk01/u02.wav", lambda data: data[:-1000]), SIZE,
+        r"{root}/spk01/u02\.wav: file ends inside its data chunk \(32326 of 33326 bytes\)",
+    ),
+    # save_corpus writes no .phn for an utterance without segments
+    "wav without its .phn": (
+        _saved(_one_speaker("spk01", lambda u: replace(u, segments=None) if u.utterance_id == "u03" else u)), SIZE,
+        "speaker spk01 utterance u03: no phone segments",
     ),
 }
 
@@ -131,15 +149,18 @@ FAIL = {
 def test_row_fails_with_one_named_error(corpus, row, tmp_path, capsys):
     write, size, error = FAIL[row]
     write(corpus, tmp_path)
+    error = error.replace("{root}", re.escape(str(tmp_path)))
     with pytest.raises(ValueError) as exc:
         run_experiment(ExperimentConfig(codebook_sizes=(size,)), utterances=load_corpus(tmp_path))
     assert re.fullmatch(error, str(exc.value)), str(exc.value)
 
     capsys.readouterr()
+    files = sorted(tmp_path.rglob("*"))
     assert cli.main(["evaluate", "--corpus", str(tmp_path), "--codebook-size", str(size)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"spkid evaluate: error: {error}\n", err), err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 @pytest.fixture(scope="module")

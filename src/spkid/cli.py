@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import evaluate as ev
@@ -47,19 +47,45 @@ def _config_from_args(args, **overrides) -> ev.ExperimentConfig:
     return ev.ExperimentConfig(voiced_set=voiced, **overrides)
 
 
-def _out_stream(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+@contextmanager
+def _outputs(*paths):
+    """The one place the CLI opens an output: a handle per given path, None per path not given.
+
+    Two paths that name one file are refused before either opens. A failure
+    inside, an interrupt too, closes and removes every file opened here.
+    """
+    seen = set()
+    for path in filter(None, paths):
+        if (real := Path(path).resolve()) in seen:
+            raise ValueError(f"two outputs at one path: {path}")
+        seen.add(real)
+    opened = []
+    try:
+        for path in paths:
+            opened.append(open(Path(path), "w", encoding="utf-8", newline="") if path else None)
+        yield opened
+        for fh in filter(None, opened):
+            fh.close()
+    except BaseException:
+        for fh in filter(None, opened):
+            with suppress(OSError):  # its contents are discarded, so a failed flush does not matter
+                fh.close()
+            Path(fh.name).unlink(missing_ok=True)
+        raise
 
 
-def _print_report(markdown: str, report_out, write_csv) -> None:
-    """Print the markdown report; with a prefix, also write ``<prefix>.md`` and ``<prefix>.csv``."""
+def _report_paths(prefix) -> tuple:
+    """``<prefix>.md`` and ``<prefix>.csv``, or neither without a prefix."""
+    return (f"{prefix}.md", f"{prefix}.csv") if prefix else (None, None)
+
+
+def _print_report(markdown: str, md, csv_out, write_csv) -> None:
+    """Print the markdown report; with ``--report-out``, also write it to ``md`` and the CSV to ``csv_out``."""
     print(markdown)
-    if report_out:
-        md, csv_path = Path(f"{report_out}.md"), Path(f"{report_out}.csv")
-        md.write_text(markdown, encoding="utf-8")
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh)
-        print(f"wrote {md} and {csv_path}", file=sys.stderr)
+    if md is not None:
+        md.write(markdown)
+        write_csv(csv_out)
+        print(f"wrote {md.name} and {csv_out.name}", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -75,18 +101,10 @@ def cmd_extract(args) -> int:
     files = list_corpus(args.corpus)
     voiced = config.effective_voiced_set()
     index, width = ("cycle_index", config.n_coeffs) if args.kind == KIND_PSDCT else ("frame_index", N_MFCC)
-    dump_out = open(args.epoch_dump, "w", encoding="utf-8", newline="") if args.epoch_dump else nullcontext()
-    try:
-        report_out = _out_stream(args.report_out)
-    except OSError:  # a refused command leaves no file: not the dump just made either
-        if args.epoch_dump:
-            dump_out.close()
-            Path(args.epoch_dump).unlink()
-        raise
-    with dump_out as dump, report_out as fh:
+    with _outputs(args.report_out, args.epoch_dump) as (out, dump):
         if dump is not None:
             csv.writer(dump, lineterminator="\n").writerow(["region_id", "epoch", "mapped_peak"])
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(out or sys.stdout, lineterminator="\n")
         writer.writerow(["speaker", "utterance", index, *(f"k{i}" for i in range(1, width + 1))])
         for entry in files:  # read one utterance at a time
             utt = entry.read()
@@ -134,15 +152,15 @@ def cmd_identify(args) -> int:
     config = _config_from_args(args, n_coeffs=n_coeffs, kinds=kinds)
     # split_features reads the test files alone, one speaker at a time
     splits = split_speakers(list_corpus(args.corpus), config.n_train, config.n_test)
-    test_feats = ev.split_features(splits, config, "test")
-    # both kinds under one size, which the CSV does not print: a fused model's kinds may differ in size
-    size = len(books[kinds[0]][0].centroids)
-    report = ev.score_report(test_feats, {kind: {size: books[kind]} for kind in kinds}, config, weights)
-    trials = [t for t in report.trials if t.kind == args.kind]
-    for t in trials:
-        print(f"{t.speaker_id}: predicted {t.predicted}", file=sys.stderr)
-    with _out_stream(args.report_out) as fh:
-        ev.write_identify_csv(fh, report, args.kind)
+    with _outputs(args.report_out) as (out,):
+        test_feats = ev.split_features(splits, config, "test")
+        # both kinds under one size, which the CSV does not print: a fused model's kinds may differ in size
+        size = len(books[kinds[0]][0].centroids)
+        report = ev.score_report(test_feats, {kind: {size: books[kind]} for kind in kinds}, config, weights)
+        trials = [t for t in report.trials if t.kind == args.kind]
+        for t in trials:
+            print(f"{t.speaker_id}: predicted {t.predicted}", file=sys.stderr)
+        ev.write_identify_csv(out or sys.stdout, report, args.kind)
     print(f"identified {sum(t.correct for t in trials)}/{len(trials)} test speakers correctly", file=sys.stderr)
     return 0
 
@@ -151,8 +169,11 @@ def cmd_evaluate(args) -> int:
     config = _config_from_args(
         args, n_coeffs=args.coeffs, codebook_sizes=args.codebook_size, kinds=_kinds(args), seed=args.seed
     )
-    report = ev.run_experiment(config, utterances=list_corpus(args.corpus))
-    _print_report(report.to_markdown(), args.report_out, report.write_csv)
+    files = list_corpus(args.corpus)
+    split_speakers(files, config.n_train, config.n_test)  # refuses a corpus too small to split before outputs open
+    with _outputs(*_report_paths(args.report_out)) as (md, csv_out):
+        report = ev.run_experiment(config, utterances=files)
+        _print_report(report.to_markdown(), md, csv_out, report.write_csv)
     return 0
 
 
@@ -160,9 +181,12 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(
         args, coeff_counts=args.coeffs, sweep_codebook_size=args.codebook_size, seed=args.seed
     )
-    rows = ev.sweep_coefficients(config, utterances=list_corpus(args.corpus))
-    markdown = ev.sweep_to_markdown(rows, args.codebook_size)
-    _print_report(markdown, args.report_out, lambda fh: ev.write_sweep_csv(fh, rows))
+    files = list_corpus(args.corpus)
+    split_speakers(files, config.n_train, config.n_test)  # refuses a corpus too small to split before outputs open
+    with _outputs(*_report_paths(args.report_out)) as (md, csv_out):
+        rows = ev.sweep_coefficients(config, utterances=files)
+        markdown = ev.sweep_to_markdown(rows, args.codebook_size)
+        _print_report(markdown, md, csv_out, lambda fh: ev.write_sweep_csv(fh, rows))
     return 0
 
 

@@ -228,10 +228,12 @@ def _check_names(names: list, where) -> None:
 
 
 def _check_model(names: list[str], codebooks: list[Codebook], where) -> None:
-    """Refuse codebooks that cannot be scored as one model; the error names ``where`` and both files.
+    """Refuse codebooks that cannot be scored as one model; the error names ``where``, then the files or speaker.
 
-    One speaker may have one codebook of each kind, and the codebooks of one
-    kind must share one width, then one size.
+    One speaker may have one codebook of each kind, the codebooks of one
+    kind must share one width, then one size, and every kind must enroll the
+    same speakers: the first speaker, in sorted order, without a codebook of
+    some kind is named.
     """
     owner, shape = {}, {}
     for i, (name, cb) in enumerate(zip(names, codebooks)):
@@ -249,6 +251,10 @@ def _check_model(names: list[str], codebooks: list[Codebook], where) -> None:
                 f"{where}: {cb.kind} codebooks differ in size: "
                 f"{first_name} has {first_k} entries, {name} has {k}"
             )
+    for spk in sorted({spk for spk, _ in owner}):
+        for kind in sorted(shape):
+            if (spk, kind) not in owner:
+                raise ValueError(f"{where}: {spk} has no {kind} codebook; every kind must enroll the same speakers")
 
 
 def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
@@ -262,8 +268,8 @@ def save_model_dir(codebooks: list[Codebook], model_dir) -> None:
     codebooks = sorted(codebooks, key=lambda c: (c.kind, c.speaker_id))
     files = [f"{cb.speaker_id}.{cb.kind}.cb" for cb in codebooks]
     _check_names(files, model_dir)
-    _check_model(files, codebooks, model_dir)
     blobs = [_codebook_bytes(cb, model_dir / name) for cb, name in zip(codebooks, files)]
+    _check_model(files, codebooks, model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     for blob, name in zip(blobs, files):
         (model_dir / name).write_bytes(blob)

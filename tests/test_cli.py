@@ -39,11 +39,12 @@ def fused_model(corpus_dir, tmp_path_factory):
 
 @pytest.fixture
 def no_extraction(monkeypatch):
-    """Fail the test if any voiced region is read through spkid.evaluate or spkid.cli."""
+    """Fail the test if any audio file is read, or any voiced region through spkid.evaluate or spkid.cli."""
 
     def tripwire(*args, **kwargs):
-        raise AssertionError("features were extracted before the arguments were checked")
+        raise AssertionError("audio was read before the arguments were checked")
 
+    monkeypatch.setattr(UtteranceFile, "read", tripwire)
     monkeypatch.setattr(ev, "extract_voiced_regions", tripwire)
     # extract's --epoch-dump pass reads regions through cli's own binding
     monkeypatch.setattr("spkid.cli.extract_voiced_regions", tripwire)
@@ -271,18 +272,24 @@ def test_cli_scores_match_run_experiment(corpus_dir, tmp_path):
     assert cli_scores == lib_scores
 
 
+def _tree(root):
+    """Each path under ``root``, with a file's bytes or None for a directory."""
+    return {path: path.read_bytes() if path.is_file() else None for path in sorted(root.rglob("*"))}
+
+
 def assert_refused(capsys, argv, message, root):
-    """``main(argv)`` returns 2 and prints one line, ``spkid <command>: error: <message>``; ``root`` gains no file."""
-    before = sorted(root.rglob("*"))
+    """``main(argv)`` returns 2 and prints one line, ``spkid <command>: error: <message>``; ``root`` is as it was."""
+    before = _tree(root)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"spkid {argv[0]}: error: {message}\n")
-    assert sorted(root.rglob("*")) == before
+    assert _tree(root) == before
 
 
 IDENTIFY = "identify --corpus {corpus} --model-dir {model}"
 NO_SUCH_FILE = "[Errno 2] No such file or directory: '{tmp}/"
-# row -> (argv, the one error), each refused before any audio is read;
+# row -> (argv, the one error), each refused before any audio is read and leaving the row's directory as it was:
+# no output written, and kept.csv, as if an earlier run wrote it, byte for byte;
 # {corpus}, {model} and {tmp} stand for the corpus, a fused model and the row's own directory
 ARGUMENTS = {
     **{f"synth-sample-rate-{rate}": (f"synth --corpus {{tmp}}/bad-sr --speakers 2 --utterances 2 --sample-rate {rate}",
@@ -313,7 +320,7 @@ ARGUMENTS = {
        for command, model_dir in (("train", " --model-dir {tmp}/m"), ("evaluate", ""), ("sweep", ""))
        for name, seed in (("2**64", "18446744073709551616"), ("-1", "-1"))},
     "extract-coeffs-0": (
-        "extract --corpus {corpus} --coeffs 0 --report-out {tmp}/out.csv --epoch-dump {tmp}/epochs.csv",
+        "extract --corpus {corpus} --coeffs 0 --report-out {tmp}/kept.csv --epoch-dump {tmp}/epochs.csv",
         "n_coeffs must be >= 1"),
     "train-coeffs-0": ("train --corpus {corpus} --coeffs 0 --model-dir {tmp}/m", "n_coeffs must be >= 1"),
     "evaluate-coeffs-0": ("evaluate --corpus {corpus} --coeffs 0", "n_coeffs must be >= 1"),
@@ -331,6 +338,18 @@ ARGUMENTS = {
     "extract-epoch-dump-unopenable": (
         "extract --corpus {corpus} --report-out {tmp}/x.csv --epoch-dump {tmp}/no-dir/d.csv",
         NO_SUCH_FILE + "no-dir/d.csv'"),
+    "extract-two-outputs-at-one-path": (
+        "extract --corpus {corpus} --report-out {tmp}/kept.csv --epoch-dump {tmp}/./kept.csv",
+        "two outputs at one path: {tmp}/./kept.csv"),
+    "identify-report-out-unopenable": (f"{IDENTIFY} --report-out {{tmp}}/no-dir/s.csv", NO_SUCH_FILE + "no-dir/s.csv'"),
+    **{f"{command}-report-out-unopenable": (f"{command} --corpus {{corpus}} --report-out {{tmp}}/no-dir/r",
+                                            NO_SUCH_FILE + "no-dir/r.md'") for command in ("evaluate", "sweep")},
+    **{f"{command}-corpus-too-small-to-split": (f"{command} --corpus {{tmp}}/small --report-out {{tmp}}/kept",
+                                                "speaker spk00 has 1 utterances, needs 8 for a 6/2 split")
+       for command in ("evaluate", "sweep")},
+    # the .md opens, then the .csv, a directory, does not: the .md is removed
+    "evaluate-csv-is-a-directory": ("evaluate --corpus {corpus} --report-out {tmp}/dir",
+                                    "[Errno 21] Is a directory: '{tmp}/dir.csv'"),
 }
 
 
@@ -340,6 +359,10 @@ def test_bad_arguments_are_refused_before_reading_audio(
 ):
     argv, message = ARGUMENTS[row]
     (tmp_path / "empty.txt").touch()
+    (tmp_path / "kept.csv").write_text("speaker,utterance\n")
+    (tmp_path / "dir.csv").mkdir()
+    (tmp_path / "small" / "spk00").mkdir(parents=True)
+    (tmp_path / "small" / "spk00" / "u00.wav").touch()  # listed, never read
     paths = {"corpus": corpus_dir, "model": fused_model, "tmp": tmp_path}
     assert_refused(capsys, [arg.format(**paths) for arg in argv.split()], message.format(**paths), tmp_path)
 
@@ -385,6 +408,9 @@ MALFORMED_MODEL = {
         [], "{model}/manifest.json: manifest version 1, not 2; train the model again"),
     "codebook-header-cut": (_edit_bytes("spk00.psdct.cb", lambda data: data[:20]), [],
                             "{model}/spk00.psdct.cb: codebook header is truncated"),
+    # the version, a little-endian uint32, follows the 4-byte magic
+    "codebook-version-2": (_edit_bytes("spk00.psdct.cb", lambda data: data[:4] + b"\x02" + data[5:]), [],
+                           "{model}/spk00.psdct.cb: unsupported codebook version 2"),
     "not-a-codebook": (_edit_bytes("spk00.psdct.cb", lambda data: b"other bytes"), PSDCT,
                        "{model}/spk00.psdct.cb: not a codebook file"),
     "psdct-widths-differ": (_cut_spk01_psdct(8, 12), PSDCT, "{model}/manifest.json: psdct codebooks differ in width: "
@@ -393,6 +419,11 @@ MALFORMED_MODEL = {
                            "spk00.psdct.cb has 8 entries, spk01.psdct.cb has 4"),
     "no-mfcc-codebooks": (_manifest('{"version": 2, "codebooks": ["spk00.psdct.cb", "spk01.psdct.cb"]}'),
                           ["--kind", "mfcc"], "model dir {model} has no mfcc codebooks"),
+    "kinds-enroll-different-speakers": (
+        _manifest('{"version": 2, "codebooks": ["spk00.mfcc.cb", "spk02.mfcc.cb", "spk03.mfcc.cb", '
+                  '"spk00.psdct.cb", "spk01.psdct.cb", "spk02.psdct.cb", "spk03.psdct.cb"]}'),
+        ["--kind", "fused", "--acc-dct", "0.5", "--acc-mfcc", "0.5"],
+        "{model}/manifest.json: spk01 has no mfcc codebook; every kind must enroll the same speakers"),
 }
 
 
@@ -406,6 +437,29 @@ def test_identify_refuses_a_malformed_model_before_extracting(
     edit(model)
     argv = ["identify", "--corpus", str(corpus_dir), "--model-dir", str(model), *flags]
     assert_refused(capsys, argv, message.format(model=model), tmp_path)
+
+
+def test_extract_that_fails_midway_leaves_neither_output(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    wav = corpus / "spk01" / "u02.wav"
+    data = wav.read_bytes()
+    wav.write_bytes(data[:-10])
+    size = len(data) - 44  # the samples after the 44-byte header
+    argv = ["extract", "--corpus", str(corpus), "--report-out", str(tmp_path / "part.csv"),
+            "--epoch-dump", str(tmp_path / "part_e.csv")]
+    assert_refused(capsys, argv, f"{wav}: file ends inside its data chunk ({size - 10} of {size} bytes)", tmp_path)
+
+
+def test_an_interrupted_command_leaves_no_output(corpus_dir, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ev, "collect_features", interrupted)  # once the headers and the first epochs are written
+    with pytest.raises(KeyboardInterrupt):
+        main(["extract", "--corpus", str(corpus_dir), "--report-out", str(tmp_path / "feats.csv"),
+              "--epoch-dump", str(tmp_path / "epochs.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):

@@ -97,6 +97,16 @@ def _edited(name, edit):
     return write
 
 
+def _phn_line(line: bytes):
+    """Writes the corpus with line 2 of spk01/u02.phn, a training utterance's labels, replaced by ``line``."""
+
+    def edit(data):
+        first, _, *rest = data.splitlines(keepends=True)
+        return b"".join([first, line, *rest])
+
+    return _edited("spk01/u02.phn", edit)
+
+
 def _epoch_line(line: bytes):
     """Writes the corpus with ``line`` appended to the epoch file of spk01/u03, a training utterance."""
     return _edited("spk01/u03.gci", lambda data: data + line)
@@ -137,6 +147,12 @@ FAIL = {
         _edited("spk01/u02.wav", lambda data: data[:-1000]), SIZE,
         r"{root}/spk01/u02\.wav: file ends inside its data chunk \(32326 of 33326 bytes\)",
     ),
+    "phn bounds not integers": (
+        _phn_line(b"1200 x800 ax\n"), SIZE, r"{root}/spk01/u02\.phn:2: non-integer bounds in '1200 x800 ax\\n'"
+    ),
+    "phn segment ends before it begins": (
+        _phn_line(b"1200 1100 ax\n"), SIZE, r"{root}/spk01/u02\.phn:2: bad segment bounds \[1200, 1100\)"
+    ),
     # save_corpus writes no .phn for an utterance without segments
     "wav without its .phn": (
         _saved(_one_speaker("spk01", lambda u: replace(u, segments=None) if u.utterance_id == "u03" else u)), SIZE,
@@ -156,7 +172,9 @@ def test_row_fails_with_one_named_error(corpus, row, tmp_path, capsys):
 
     capsys.readouterr()
     files = sorted(tmp_path.rglob("*"))
-    assert cli.main(["evaluate", "--corpus", str(tmp_path), "--codebook-size", str(size)]) == 2
+    # the report is opened before the run: a failure midway leaves neither of its files
+    argv = ["evaluate", "--corpus", str(tmp_path), "--codebook-size", str(size), "--report-out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"spkid evaluate: error: {error}\n", err), err

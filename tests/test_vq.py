@@ -247,18 +247,25 @@ def test_model_dir_round_trip(tmp_path):
     books.append(
         train_codebook(matrix(rng.normal(size=(60, 3)), KIND_MFCC), 4, speaker_id="spk0")
     )
+    # spk1 and spk2 have no MFCC codebook yet: refused before the directory is made
+    with pytest.raises(ValueError) as err:
+        save_model_dir(books, tmp_path / "model")
+    message = "spk1 has no mfcc codebook; every kind must enroll the same speakers"
+    assert str(err.value) == f"{tmp_path / 'model'}: {message}"
+    assert list(tmp_path.iterdir()) == []
+    books += [train_codebook(matrix(rng.normal(size=(60, 3)), KIND_MFCC), 4, speaker_id=s) for s in ("spk1", "spk2")]
     save_model_dir(books, tmp_path / "model")
     everything = load_model_dir(tmp_path / "model")
-    assert len(everything) == 4
+    assert len(everything) == 6
     # in (kind, speaker) order, each codebook as it was saved
     assert [(cb.kind, cb.speaker_id) for cb in everything] == [
-        (KIND_MFCC, "spk0"), (KIND_PSDCT, "spk0"), (KIND_PSDCT, "spk1"), (KIND_PSDCT, "spk2")
+        (kind, spk) for kind in (KIND_MFCC, KIND_PSDCT) for spk in ("spk0", "spk1", "spk2")
     ]
     saved = {(cb.kind, cb.speaker_id): cb for cb in books}
     for cb in everything:
         assert np.array_equal(cb.centroids, saved[cb.kind, cb.speaker_id].centroids)
     assert json.loads((tmp_path / "model" / "manifest.json").read_text()) == {
-        "version": 2, "codebooks": ["spk0.mfcc.cb", "spk0.psdct.cb", "spk1.psdct.cb", "spk2.psdct.cb"]
+        "version": 2, "codebooks": [f"spk{i}.{kind}.cb" for kind in (KIND_MFCC, KIND_PSDCT) for i in range(3)]
     }
     with pytest.raises(ValueError, match="manifest"):
         load_model_dir(tmp_path / "nothing-here")
@@ -310,7 +317,7 @@ def test_model_dir_rejects_codebooks_of_one_kind_that_differ_in_width(tmp_path):
     model = tmp_path / "model"
     rng = np.random.default_rng(7)
     books = [train_codebook(matrix(rng.normal(size=(20, 15))), 4, speaker_id=s) for s in ("a", "b", "c")]
-    books.append(train_codebook(matrix(rng.normal(size=(20, 13)), KIND_MFCC), 4, speaker_id="a"))
+    books += [train_codebook(matrix(rng.normal(size=(20, 13)), KIND_MFCC), 4, speaker_id=s) for s in ("a", "b", "c")]
     save_model_dir(books, model)
     save_codebook(train_codebook(matrix(rng.normal(size=(20, 12))), 4, speaker_id="b"), model / "b.psdct.cb")
     with pytest.raises(ValueError) as err:

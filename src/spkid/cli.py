@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
+import stat
 import sys
+import tempfile
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -51,26 +54,45 @@ def _config_from_args(args, **overrides) -> ev.ExperimentConfig:
 def _outputs(*paths):
     """The one place the CLI opens an output: a handle per given path, None per path not given.
 
-    Two paths that name one file are refused before either opens. A failure
-    inside, an interrupt too, closes and removes every file opened here.
+    A new or regular file is written under a temporary name beside it, with
+    the mode ``open`` would leave, and renamed over the path once the command
+    succeeds. A failure inside, an interrupt too, removes only those
+    temporaries, so an earlier file at the path keeps its bytes. Any other
+    path, such as /dev/null or a pipe, is written in place and never removed.
+    Two regular paths that name one file are refused before either opens.
     """
-    seen = set()
-    for path in filter(None, paths):
-        if (real := Path(path).resolve()) in seen:
-            raise ValueError(f"two outputs at one path: {path}")
-        seen.add(real)
-    opened = []
+    targets = [Path(path).resolve() if path and (os.path.isfile(path) or not os.path.exists(path)) else None
+               for path in paths]
+    for i, real in enumerate(targets):
+        if real is not None and real in targets[:i]:
+            raise ValueError(f"two outputs at one path: {paths[i]}")
+    umask = os.umask(0)  # read by setting it, then set back
+    os.umask(umask)
+    handles, renames = [], []
     try:
-        for path in paths:
-            opened.append(open(Path(path), "w", encoding="utf-8", newline="") if path else None)
-        yield opened
-        for fh in filter(None, opened):
+        for path, real in zip(paths, targets):
+            if real is None:
+                handles.append(open(path, "w", encoding="utf-8", newline="") if path else None)
+                continue
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=f".{real.name}.", suffix=".tmp", dir=real.parent)
+            except OSError as exc:  # named by the path asked for, not by its temporary
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            renames.append((tmp, real))
+            handles.append(open(fd, "w", encoding="utf-8", newline=""))
+            os.fchmod(fd, stat.S_IMODE(real.stat().st_mode) if real.exists() else 0o666 & ~umask)
+        yield handles
+        for fh in filter(None, handles):
             fh.close()
+        for tmp, real in renames:
+            os.replace(tmp, real)
     except BaseException:
-        for fh in filter(None, opened):
+        for fh in filter(None, handles):
             with suppress(OSError):  # its contents are discarded, so a failed flush does not matter
                 fh.close()
-            Path(fh.name).unlink(missing_ok=True)
+        for tmp, _ in renames:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -79,13 +101,13 @@ def _report_paths(prefix) -> tuple:
     return (f"{prefix}.md", f"{prefix}.csv") if prefix else (None, None)
 
 
-def _print_report(markdown: str, md, csv_out, write_csv) -> None:
-    """Print the markdown report; with ``--report-out``, also write it to ``md`` and the CSV to ``csv_out``."""
+def _print_report(markdown: str, prefix, md, csv_out, write_csv) -> None:
+    """Print the markdown report; with a prefix, also write it to ``md`` and the CSV to ``csv_out``."""
     print(markdown)
-    if md is not None:
+    if prefix:
         md.write(markdown)
         write_csv(csv_out)
-        print(f"wrote {md.name} and {csv_out.name}", file=sys.stderr)
+        print(f"wrote {prefix}.md and {prefix}.csv", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -170,10 +192,9 @@ def cmd_evaluate(args) -> int:
         args, n_coeffs=args.coeffs, codebook_sizes=args.codebook_size, kinds=_kinds(args), seed=args.seed
     )
     files = list_corpus(args.corpus)
-    split_speakers(files, config.n_train, config.n_test)  # refuses a corpus too small to split before outputs open
     with _outputs(*_report_paths(args.report_out)) as (md, csv_out):
         report = ev.run_experiment(config, utterances=files)
-        _print_report(report.to_markdown(), md, csv_out, report.write_csv)
+        _print_report(report.to_markdown(), args.report_out, md, csv_out, report.write_csv)
     return 0
 
 
@@ -182,11 +203,10 @@ def cmd_sweep(args) -> int:
         args, coeff_counts=args.coeffs, sweep_codebook_size=args.codebook_size, seed=args.seed
     )
     files = list_corpus(args.corpus)
-    split_speakers(files, config.n_train, config.n_test)  # refuses a corpus too small to split before outputs open
     with _outputs(*_report_paths(args.report_out)) as (md, csv_out):
         rows = ev.sweep_coefficients(config, utterances=files)
         markdown = ev.sweep_to_markdown(rows, args.codebook_size)
-        _print_report(markdown, md, csv_out, lambda fh: ev.write_sweep_csv(fh, rows))
+        _print_report(markdown, args.report_out, md, csv_out, lambda fh: ev.write_sweep_csv(fh, rows))
     return 0
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import weakref
@@ -451,15 +452,37 @@ def test_extract_that_fails_midway_leaves_neither_output(corpus_dir, tmp_path, c
     assert_refused(capsys, argv, f"{wav}: file ends inside its data chunk ({size - 10} of {size} bytes)", tmp_path)
 
 
-def test_an_interrupted_command_leaves_no_output(corpus_dir, tmp_path, monkeypatch):
+def test_an_interrupted_command_keeps_an_earlier_file_and_a_device(corpus_dir, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
+    (tmp_path / "feats.csv").write_text("speaker,utterance\n")  # as if an earlier run wrote it
+    (tmp_path / "null").symlink_to(os.devnull)  # not a regular file: written in place, never removed
+    before = _tree(tmp_path)
     monkeypatch.setattr(ev, "collect_features", interrupted)  # once the headers and the first epochs are written
     with pytest.raises(KeyboardInterrupt):
         main(["extract", "--corpus", str(corpus_dir), "--report-out", str(tmp_path / "feats.csv"),
-              "--epoch-dump", str(tmp_path / "epochs.csv")])
-    assert list(tmp_path.iterdir()) == []
+              "--epoch-dump", str(tmp_path / "null")])
+    assert _tree(tmp_path) == before
+    assert Path(os.devnull).is_char_device()
+
+
+def test_report_out_replaces_a_file_through_its_symlink_keeping_its_mode(corpus_dir, tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_text("an earlier run\n")
+    earlier.chmod(0o640)
+    (tmp_path / "link.csv").symlink_to(earlier)
+    argv = ["extract", "--corpus", str(corpus_dir), "--kind", "mfcc", "--report-out", str(tmp_path / "link.csv"),
+            "--epoch-dump", str(tmp_path / "new.csv")]
+    assert main(argv) == 0
+    assert earlier.read_text().startswith("speaker,utterance,frame_index,k1,")
+    assert (tmp_path / "new.csv").read_text().startswith("region_id,epoch,mapped_peak\n")
+    assert (tmp_path / "link.csv").readlink() == earlier
+    assert stat.S_IMODE(earlier.stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["earlier.csv", "link.csv", "new.csv"]
 
 
 def test_timit_tree_runs_through_the_cli(timit_tree, tmp_path, capsys):

@@ -7,8 +7,10 @@ at 16 kHz. There are no noise rows yet: on this voice even
 0 dB white noise leaves every speaker identified, so such a row cannot fail.
 """
 
+import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,14 +173,18 @@ def test_row_fails_with_one_named_error(corpus, row, tmp_path, capsys):
     assert re.fullmatch(error, str(exc.value)), str(exc.value)
 
     capsys.readouterr()
+    # the report opens before the run: a failure midway keeps an earlier run.md and never removes a device
+    (tmp_path / "run.md").write_text("an earlier report\n")
+    (tmp_path / "run.csv").symlink_to(os.devnull)
     files = sorted(tmp_path.rglob("*"))
-    # the report is opened before the run: a failure midway leaves neither of its files
     argv = ["evaluate", "--corpus", str(tmp_path), "--codebook-size", str(size), "--report-out", str(tmp_path / "run")]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"spkid evaluate: error: {error}\n", err), err
     assert sorted(tmp_path.rglob("*")) == files
+    assert (tmp_path / "run.md").read_text() == "an earlier report\n"
+    assert (tmp_path / "run.csv").readlink() == Path(os.devnull)
 
 
 @pytest.fixture(scope="module")
